@@ -127,8 +127,8 @@ class PrimitiveSpace:
         rows = self._lambda_rows()
         free_cols, kernel = linalg.kernel_basis_with_free(rows, self.ambient.dim)
         self.free_cols = free_cols
-        self.basis = [{self.ambient.basis[k]: Fraction(v) if isinstance(v, int) else v
-                       for k, v in vec.items()} for vec in kernel]
+        self.basis = [{self.ambient.basis[k]: v for k, v in vec.items()}
+                      for vec in kernel]
         self.dim = len(self.basis)
         if self.dim != primitive_dim(n, q):
             raise AssertionError(

@@ -4,9 +4,17 @@ Works for any element type supporting +, -, *, /, bool() and equality,
 in particular `fractions.Fraction` and `qkspin.scalar.Scalar`.  Rows are
 sparse dicts {column: value}; zero entries are never stored.  Pivot order
 is fixed by (row order, smallest column), so every result is deterministic.
+An `int` pivot is promoted to `Fraction` before dividing, so integer input
+gives exact rational results rather than floats.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+
+
+def _exact(pivot):
+    return Fraction(pivot) if isinstance(pivot, int) else pivot
 
 
 def row_sub(row: dict, factor, other: dict) -> dict:
@@ -46,7 +54,7 @@ class Echelon:
         if not row:
             return False
         piv = min(row)
-        inv_val = row[piv]
+        inv_val = _exact(row[piv])
         row = {c: v / inv_val for c, v in row.items()}
         # back-substitute into existing rows to keep the form reduced
         for k, r in enumerate(self.rows):
@@ -105,7 +113,6 @@ def _one_like(ech: Echelon):
     for r in ech.rows:
         for v in r.values():
             return v / v
-    from fractions import Fraction
     return Fraction(1)
 
 
@@ -119,7 +126,7 @@ def invert(matrix: list[list]) -> list[list]:
         if piv is None:
             raise ValueError("matrix is singular")
         aug[col], aug[piv] = aug[piv], aug[col]
-        inv_val = aug[col][col]
+        inv_val = _exact(aug[col][col])
         aug[col] = [v / inv_val for v in aug[col]]
         for r in range(n):
             if r != col and aug[r][col]:

@@ -10,7 +10,7 @@ length, so one dict may hold mixed degrees where convenient.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement
 
 from .symplectic import SymplecticSpace, add_into
 
@@ -152,62 +152,41 @@ def sym_contract_circ(cov: dict, elem: dict) -> dict:
 
 # -- extended symplectic forms and J ------------------------------------
 
-def gram_det(space: SymplecticSpace, a: tuple, b: tuple):
+def _gram_sum(space: SymplecticSpace, a: tuple, b: tuple, signed: bool):
+    """Sum over permutations p of sign(p)^signed prod_k sigma(a_k, b_p(k)).
+
+    Only nonzero Gram entries are walked, so for a symplectic basis, where
+    each row holds at most one nonzero entry, this costs O(q^2) rather than
+    q! products.
+    """
     if len(a) != len(b):
         raise ValueError("degree mismatch")
-    q = len(a)
-    if q == 0:
-        return Fraction(1)
-    total = Fraction(0)
-    for perm in permutations(range(q)):
-        sign = _perm_sign(perm)
-        prod = Fraction(1)
-        for k in range(q):
-            s = space.sigma_basis(a[k], b[perm[k]])
-            if not s:
-                prod = Fraction(0)
-                break
-            prod *= s
-        if prod:
-            total += sign * prod
-    return total
+    rows = [[(col, s) for col, y in enumerate(b) if (s := space.sigma_basis(x, y))]
+            for x in a]
+
+    def walk(k: int, used: tuple, prod: Fraction) -> Fraction:
+        if k == len(rows):
+            return prod
+        total = Fraction(0)
+        for col, s in rows[k]:
+            if col in used:
+                continue
+            term = prod * s
+            # each used column to the right of col is one inversion
+            if signed and sum(u > col for u in used) % 2:
+                term = -term
+            total += walk(k + 1, used + (col,), term)
+        return total
+
+    return walk(0, (), Fraction(1))
+
+
+def gram_det(space: SymplecticSpace, a: tuple, b: tuple):
+    return _gram_sum(space, a, b, signed=True)
 
 
 def gram_perm(space: SymplecticSpace, a: tuple, b: tuple):
-    if len(a) != len(b):
-        raise ValueError("degree mismatch")
-    r = len(a)
-    if r == 0:
-        return Fraction(1)
-    total = Fraction(0)
-    for perm in permutations(range(r)):
-        prod = Fraction(1)
-        for k in range(r):
-            s = space.sigma_basis(a[k], b[perm[k]])
-            if not s:
-                prod = Fraction(0)
-                break
-            prod *= s
-        if prod:
-            total += prod
-    return total
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            k = perm[k]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    return _gram_sum(space, a, b, signed=False)
 
 
 def extended_sigma_ext(space: SymplecticSpace, x: dict, y: dict):

@@ -117,6 +117,9 @@ class Scalar:
         return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
 
     def __hash__(self):
+        # a rational Scalar equals its Fraction, so it must hash like one
+        if self.is_rational:
+            return hash(self.a)
         return hash((self.a, self.b, self.c, self.d))
 
     @property

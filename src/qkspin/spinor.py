@@ -12,6 +12,10 @@ mu_pm / mu_mp / mu_pp / mu_mm are defined on arbitrary bigrades (p, q).
 
 Elements are sparse dicts keyed (p, q, h_monomial, primitive_column);
 tangent vectors are sparse dicts keyed (h_index, e_index).
+
+Every coefficient of mu is sqrt2 times a rational, so the space works with
+mu = sqrt2 M and keeps M over the rationals: `clifford_matrix` returns M,
+and the Scalar-valued mu methods multiply by sqrt2 once, at the end.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .powers import (
     sym_insert,
 )
 from .scalar import SQRT2, Scalar
-from .symplectic import SymplecticSpace, add_into, sharp
+from .symplectic import SymplecticSpace, add_into, scale, sharp
 
 
 def rank_formula(n: int, r: int) -> int:
@@ -50,6 +54,8 @@ class SpinorSpace:
         self.E = SymplecticSpace(n, name="e")
         self.eops = primitive_ops(self.E)
         self._flat = None
+        self._clifford_basis = {}   # tangent basis key -> M of that vector
+        self._grams = ({}, {}, {})
 
     # -- bases --------------------------------------------------------
 
@@ -111,12 +117,16 @@ class SpinorSpace:
     # -- split Clifford components -------------------------------------
 
     def _component(self, x: dict, psi: dict, h_raise: bool, e_raise: bool) -> dict:
-        """sqrt2 sum over x of (h-part tensor e-part) applied to psi."""
+        """sum over x of (h-part tensor e-part) applied to psi, without sqrt2.
+
+        This is the split component of M with mu = sqrt2 M; its coefficients
+        are rational whenever x and psi are.
+        """
         n = self.n
         out: dict = {}
         for (p, q, hm, col), c in psi.items():
             for (a, i), cx in x.items():
-                coeff = SQRT2 * cx * c
+                coeff = cx * c
                 # H factor
                 if h_raise:
                     h_terms = [(sym_insert(a, hm), Fraction(1))]
@@ -142,57 +152,78 @@ class SpinorSpace:
                         add_into(out, (p2, q2, hm2, col2), coeff * hv * ev)
         return out
 
-    def mu_plus_minus(self, x: dict, psi: dict) -> dict:
-        """sqrt2 (h mult tensor e^sharp contraction): grade r -> r+1."""
-        return self._component(x, psi, h_raise=True, e_raise=False)
-
-    def mu_minus_plus(self, x: dict, psi: dict) -> dict:
-        """sqrt2 (h^sharp circ-contraction tensor e wedge_circ): r -> r-1."""
-        return self._component(x, psi, h_raise=False, e_raise=True)
-
-    def mu_plus_plus(self, x: dict, psi: dict) -> dict:
-        """sqrt2 (h mult tensor e wedge_circ): bigrade (p, q) -> (p+1, q+1)."""
-        return self._component(x, psi, h_raise=True, e_raise=True)
-
-    def mu_minus_minus(self, x: dict, psi: dict) -> dict:
-        """sqrt2 (h^sharp circ-contraction tensor e^sharp contraction)."""
-        return self._component(x, psi, h_raise=False, e_raise=False)
-
-    def mu(self, x: dict, psi: dict) -> dict:
-        """Full Clifford multiplication: mu_plus_minus + mu_minus_plus."""
-        out = self.mu_plus_minus(x, psi)
-        for k, v in self.mu_minus_plus(x, psi).items():
+    def _clifford(self, x: dict, psi: dict) -> dict:
+        """M(x) psi: the grade-raising plus the grade-lowering component."""
+        out = self._component(x, psi, h_raise=True, e_raise=False)
+        for k, v in self._component(x, psi, h_raise=False, e_raise=True).items():
             add_into(out, k, v)
         return out
 
+    def mu_plus_minus(self, x: dict, psi: dict) -> dict:
+        """sqrt2 (h mult tensor e^sharp contraction): grade r -> r+1."""
+        return scale(self._component(x, psi, h_raise=True, e_raise=False), SQRT2)
+
+    def mu_minus_plus(self, x: dict, psi: dict) -> dict:
+        """sqrt2 (h^sharp circ-contraction tensor e wedge_circ): r -> r-1."""
+        return scale(self._component(x, psi, h_raise=False, e_raise=True), SQRT2)
+
+    def mu_plus_plus(self, x: dict, psi: dict) -> dict:
+        """sqrt2 (h mult tensor e wedge_circ): bigrade (p, q) -> (p+1, q+1)."""
+        return scale(self._component(x, psi, h_raise=True, e_raise=True), SQRT2)
+
+    def mu_minus_minus(self, x: dict, psi: dict) -> dict:
+        """sqrt2 (h^sharp circ-contraction tensor e^sharp contraction)."""
+        return scale(self._component(x, psi, h_raise=False, e_raise=False), SQRT2)
+
+    def mu(self, x: dict, psi: dict) -> dict:
+        """Full Clifford multiplication: mu_plus_minus + mu_minus_plus."""
+        return scale(self._clifford(x, psi), SQRT2)
+
+    def clifford_basis_matrix(self, t) -> dict:
+        """M of the tangent basis vector t over the flat spinor basis.
+
+        Built on first use and cached on the space; the returned matrix is
+        shared, so callers must not modify it.
+        """
+        m = self._clifford_basis.get(t)
+        if m is None:
+            flat = self.flat_basis()
+            index = {k: i for i, k in enumerate(flat)}
+            x = {t: Fraction(1)}
+            m = {}
+            for ci, key in enumerate(flat):
+                img = self._clifford(x, {key: Fraction(1)})
+                if img:
+                    m[ci] = {index[k]: v for k, v in img.items()}
+            self._clifford_basis[t] = m
+        return m
+
+    def clifford_matrix(self, x: dict) -> dict:
+        """M(x) with mu(x) = sqrt2 M(x); rational entries for rational x."""
+        return sparsemat.madd(*(
+            sparsemat.mscale(self.clifford_basis_matrix(t), c)
+            for t, c in x.items()))
+
     def mu_matrix(self, x: dict) -> dict:
-        """Matrix of mu(x) over the flat spinor basis."""
-        flat = self.flat_basis()
-        index = {k: i for i, k in enumerate(flat)}
-        cols = {}
-        for ci, key in enumerate(flat):
-            img = self.mu(x, {key: Fraction(1)})
-            if img:
-                cols[ci] = {index[k]: v for k, v in img.items()}
-        return cols
+        """Matrix of mu(x) = sqrt2 M(x) over the flat spinor basis."""
+        return sparsemat.mscale(self.clifford_matrix(x), SQRT2)
 
     # -- twisted Hermitian form -----------------------------------------
 
     def _h_gram(self, p: int):
         basis = self.sym_basis(p)
-        return [[extended_sigma_sym(self.H, {m1: Fraction(1)},
-                                    j_sym(self.H, {m2: Fraction(1)}))
-                 for m2 in basis] for m1 in basis]
+        jbasis = [j_sym(self.H, {m: Fraction(1)}) for m in basis]
+        return [[extended_sigma_sym(self.H, {m1: Fraction(1)}, jb)
+                 for jb in jbasis] for m1 in basis]
 
     def _e_gram(self, q: int):
         prim = primitive_space(self.E, q)
-        return [[extended_sigma_ext(self.E, b1, j_ext(self.E, b2))
-                 for b2 in prim.basis] for b1 in prim.basis]
+        jbasis = [j_ext(self.E, b) for b in prim.basis]
+        return [[extended_sigma_ext(self.E, b1, jb) for jb in jbasis]
+                for b1 in prim.basis]
 
     def hermitian(self, psi1: dict, psi2: dict):
         """(1/p!) sigma_H(A1, J A2) sigma_E(w1, J w2), summed over bigrades."""
-        if not hasattr(self, "_grams"):
-            self._grams = ({}, {}, {})
         grams_h, grams_e, hidx = self._grams
         total = Scalar(0)
         for (p, q, hm, col), c1 in psi1.items():
@@ -249,21 +280,21 @@ class SpinorSpace:
 
         The symmetric product is realized inside Lambda^2 TM as the
         two-vector sum_k (h_i tensor de_k^flat) wedge (h_j tensor e_k), and
-        mu(X wedge Y) = mu(X) mu(Y) + g(X, Y).
+        mu(X wedge Y) = mu(X) mu(Y) + g(X, Y).  With mu = sqrt2 M each term
+        is 2 sg M(h_i tensor e_kf) M(h_j tensor e_k) + g, built from the
+        cached basis matrices and rational throughout.
         """
         i, j = pair
-        flat_idx = {k: m for m, k in enumerate(self.flat_basis())}
         total: dict = {}
+        g = Fraction(0)
         for k in range(self.E.dim):
             kf, sg = self.E.flat_basis(k)
-            x = {(i, kf): Fraction(sg)}
-            y = {(j, k): Fraction(1)}
-            prod = sparsemat.compose(self.mu_matrix(x), self.mu_matrix(y))
-            g = self.metric(x, y)
-            if g:
-                prod = sparsemat.madd(
-                    prod, sparsemat.identity(self.dim, Scalar.coerce(g)))
-            total = sparsemat.madd(total, prod)
+            prod = sparsemat.compose(self.clifford_basis_matrix((i, kf)),
+                                     self.clifford_basis_matrix((j, k)))
+            total = sparsemat.madd(total, sparsemat.mscale(prod, 2 * sg))
+            g += self.metric({(i, kf): Fraction(sg)}, {(j, k): Fraction(1)})
+        if g:
+            total = sparsemat.madd(total, sparsemat.identity(self.dim, g))
         return total
 
     def sym2h_dual_pairs(self) -> list:

@@ -63,14 +63,18 @@ def suite_clifford(n: int, seed: int = 0) -> list[Check]:
     checks.append(Check(f"total spinor dimension 4^{n}", spin.dim == 4 ** n,
                         value=spin.dim))
 
-    mats = {t: spin.mu_matrix({t: Fraction(1)}) for t in spin.tangent_basis()}
+    # mu = sqrt2 M with M rational, so mu_x mu_y + mu_y mu_x = -2 g(x, y) id
+    # reads M_x M_y + M_y M_x = -g(x, y) id; both sides are symmetric in
+    # (x, y), so the unordered pairs cover all (4n)^2 basis pairs.
+    tangent = spin.tangent_basis()
+    mats = {t: spin.clifford_basis_matrix(t) for t in tangent}
     bad = None
-    for tx in spin.tangent_basis():
-        for ty in spin.tangent_basis():
+    for a, tx in enumerate(tangent):
+        for ty in tangent[a:]:
             anti = sparsemat.madd(sparsemat.compose(mats[tx], mats[ty]),
                                   sparsemat.compose(mats[ty], mats[tx]))
             g = spin.metric({tx: Fraction(1)}, {ty: Fraction(1)})
-            expect = {k: {k: -2 * g} for k in range(spin.dim)} if g else {}
+            expect = sparsemat.identity(spin.dim, -g) if g else {}
             if sparsemat.msub(anti, expect):
                 bad = (tx, ty)
                 break
@@ -79,12 +83,13 @@ def suite_clifford(n: int, seed: int = 0) -> list[Check]:
     checks.append(Check(f"Clifford anticommutation relation (n={n}, "
                         f"all {(4 * n) ** 2} basis pairs)", bad is None, bad))
 
+    flat = spin.flat_basis()
     bad = None
-    for key in spin.flat_basis():
+    for ci, key in enumerate(flat):
         r = key[0]
-        for t in spin.tangent_basis():
-            img = spin.mu({t: Fraction(1)}, {key: Fraction(1)})
-            if any(k[0] not in (r - 1, r + 1) for k in img):
+        for t in tangent:
+            rows = mats[t].get(ci, {})
+            if any(flat[row][0] not in (r - 1, r + 1) for row in rows):
                 bad = (key, t)
                 break
         if bad:
@@ -135,7 +140,6 @@ def suite_clifford(n: int, seed: int = 0) -> list[Check]:
                         "6n - 4r(r+2)", bad is None, bad,
                         value=[kraines_eigenvalue(n, r) for r in range(n + 1)]))
 
-    flat = spin.flat_basis()
     idx = {k: m for m, k in enumerate(flat)}
     bad = None
     r0_value = None

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations, permutations, product
 
 from qkspin.powers import (
     ExtPower,
@@ -11,6 +12,8 @@ from qkspin.powers import (
     ext_wedge_vec,
     extended_sigma_ext,
     extended_sigma_sym,
+    gram_det,
+    gram_perm,
     j_ext,
     sym_contract_circ,
     sym_mul_vec,
@@ -124,3 +127,26 @@ def test_extended_hermitian_positive():
             if x:
                 v = extended_sigma_sym(H, x, j_sym(H, x))
                 assert is_positive(Scalar.coerce(v))
+
+
+def _gram_by_permutations(space, a, b, signed):
+    total = Fraction(0)
+    for perm in permutations(range(len(a))):
+        inversions = sum(perm[k] > perm[l] for k, l in combinations(range(len(a)), 2))
+        term = Fraction(-1 if signed and inversions % 2 else 1)
+        for k, col in enumerate(perm):
+            term *= space.sigma_basis(a[k], b[col])
+        total += term
+    return total
+
+
+def test_gram_sums_match_permutation_expansion():
+    # every index tuple of degree <= 3 over a 4-dimensional space, repeats
+    # and unsorted orders included
+    E = SymplecticSpace(2)
+    for q in range(4):
+        tuples = list(product(range(E.dim), repeat=q))
+        for a in tuples:
+            for b in tuples:
+                assert gram_det(E, a, b) == _gram_by_permutations(E, a, b, True)
+                assert gram_perm(E, a, b) == _gram_by_permutations(E, a, b, False)

@@ -93,3 +93,21 @@ def test_mixed_arithmetic_with_rationals():
     assert 2 * x == Scalar(2, 2)
     assert Fraction(1, 2) * x == Scalar(Fraction(1, 2), Fraction(1, 2))
     assert (x / 2) * 2 == x
+
+
+def test_rational_scalar_hashes_like_fraction():
+    assert len({Scalar(1), Fraction(1)}) == 1
+    assert len({Scalar(Fraction(-3, 4)), Fraction(-3, 4), Scalar(1)}) == 2
+    assert {Fraction(2): "two"}[Scalar(2)] == "two"
+
+
+def test_equal_values_hash_equal():
+    for v in (0, 1, -7, Fraction(1, 3), Fraction(-5, 2)):
+        s = Scalar(v)
+        for twin in (v, Fraction(v), Scalar.parse(s.encode())):
+            assert twin == s and hash(twin) == hash(s)
+    for x in (SQRT2, I, Scalar(Fraction(1, 2), 3, 0, -1), I * SQRT2):
+        twin = Scalar.parse(x.encode())
+        assert twin == x and hash(twin) == hash(x)
+        unit = x * x.inverse()   # rational, though built from irrational parts
+        assert unit == 1 and hash(unit) == hash(1)

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 from qkspin import sparsemat
-from qkspin.scalar import Scalar
+from qkspin.scalar import SQRT2, Scalar
 from qkspin.spinor import SpinorSpace, kraines_eigenvalue, rank_formula
 
 
@@ -197,3 +197,55 @@ def test_casimir_and_kraines():
         op = sparsemat.madd(sparsemat.identity(r + 1, Fraction(6 * S.n)),
                             sparsemat.mscale(C, Fraction(4)))
         assert sparsemat.is_scalar_multiple(op, r + 1, kraines_eigenvalue(2, r))
+
+
+def test_clifford_matrix_is_rational():
+    rng = random.Random(19)
+    for n in (2, 3):
+        S = SpinorSpace(n)
+        xs = [{t: Fraction(1)} for t in S.tangent_basis()]
+        xs.append({t: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                   for t in S.tangent_basis()})
+        for x in xs:
+            M = S.clifford_matrix(x)
+            assert M
+            assert all(type(v) is Fraction
+                       for col in M.values() for v in col.values()), (n, x)
+
+
+def test_mu_matrix_is_sqrt2_times_clifford_matrix():
+    S = SpinorSpace(2)
+    flat = S.flat_basis()
+    rng = random.Random(29)
+    for _ in range(10):
+        x = {}
+        for _ in range(3):
+            t = (rng.randrange(2), rng.randrange(S.E.dim))
+            x[t] = Scalar(rng.randint(-2, 2), 0, rng.choice((-2, -1, 1, 2)), 0)
+        M, mu = S.clifford_matrix(x), S.mu_matrix(x)
+        assert mu.keys() == M.keys()
+        for col, mcol in M.items():
+            assert mu[col].keys() == mcol.keys()
+            for row, v in mcol.items():
+                assert mu[col][row] == SQRT2 * v
+            # and against mu applied to the basis spinor directly
+            img = S.mu(x, {flat[col]: Fraction(1)})
+            assert img == {flat[row]: w for row, w in mu[col].items()}
+
+
+def test_two_form_matrix_matches_mu_products():
+    # the defining sum_k mu(x_k) mu(y_k) + g(x_k, y_k) id, from mu_matrix
+    S = SpinorSpace(2)
+    for i, j in [(0, 0), (0, 1), (1, 1)]:
+        total = {}
+        for k in range(S.E.dim):
+            kf, sg = S.E.flat_basis(k)
+            x = {(i, kf): Fraction(sg)}
+            y = {(j, k): Fraction(1)}
+            prod = sparsemat.compose(S.mu_matrix(x), S.mu_matrix(y))
+            g = S.metric(x, y)
+            if g:
+                prod = sparsemat.madd(
+                    prod, sparsemat.identity(S.dim, Scalar.coerce(g)))
+            total = sparsemat.madd(total, prod)
+        assert not sparsemat.msub(S.two_form_matrix((i, j)), total), (i, j)
