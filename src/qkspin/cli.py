@@ -209,20 +209,17 @@ def cmd_weitzenboeck(args) -> int:
         raise UsageError("weitzenboeck requires n >= 1 and 0 <= r <= n")
     w = w_full(n, r)
     if args.format == "json":
-        values = {
-            "W_H": [[_fmt_fraction(v) for v in row] for row in wh_closed(r)],
-            "W_E": [[_fmt_fraction(v) for v in row] for row in we_closed(n, r)],
-            "W": w.to_json(),
-        }
+        w_value = w.to_json()
     else:
-        values = {
-            "W_H": [[_fmt_fraction(v) for v in row] for row in wh_closed(r)],
-            "W_E": [[_fmt_fraction(v) for v in row] for row in we_closed(n, r)],
-            "W": [dict([("row", w.row_labels[k])] +
-                       [(w.col_labels[j], _fmt_fraction(v))
-                        for j, v in enumerate(row)])
-                  for k, row in enumerate(w.entries)],
-        }
+        w_value = [dict([("row", w.row_labels[k])] +
+                        [(w.col_labels[j], _fmt_fraction(v))
+                         for j, v in enumerate(row)])
+                   for k, row in enumerate(w.entries)]
+    values = {
+        "W_H": [[_fmt_fraction(v) for v in row] for row in wh_closed(r)],
+        "W_E": [[_fmt_fraction(v) for v in row] for row in we_closed(n, r)],
+        "W": w_value,
+    }
     checks = []
     if args.oracle:
         rep = recover_matches_closed_form(n, r)

@@ -77,10 +77,6 @@ def dim_s2l2(N: int) -> int:
     return m * (m + 1) // 2
 
 
-def dim_curv(N: int) -> int:
-    return N * N * (N * N - 1) // 12
-
-
 # -- covector-level constructions ----------------------------------------
 
 def wedge_cov(alpha: dict, beta: dict) -> dict:
@@ -518,9 +514,6 @@ class BianchiSystem:
                 if row:
                     rows.append(row)
         return rows
-
-    def solution_dim(self) -> int:
-        return len(self.basis) - linalg.rank(self.constraint_rows())
 
     def m_rows(self) -> list:
         rows: dict = {}

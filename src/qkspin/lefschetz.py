@@ -13,7 +13,7 @@ suite checks they produce identical matrices.
 
 from __future__ import annotations
 
-import threading
+import functools
 from fractions import Fraction
 from math import comb
 
@@ -28,22 +28,16 @@ from .symplectic import (
     sub,
 )
 
-_bivector_cache: dict = {}
-
-
+@functools.cache
 def canonical_bivector(space: SymplecticSpace) -> dict:
     """L_E as an exterior element of degree 2."""
-    key = (space.half_dim, space.name)
-    got = _bivector_cache.get(key)
-    if got is None:
-        got = {}
-        for i in range(space.dim):
-            j, sg = space.flat_basis(i)
-            term = ext_wedge_vec({j: Fraction(sg, 2)}, {(i,): Fraction(1)})
-            for mono, c in term.items():
-                add_into(got, mono, c)
-        _bivector_cache[key] = got
-    return got
+    out: dict = {}
+    for i in range(space.dim):
+        j, sg = space.flat_basis(i)
+        term = ext_wedge_vec({j: Fraction(sg, 2)}, {(i,): Fraction(1)})
+        for mono, c in term.items():
+            add_into(out, mono, c)
+    return out
 
 
 def apply_L(space: SymplecticSpace, elem: dict) -> dict:
@@ -163,9 +157,6 @@ class PrimitiveSpace:
                 add_into(out, mono, v * b)
         return out
 
-    def is_primitive(self, elem: dict) -> bool:
-        return not apply_Lambda(self.space, elem)
-
     # two independent projector constructions ------------------------
 
     def projector(self) -> list[list]:
@@ -239,20 +230,9 @@ class PrimitiveSpace:
         return cols
 
 
-_prim_cache: dict = {}
-_prim_lock = threading.Lock()
-
-
+@functools.cache
 def primitive_space(space: SymplecticSpace, q: int) -> PrimitiveSpace:
-    key = (space.half_dim, space.name, q)
-    got = _prim_cache.get(key)
-    if got is None:
-        with _prim_lock:
-            got = _prim_cache.get(key)
-            if got is None:
-                got = PrimitiveSpace(space, q)
-                _prim_cache[key] = got
-    return got
+    return PrimitiveSpace(space, q)
 
 
 def primitive_dim(n: int, q: int) -> int:
@@ -307,14 +287,9 @@ class PrimitiveOps:
         return m if sg == 1 else sparsemat.mscale(m, Fraction(-1))
 
 
-_ops_cache: dict = {}
-
-
+@functools.cache
 def primitive_ops(space: SymplecticSpace) -> PrimitiveOps:
-    key = (space.half_dim, space.name)
-    if key not in _ops_cache:
-        _ops_cache[key] = PrimitiveOps(space)
-    return _ops_cache[key]
+    return PrimitiveOps(space)
 
 
 # -- verification reports ------------------------------------------------
@@ -448,14 +423,6 @@ def check_sym_relations(r: int) -> list[Check]:
     space = SymplecticSpace(1, name="h")
     sym = SymPower(space, r)
     checks = []
-
-    def as_matrix(fn):
-        cols = {}
-        for c, mono in enumerate(sym.basis):
-            img = fn({mono: Fraction(1)})
-            if img:
-                cols[c] = img
-        return cols
 
     def mul(i):
         return lambda x: sym_mul_vec(space.basis_vector(i), x)

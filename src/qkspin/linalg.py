@@ -65,9 +65,6 @@ class Echelon:
         self.pivots.append(piv)
         return True
 
-    def contains(self, row: dict) -> bool:
-        return not self.reduce(dict(row))
-
 
 def rank(rows) -> int:
     ech = Echelon()

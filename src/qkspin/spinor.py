@@ -87,9 +87,6 @@ class SpinorSpace:
     def dim(self) -> int:
         return len(self.flat_basis())
 
-    def basis_spinor(self, key) -> dict:
-        return {key: Fraction(1)}
-
     # -- tangent vectors ----------------------------------------------
 
     def tangent_basis(self) -> list:

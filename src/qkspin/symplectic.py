@@ -27,6 +27,14 @@ class SymplecticSpace:
     def __repr__(self):
         return f"SymplecticSpace({self.half_dim}, {self.name!r})"
 
+    # value semantics, so caches keyed on a space key on (half_dim, name)
+    def __eq__(self, other):
+        return isinstance(other, SymplecticSpace) and \
+            (self.half_dim, self.name) == (other.half_dim, other.name)
+
+    def __hash__(self):
+        return hash((self.half_dim, self.name))
+
     def sigma_basis(self, i: int, j: int) -> Fraction:
         m = self.half_dim
         if j == i + m:

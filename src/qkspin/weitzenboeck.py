@@ -10,6 +10,8 @@ between them is the 6x6 Weitzenboeck matrix, the Kronecker product of a
 
 `recover_w` re-derives the matrix entry by entry from the twelve explicit
 operators by exact linear algebra; it must agree with the closed form.
+One exact span solver, `solve_in_span`, serves this 6x6 oracle and the
+2x2 (H-part) and 3x3 (E-part) sub-oracles `recover_wh` and `recover_we`.
 
 Row and column conventions (0-based):
   rows  (E-label major): [C.C, Sym2H.C, C.Sym2E, Sym2H.Sym2E,
@@ -157,9 +159,6 @@ class ProjectorFamily:
                 cols[ci] = {self.sym_index[m]: v for m, v in img.items()}
         return cols
 
-    def _h_mul(self, a: int, mono: tuple) -> dict:
-        return {sym_insert(a, mono): Fraction(1)}
-
     def _h_con(self, a: int, mono: tuple) -> dict:
         cov = sharp(self.H, {a: Fraction(1)})
         return sym_contract_circ(cov, {mono: Fraction(1)})
@@ -267,32 +266,43 @@ class ProjectorFamily:
         return [labels[c] for c in range(6) if c not in alive]
 
 
-def _accumulate_block(entry_rows: linalg.Echelon, rights: list, lefts: list):
-    """Feed one tangent-slot block into the joint echelon.
-
-    Rows have 12 columns: 0..5 the right-operator entries, 6..11 the left.
-    """
-    entries: dict = {}
-    for col, (hm, em) in enumerate(rights):
-        for hc, hcol in hm.items():
-            for hr, hv in hcol.items():
-                for ec, ecol in em.items():
-                    for er, ev in ecol.items():
-                        entries.setdefault((hr, hc, er, ec), {})
-                        add_into(entries[(hr, hc, er, ec)], col, hv * ev)
-    for col, (hm, em) in enumerate(lefts):
-        for hc, hcol in hm.items():
-            for hr, hv in hcol.items():
-                for ec, ecol in em.items():
-                    for er, ev in ecol.items():
-                        entries.setdefault((hr, hc, er, ec), {})
-                        add_into(entries[(hr, hc, er, ec)], 6 + col, hv * ev)
-    for row in entries.values():
-        entry_rows.add(row)
-
-
 class RecoveryError(AssertionError):
     pass
+
+
+def solve_in_span(blocks, where: str) -> list:
+    """Solve left_k = sum_j X[k][j] right_j by exact elimination.
+
+    Each block is a (rights, lefts) pair of member lists, each member an
+    (H, E) factor pair standing for its Kronecker product.  Every matrix
+    entry of a block gives one row of a joint echelon: right members in the
+    first columns, left members after them.  A pivot among the left columns
+    means some left member is outside the span of the right family, which
+    is a hard failure.  Returns X with None on right columns without pivot.
+    """
+    ech = linalg.Echelon()
+    for rights, lefts in blocks:
+        width, height = len(rights), len(lefts)
+        entries: dict = {}
+        for col, (hm, em) in enumerate(rights + lefts):
+            for hc, hcol in hm.items():
+                for hr, hv in hcol.items():
+                    for ec, ecol in em.items():
+                        for er, ev in ecol.items():
+                            add_into(entries.setdefault((hr, hc, er, ec), {}),
+                                     col, hv * ev)
+        for row in entries.values():
+            ech.add(row)
+    for piv, row in zip(ech.pivots, ech.rows):
+        if piv >= width:
+            raise RecoveryError(
+                f"left family not in the span of the right family {where}: "
+                f"residual row {row}")
+    matrix = [[None] * width for _ in range(height)]
+    for piv, row in zip(ech.pivots, ech.rows):
+        for k in range(height):
+            matrix[k][piv] = row.get(width + k, Fraction(0))
+    return matrix
 
 
 def recover_w(n: int, r: int) -> dict:
@@ -304,27 +314,17 @@ def recover_w(n: int, r: int) -> dict:
     columns are recovered.  Inconsistency is a hard failure.
     """
     fam = ProjectorFamily(n, r)
-    ech = linalg.Echelon()
     tangent = [(a, i) for a in range(2) for i in range(fam.E.dim)]
-    for (a, i) in tangent:
-        for (b, j) in tangent:
-            _accumulate_block(ech, fam.right_factors(a, i, b, j),
-                              fam.left_factors(a, i, b, j))
-    for piv, row in zip(ech.pivots, ech.rows):
-        if piv >= 6:
-            raise RecoveryError(
-                f"left family not in the span of the right family at "
-                f"(n={n}, r={r}): residual row {row}")
-    alive = sorted(set(ech.pivots))
+    matrix = solve_in_span(
+        ((fam.right_factors(a, i, b, j), fam.left_factors(a, i, b, j))
+         for (a, i) in tangent for (b, j) in tangent),
+        f"at (n={n}, r={r})")
+    alive = [j for j in range(6) if matrix[0][j] is not None]
     expected_alive = _surviving_columns(n, r)
     if alive != expected_alive:
         raise RecoveryError(
             f"unexpected right-family rank at (n={n}, r={r}): "
             f"pivots {alive}, expected {expected_alive}")
-    matrix = [[None] * 6 for _ in range(6)]
-    for piv, row in zip(ech.pivots, ech.rows):
-        for k in range(6):
-            matrix[k][piv] = row.get(6 + k, Fraction(0))
     return {"matrix": matrix, "alive": alive, "rank": len(alive)}
 
 
@@ -354,66 +354,32 @@ def recover_matches_closed_form(n: int, r: int) -> dict:
     return {"ok": not mism, "mismatches": mism, "alive": rec["alive"]}
 
 
+# the 1x1 identity, standing in for the factor a sub-oracle leaves out
+_ONE = {0: {0: Fraction(1)}}
+
+
+def _zero_dead(matrix: list) -> list:
+    return [[Fraction(0) if v is None else v for v in row] for row in matrix]
+
+
 def recover_wh(r: int) -> list:
     """2x2 sub-oracle on H tensor H tensor Sym^r H."""
     fam = ProjectorFamily(max(r + 1, 2), r)   # any n >= r+1 gives the same H side
-    ech = linalg.Echelon()
-    for a in range(2):
-        for b in range(2):
-            rights = [fam.h_right(lbl, a, b) for lbl in fam.H_RIGHT]
-            lefts = [fam.h_left(lbl, a, b) for lbl in fam.H_LEFT]
-            entries: dict = {}
-            for col, m in enumerate(rights):
-                for hc, hcol in m.items():
-                    for hr, v in hcol.items():
-                        entries.setdefault((hr, hc), {})
-                        add_into(entries[(hr, hc)], col, v)
-            for col, m in enumerate(lefts):
-                for hc, hcol in m.items():
-                    for hr, v in hcol.items():
-                        entries.setdefault((hr, hc), {})
-                        add_into(entries[(hr, hc)], 2 + col, v)
-            for row in entries.values():
-                ech.add(row)
-    for piv in ech.pivots:
-        if piv >= 2:
-            raise RecoveryError(f"H-side family inconsistent at r={r}")
-    matrix = [[Fraction(0)] * 2 for _ in range(2)]
-    for piv, row in zip(ech.pivots, ech.rows):
-        for k in range(2):
-            matrix[k][piv] = row.get(2 + k, Fraction(0))
-    return matrix
+    return _zero_dead(solve_in_span(
+        (([(fam.h_right(lbl, a, b), _ONE) for lbl in fam.H_RIGHT],
+          [(fam.h_left(lbl, a, b), _ONE) for lbl in fam.H_LEFT])
+         for a in range(2) for b in range(2)),
+        f"on the H side at r={r}"))
 
 
 def recover_we(n: int, r: int) -> list:
     """3x3 sub-oracle on E tensor E tensor Lambda^(n-r)_prim E."""
     fam = ProjectorFamily(n, r)
-    ech = linalg.Echelon()
-    for i in range(fam.E.dim):
-        for j in range(fam.E.dim):
-            rights = [fam.e_right(lbl, i, j) for lbl in fam.E_RIGHT]
-            lefts = [fam.e_left(lbl, i, j) for lbl in fam.E_LEFT]
-            entries: dict = {}
-            for col, m in enumerate(rights):
-                for ec, ecol in m.items():
-                    for er, v in ecol.items():
-                        entries.setdefault((er, ec), {})
-                        add_into(entries[(er, ec)], col, v)
-            for col, m in enumerate(lefts):
-                for ec, ecol in m.items():
-                    for er, v in ecol.items():
-                        entries.setdefault((er, ec), {})
-                        add_into(entries[(er, ec)], 3 + col, v)
-            for row in entries.values():
-                ech.add(row)
-    for piv in ech.pivots:
-        if piv >= 3:
-            raise RecoveryError(f"E-side family inconsistent at (n={n}, r={r})")
-    matrix = [[Fraction(0)] * 3 for _ in range(3)]
-    for piv, row in zip(ech.pivots, ech.rows):
-        for k in range(3):
-            matrix[k][piv] = row.get(3 + k, Fraction(0))
-    return matrix
+    return _zero_dead(solve_in_span(
+        (([(_ONE, fam.e_right(lbl, i, j)) for lbl in fam.E_RIGHT],
+          [(_ONE, fam.e_left(lbl, i, j)) for lbl in fam.E_LEFT])
+         for i in range(fam.E.dim) for j in range(fam.E.dim)),
+        f"on the E side at (n={n}, r={r})"))
 
 
 # -- the kernel projection of the twistor summand --------------------------

@@ -8,10 +8,12 @@ import pytest
 from qkspin.lefschetz import (
     apply_L,
     apply_Lambda,
+    canonical_bivector,
     check_ext_relations,
     check_sl2,
     check_sym_relations,
     primitive_dim,
+    primitive_ops,
     primitive_space,
     wedge_circ,
 )
@@ -141,3 +143,11 @@ def test_operator_matrices():
             {0: {0: Fraction(n)}}
 
 
+def test_caches_key_on_space_value():
+    # two distinct but equal spaces share every cached object
+    E, F = SymplecticSpace(2), SymplecticSpace(2)
+    assert E is not F
+    assert primitive_space(E, 1) is primitive_space(F, 1)
+    assert primitive_ops(E) is primitive_ops(F)
+    assert canonical_bivector(E) is canonical_bivector(F)
+    assert primitive_ops(E) is not primitive_ops(SymplecticSpace(2, "h"))

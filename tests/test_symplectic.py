@@ -120,3 +120,10 @@ def test_mismatched_spaces_rejected():
     from qkspin.symplectic import check_same_space
     with pytest.raises(ValueError):
         check_same_space(E, F)
+
+
+def test_space_equality_is_by_half_dim_and_name():
+    E, F = SymplecticSpace(2), SymplecticSpace(2)
+    assert E is not F and E == F and hash(E) == hash(F)
+    assert E != SymplecticSpace(2, "h")
+    assert E != SymplecticSpace(3)

@@ -7,6 +7,7 @@ import pytest
 from qkspin import sparsemat
 from qkspin.weitzenboeck import (
     OP_SLOTS,
+    RecoveryError,
     contraction_composite,
     curvature_scalar_identities,
     eq51_vector,
@@ -18,6 +19,7 @@ from qkspin.weitzenboeck import (
     recover_we,
     recover_wh,
     row_combination,
+    solve_in_span,
     twistor_elimination_vector,
     we_closed,
     wh_closed,
@@ -86,6 +88,30 @@ def test_sub_oracles():
     for n in (2, 3):
         for r in range(1, n):
             assert recover_we(n, r) == we_closed(n, r)
+
+
+# synthetic one-block families for the span solver: 2x2 H factors times the
+# 1x1 identity E factor
+_ONE = {0: {0: F(1)}}
+_DIAG = {0: {0: F(1)}, 1: {1: F(1)}}           # identity on a 2-dim space
+_SWAP = {0: {1: F(1)}, 1: {0: F(1)}}
+
+
+def test_solve_in_span_recovers_a_multiple():
+    blocks = [([(_DIAG, _ONE)], [(sparsemat.mscale(_DIAG, F(3)), _ONE)])]
+    assert solve_in_span(blocks, "in a test") == [[F(3)]]
+
+
+def test_solve_in_span_marks_a_zero_right_member():
+    blocks = [([(_DIAG, _ONE), ({}, _ONE)],
+               [(sparsemat.mscale(_DIAG, F(-2)), _ONE)])]
+    assert solve_in_span(blocks, "in a test") == [[F(-2), None]]
+
+
+def test_solve_in_span_rejects_a_left_member_outside_the_span():
+    blocks = [([(_DIAG, _ONE)], [(_SWAP, _ONE)])]
+    with pytest.raises(RecoveryError, match="not in the span.*in a test"):
+        solve_in_span(blocks, "in a test")
 
 
 def test_kernel_projection_properties():
