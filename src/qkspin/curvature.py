@@ -9,6 +9,9 @@ Conventions for the block decomposition of Sym^2 Lambda^2 (H* tensor E*):
         (a tensor i) wedge (b tensor j)
           -> 1/2 [ a.b tensor i^j  (+)  a^b tensor i.j ]
   * Sym^2 of a tensor product splits with the analogous 1/2,
+  * Sym^2 tensor Lambda^2 -> Lambda^2 Sym^2 (+) Lambda^2 Lambda^2 splits
+    with 1/2 and is written once, in `split_sym_ext`, which serves both
+    the maps i_Sym / i_Lambda and the mixed block of the Bianchi system,
   * Sym^2 Sym^2 -> Curv (+) Sym^4 and Sym^2 Lambda^2 -> Curv (+) Lambda^4
     use the 1/3 maps, whose explicit inverses are verified in the tests.
 
@@ -25,7 +28,7 @@ from itertools import combinations, combinations_with_replacement
 from math import comb
 
 from . import linalg
-from .symplectic import SymplecticSpace, add_into
+from .symplectic import SymplecticSpace, add_into, scale
 
 
 # -- key algebra ----------------------------------------------------------
@@ -147,7 +150,7 @@ def s2l2_curv_part(elem: dict) -> dict:
     third = Fraction(1, 3)
     for ((a, b), (c, d)), coeff in elem.items():
         add_into(out, skey((a, b), (c, d)), 2 * third * coeff)
-        for (p, q, r, s, sg) in (((a, c), (b, d), 0, 0, 1), ((a, d), (b, c), 0, 0, -1)):
+        for (p, q, sg) in (((a, c), (b, d), 1), ((a, d), (b, c), -1)):
             e1 = ekey(*p)
             e2 = ekey(*q)
             if e1 and e2:
@@ -159,13 +162,7 @@ def s2l2_curv_part(elem: dict) -> dict:
 
 def s2l2_lambda4_part(elem: dict) -> dict:
     """Lambda^4 component: (a^b)(c^d) -> 1/3 a^b^c^d."""
-    out = {}
-    for (F, G), c in elem.items():
-        merged = sort_sign(F + G)
-        if merged:
-            sg, key = merged
-            add_into(out, key, Fraction(sg, 3) * c)
-    return out
+    return scale(mult_m(elem), Fraction(1, 3))
 
 
 def s2s2_curv_part(elem: dict) -> dict:
@@ -229,15 +226,19 @@ def curv_span_rank(N: int) -> int:
     return ech.rank
 
 
+def m_rows(basis: list) -> list:
+    """Sparse rows of m over the given Sym^2 Lambda^2 keys, by Lambda^4 key."""
+    rows: dict = {}
+    for idx, key in enumerate(basis):
+        for tgt, v in mult_m({key: Fraction(1)}).items():
+            rows.setdefault(tgt, {})[idx] = v
+    return [rows[t] for t in sorted(rows)]
+
+
 def ker_m_rank(N: int) -> int:
     """dim ker(m) inside Sym^2 Lambda^2 by exact elimination."""
     basis = s2l2_basis(N)
-    rows: dict = {}
-    for idx, key in enumerate(basis):
-        img = mult_m({key: Fraction(1)})
-        for tgt, v in img.items():
-            rows.setdefault(tgt, {})[idx] = v
-    return len(basis) - linalg.rank(rows.values())
+    return len(basis) - linalg.rank(m_rows(basis))
 
 
 def generators_span_ker_m(N: int) -> bool:
@@ -257,43 +258,59 @@ def generators_span_ker_m(N: int) -> bool:
     return curv_span_rank(N) == ker_m_rank(N)
 
 
+def split_sym_ext(a, b, c, d) -> tuple[list, list]:
+    """Split (a.b) tensor (c^d) into Lambda^2 Sym^2 (+) Lambda^2 Lambda^2.
+
+    (a.b) tensor (c^d) -> 1/2 [ (a.c)^(b.d) + (b.c)^(a.d) ]
+                      (+) 1/2 [ (a^c)^(b^d) + (b^c)^(a^d) ].
+    Returns (sym_terms, ext_terms), each a list of (key, coeff) with keys
+    as ordered pairs of symmetric resp. exterior pair keys.
+    """
+    half = Fraction(1, 2)
+    sym_terms, ext_terms = [], []
+    for x, y in ((a, b), (b, a)):
+        e = ekey(skey(x, c), skey(y, d))
+        if e:
+            sg, key = e
+            sym_terms.append((key, half * sg))
+        e1, e2 = ekey(x, c), ekey(y, d)
+        if e1 and e2:
+            s1, k1 = e1
+            s2, k2 = e2
+            e = ekey(k1, k2)
+            if e:
+                sg, key = e
+                ext_terms.append((key, half * sg * s1 * s2))
+    return sym_terms, ext_terms
+
+
 def i_sym_matrix(space: SymplecticSpace) -> list:
     """Columns of i_Sym: Sym^2 V* -> Lambda^2 Sym^2 V* (rows as dicts)."""
-    return _i_matrix(space, symmetric=True)
+    return _i_matrix(space, 0)
 
 
 def i_lambda_matrix(space: SymplecticSpace) -> list:
     """Columns of i_Lambda: Sym^2 V* -> Lambda^2 Lambda^2 V*."""
-    return _i_matrix(space, symmetric=False)
+    return _i_matrix(space, 1)
 
 
-def _i_matrix(space: SymplecticSpace, symmetric: bool) -> list:
+def _i_matrix(space: SymplecticSpace, part: int) -> list:
+    """Column a.b is part `part` of split_sym_ext of (a.b) tensor sigma.
+
+    sigma = sum_g 1/2 sg dg ^ dg^sharp; part 0 is the Lambda^2 Sym^2 image,
+    part 1 the Lambda^2 Lambda^2 image.
+    """
     N = space.dim
-    cols = []
     sigma_terms = []
     for i in range(N):
         j, sg = space.sharp_basis(i)
         sigma_terms.append((i, j, Fraction(sg, 2)))
+    cols = []
     for (a, b) in sym2_basis(N):
         col: dict = {}
         for (g, d, w) in sigma_terms:
-            if symmetric:
-                pairs = ((skey(a, g), skey(b, d)), (skey(b, g), skey(a, d)))
-                for k1, k2 in pairs:
-                    e = ekey(k1, k2)
-                    if e:
-                        sg2, key = e
-                        add_into(col, key, sg2 * w * Fraction(1, 2))
-            else:
-                for first, second in (((a, g), (b, d)), ((b, g), (a, d))):
-                    e1, e2 = ekey(*first), ekey(*second)
-                    if e1 and e2:
-                        s1, k1 = e1
-                        s2, k2 = e2
-                        e = ekey(k1, k2)
-                        if e:
-                            sg2, key = e
-                            add_into(col, key, sg2 * s1 * s2 * w * Fraction(1, 2))
+            for key, c in split_sym_ext(a, b, g, d)[part]:
+                add_into(col, key, w * c)
         cols.append(col)
     return cols
 
@@ -334,9 +351,11 @@ class BianchiSystem:
     Lambda^2 H tensor Sym^2 E) and 'M' (the mixed product block).
     """
 
+    MAX_N = 2   # the largest n the system is built for
+
     def __init__(self, n: int):
-        if n > 2:
-            raise ValueError("Bianchi system limited to n <= 2 "
+        if n > self.MAX_N:
+            raise ValueError(f"Bianchi system limited to n <= {self.MAX_N} "
                              "(dimension grows too fast beyond)")
         self.n = n
         self.N = 2 * n
@@ -409,46 +428,9 @@ class BianchiSystem:
             p, q, cp = hterm          # p in Sym2 H, q in Ext2 E
             u, v, cu = eterm          # u in Ext2 H, v in Sym2 E
             c = cp * cu
-            a, b = p
-            cH, dH = u
-            i1, j1 = q
-            k1, l1 = v
-            # H side, Lemma-style split of Sym2 (x) Lambda2
-            h_sym = []   # Lambda^2 Sym^2 H with coefficients
-            h_lam = []   # Lambda^2 Lambda^2 H
-            for first, second in ((skey(a, cH), skey(b, dH)),
-                                  (skey(b, cH), skey(a, dH))):
-                e = ekey(first, second)
-                if e:
-                    sg, kk = e
-                    h_sym.append((kk, half * sg))
-            for first, second in (((a, cH), (b, dH)), ((b, cH), (a, dH))):
-                e1, e2 = ekey(*first), ekey(*second)
-                if e1 and e2:
-                    s1, kk1 = e1
-                    s2, kk2 = e2
-                    e = ekey(kk1, kk2)
-                    if e:
-                        sg, kk = e
-                        h_lam.append((kk, half * sg * s1 * s2))
-            # E side: reorder v (x) q into Sym2 (x) Lambda2 and split
-            e_sym = []   # Lambda^2 Sym^2 E
-            e_lam = []   # Lambda^2 Lambda^2 E
-            for first, second in ((skey(k1, i1), skey(l1, j1)),
-                                  (skey(l1, i1), skey(k1, j1))):
-                e = ekey(first, second)
-                if e:
-                    sg, kk = e
-                    e_sym.append((kk, half * sg))
-            for first, second in (((k1, i1), (l1, j1)), ((l1, i1), (k1, j1))):
-                e1, e2 = ekey(*first), ekey(*second)
-                if e1 and e2:
-                    s1, kk1 = e1
-                    s2, kk2 = e2
-                    e = ekey(kk1, kk2)
-                    if e:
-                        sg, kk = e
-                        e_lam.append((kk, half * sg * s1 * s2))
+            h_sym, h_lam = split_sym_ext(*p, *u)
+            # E side: reorder v (x) q into Sym2 (x) Lambda2 before splitting
+            e_sym, e_lam = split_sym_ext(*v, *q)
             for kh, ch in h_sym:
                 for ke, ce in e_sym:
                     put("l2s2H_l2s2E", (kh, ke), c * ch * ce)
@@ -515,15 +497,8 @@ class BianchiSystem:
                     rows.append(row)
         return rows
 
-    def m_rows(self) -> list:
-        rows: dict = {}
-        for idx, key in enumerate(self.basis):
-            for tgt, v in mult_m({key: Fraction(1)}).items():
-                rows.setdefault(tgt, {})[idx] = v
-        return [rows[t] for t in sorted(rows)]
-
     def ker_m_basis(self) -> list:
-        return linalg.kernel_basis(self.m_rows(), len(self.basis))
+        return linalg.kernel_basis(m_rows(self.basis), len(self.basis))
 
     def solution_equals_ker_m(self) -> dict:
         """Subspace equality by double inclusion: dim count + containment."""
@@ -822,10 +797,8 @@ def qzero_check(n: int, r: int, rform: dict) -> dict:
                 if img_amb:
                     d_prim[c] = prim.to_coords(img_amb)
             combo = sparsemat.madd(
-                sparsemat.compose(ops.wedge_flat(q - 1, j), ops.contract(q, i))
-                if q >= 1 else {},
-                sparsemat.compose(ops.wedge_flat(q - 1, i), ops.contract(q, j))
-                if q >= 1 else {})
+                sparsemat.compose(ops.wedge_flat(q - 1, j), ops.contract(q, i)),
+                sparsemat.compose(ops.wedge_flat(q - 1, i), ops.contract(q, j)))
             total = sparsemat.madd(total, sparsemat.compose(combo, d_prim))
     ok = not total
     return {"ok": ok, "witness": None if ok else next(iter(total.items()))}

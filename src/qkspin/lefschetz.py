@@ -243,8 +243,10 @@ class PrimitiveOps:
     """Cached contraction / modified-wedge matrices between primitive levels.
 
     C(q)[i] is de_i contraction from level q to q-1, W(q)[i] is e_i
-    wedge_circ from q to q+1 (empty above the top level).  Sharp and flat
-    variants are index relabelings with a sign.
+    wedge_circ from q to q+1.  Sharp and flat variants are index
+    relabelings with a sign.  The ladder is total: off the ladder, i.e.
+    C(q) unless 1 <= q <= n and W(q) unless 0 <= q < n, the operator is
+    the zero matrix {}, so callers never test the level themselves.
     """
 
     def __init__(self, space: SymplecticSpace):
@@ -257,21 +259,19 @@ class PrimitiveOps:
         return primitive_space(self.space, q)
 
     def contract(self, q: int, i: int) -> dict:
+        if not 1 <= q <= self.n:
+            return {}
         key = (q, i)
         if key not in self._contract:
-            if q == 0:
-                self._contract[key] = {}
-            else:
-                self._contract[key] = self.level(q).contract_matrix(i, self.level(q - 1))
+            self._contract[key] = self.level(q).contract_matrix(i, self.level(q - 1))
         return self._contract[key]
 
     def wedge(self, q: int, i: int) -> dict:
+        if not 0 <= q < self.n:
+            return {}
         key = (q, i)
         if key not in self._wedge:
-            if q >= self.n:
-                self._wedge[key] = {}
-            else:
-                self._wedge[key] = self.level(q).wedge_circ_matrix(i, self.level(q + 1))
+            self._wedge[key] = self.level(q).wedge_circ_matrix(i, self.level(q + 1))
         return self._wedge[key]
 
     def contract_sharp(self, q: int, vec_index: int) -> dict:
@@ -339,8 +339,6 @@ def check_ext_relations(space: SymplecticSpace, s: int) -> list[Check]:
     bad = None
     for i in range(dim2):
         for j in range(i, dim2):
-            if s < 2:
-                continue
             m = sparsemat.madd(
                 sparsemat.compose(ops.contract(s - 1, i), ops.contract(s, j)),
                 sparsemat.compose(ops.contract(s - 1, j), ops.contract(s, i)))
@@ -356,10 +354,8 @@ def check_ext_relations(space: SymplecticSpace, s: int) -> list[Check]:
     for i in range(dim2):
         for j in range(i, dim2):
             m = sparsemat.madd(
-                sparsemat.compose(ops.wedge(s + 1, i) if s + 1 <= n else {},
-                                  ops.wedge(s, j)),
-                sparsemat.compose(ops.wedge(s + 1, j) if s + 1 <= n else {},
-                                  ops.wedge(s, i)))
+                sparsemat.compose(ops.wedge(s + 1, i), ops.wedge(s, j)),
+                sparsemat.compose(ops.wedge(s + 1, j), ops.wedge(s, i)))
             if m:
                 bad = (i, j)
                 break
@@ -372,12 +368,10 @@ def check_ext_relations(space: SymplecticSpace, s: int) -> list[Check]:
     for i in range(dim2):
         for j in range(dim2):
             lhs = sparsemat.madd(
-                sparsemat.compose(ops.contract(s + 1, i), ops.wedge(s, j))
-                if s + 1 <= n else {},
-                sparsemat.compose(ops.wedge(s - 1, j), ops.contract(s, i))
-                if s >= 1 else {})
+                sparsemat.compose(ops.contract(s + 1, i), ops.wedge(s, j)),
+                sparsemat.compose(ops.wedge(s - 1, j), ops.contract(s, i)))
             rhs = sparsemat.compose(ops.wedge_flat(s - 1, i),
-                                    ops.contract_sharp(s, j)) if s >= 1 else {}
+                                    ops.contract_sharp(s, j))
             rhs = sparsemat.mscale(rhs, Fraction(1, n - s + 1))
             if i == j:
                 rhs = sparsemat.madd(rhs, sparsemat.identity(dim, Fraction(1)))
@@ -392,9 +386,8 @@ def check_ext_relations(space: SymplecticSpace, s: int) -> list[Check]:
     expect = Fraction((2 * n - s + 2) * (n - s), n - s + 1)
     total = {}
     for i in range(dim2):
-        if s + 1 <= n:
-            total = sparsemat.madd(
-                total, sparsemat.compose(ops.contract(s + 1, i), ops.wedge(s, i)))
+        total = sparsemat.madd(
+            total, sparsemat.compose(ops.contract(s + 1, i), ops.wedge(s, i)))
     ok = sparsemat.is_scalar_multiple(total, dim, expect)
     checks.append(Check(f"number operator de_i_ e_i^circ (s={s})", ok,
                         None if ok else total, expect))
@@ -402,9 +395,8 @@ def check_ext_relations(space: SymplecticSpace, s: int) -> list[Check]:
     # sum_i e_i wedge_circ de_i_ = s id
     total = {}
     for i in range(dim2):
-        if s >= 1:
-            total = sparsemat.madd(
-                total, sparsemat.compose(ops.wedge(s - 1, i), ops.contract(s, i)))
+        total = sparsemat.madd(
+            total, sparsemat.compose(ops.wedge(s - 1, i), ops.contract(s, i)))
     ok = sparsemat.is_scalar_multiple(total, dim, Fraction(s))
     checks.append(Check(f"number operator e_i^circ de_i_ (s={s})", ok,
                         None if ok else total, Fraction(s)))

@@ -58,13 +58,7 @@ def is_scalar_multiple(m: dict, dim: int, value) -> bool:
     """Does m equal value * id on a dim-dimensional space?"""
     if not value:
         return not m
-    for col in range(dim):
-        if m.get(col, {}) != {col: value}:
-            # allow equal-by-value (Fraction vs Scalar) comparison
-            mc = m.get(col, {})
-            if set(mc) != {col} or mc[col] != value:
-                return False
-    return True
+    return all(m.get(col, {}) == {col: value} for col in range(dim))
 
 
 def apply_cols(m: dict, vec: dict) -> dict:

@@ -119,7 +119,6 @@ class SpinorSpace:
         This is the split component of M with mu = sqrt2 M; its coefficients
         are rational whenever x and psi are.
         """
-        n = self.n
         out: dict = {}
         for (p, q, hm, col), c in psi.items():
             for (a, i), cx in x.items():
@@ -135,10 +134,10 @@ class SpinorSpace:
                     continue
                 # E factor on primitive coordinates
                 if e_raise:
-                    emat = self.eops.wedge(q, i) if q < n else {}
+                    emat = self.eops.wedge(q, i)
                     q2 = q + 1
                 else:
-                    emat = self.eops.contract_sharp(q, i) if q > 0 else {}
+                    emat = self.eops.contract_sharp(q, i)
                     q2 = q - 1
                 ecol = emat.get(col)
                 if not ecol:
@@ -314,9 +313,6 @@ class SpinorSpace:
                 db = sparsemat.mscale(self.derivation_matrix(b, p), coeff)
                 total = sparsemat.madd(total, sparsemat.compose(da, db))
         return total
-
-    def kraines_eigenvalue(self, r: int) -> Fraction:
-        return Fraction(6 * self.n - 4 * r * (r + 2))
 
 
 def kraines_eigenvalue(n: int, r: int) -> Fraction:

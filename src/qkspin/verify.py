@@ -127,8 +127,7 @@ def suite_clifford(n: int, seed: int = 0) -> list[Check]:
     for r in range(n + 1):
         C = spin.casimir_matrix(r)
         want = Fraction(-r * (r + 2))
-        good = sparsemat.is_scalar_multiple(C, r + 1, want) if want else not C
-        if not good:
+        if not sparsemat.is_scalar_multiple(C, r + 1, want):
             bad = r
             break
         op = sparsemat.madd(sparsemat.identity(r + 1, Fraction(6 * n)),
@@ -259,8 +258,6 @@ def suite_curvature(n: int, seed: int = 0) -> list[Check]:
 
 
 def suite_bianchi(n: int, seed: int = 0) -> list[Check]:
-    if n > 2:
-        raise ValueError("bianchi suite limited to n <= 2")
     system = BianchiSystem(n)
     rep = system.solution_equals_ker_m()
     expected = (4 * n) ** 2 * ((4 * n) ** 2 - 1) // 12
@@ -320,9 +317,10 @@ def run_suite(name: str, n: int, seed: int = 0) -> list[Check]:
     if name == "all":
         checks = []
         for s in SUITES[:-1]:
-            if s == "bianchi" and n > 2:
-                checks.append(Check("bianchi suite skipped (n > 2)", True,
-                                    value="resource guard"))
+            if s == "bianchi" and n > BianchiSystem.MAX_N:
+                checks.append(Check(
+                    f"bianchi suite skipped (n > {BianchiSystem.MAX_N})", True,
+                    value="resource guard"))
                 continue
             checks.extend(run_suite(s, n, seed))
         return checks

@@ -196,12 +196,8 @@ class ProjectorFamily:
         q, n, r = self.q, self.n, self.r
         ops = self.eops
         if label == "-+":
-            if q >= n:
-                return {}
             return sparsemat.compose(ops.contract_sharp(q + 1, i), ops.wedge(q, j))
         if label == "+-":
-            if q == 0:
-                return {}
             return sparsemat.compose(ops.wedge(q - 1, i), ops.contract_sharp(q, j))
         if label == "K":
             total = {}
@@ -222,10 +218,8 @@ class ProjectorFamily:
         if label == "C":
             s = self.E.sigma_basis(i, j)
             return sparsemat.identity(self.prim.dim, s) if s else {}
-        wedge_ji = sparsemat.compose(ops.wedge(q - 1, j), ops.contract_sharp(q, i)) \
-            if q >= 1 else {}
-        wedge_ij = sparsemat.compose(ops.wedge(q - 1, i), ops.contract_sharp(q, j)) \
-            if q >= 1 else {}
+        wedge_ji = sparsemat.compose(ops.wedge(q - 1, j), ops.contract_sharp(q, i))
+        wedge_ij = sparsemat.compose(ops.wedge(q - 1, i), ops.contract_sharp(q, j))
         if label == "Sym2E":
             return sparsemat.madd(wedge_ji, wedge_ij)
         if label == "Lambda2E":
@@ -247,23 +241,6 @@ class ProjectorFamily:
     def left_factors(self, a, i, b, j) -> list:
         return [(self.h_left(hb, a, b), self.e_left(eb, i, j))
                 for eb in self.E_LEFT for hb in self.H_LEFT]
-
-    def right_labels(self) -> list:
-        return [f"({hb},{eb})" for eb in self.E_RIGHT for hb in self.H_RIGHT]
-
-    def zero_right_members(self) -> list:
-        """Labels of right members that vanish identically (degenerate grades)."""
-        alive = set()
-        for a in range(2):
-            for i in range(self.E.dim):
-                for b in range(2):
-                    for j in range(self.E.dim):
-                        for col, (hm, em) in enumerate(
-                                self.right_factors(a, i, b, j)):
-                            if hm and em:
-                                alive.add(col)
-        labels = self.right_labels()
-        return [labels[c] for c in range(6) if c not in alive]
 
 
 class RecoveryError(AssertionError):
@@ -398,21 +375,21 @@ def kernel_projection(n: int, r: int) -> dict:
     c_con = Fraction(-(r + 2), (n + r + 3) * (r + 1))
     cols = {}
     for t in range(E.dim):
-        wedge_t = ops.wedge(q, t) if q < n else {}
-        con_t = ops.contract_sharp(q, t) if q > 0 else {}
+        wedge_t = ops.wedge(q, t)
+        con_t = ops.contract_sharp(q, t)
         for c in range(pdim):
             col: dict = {}
             add_into(col, t * pdim + c, Fraction(1))
             up = wedge_t.get(c, {})
             for k in range(E.dim):
-                down = ops.contract(q + 1, k) if q < n else {}
+                down = ops.contract(q + 1, k)
                 for cu, vu in up.items():
                     for cd, vd in down.get(cu, {}).items():
                         add_into(col, k * pdim + cd, c_mult * vu * vd)
             dn = con_t.get(c, {})
             for k in range(E.dim):
                 kf, sg = E.flat_basis(k)
-                upk = ops.wedge(q - 1, k) if q >= 1 else {}
+                upk = ops.wedge(q - 1, k)
                 for cd, vd in dn.items():
                     for cu, vu in upk.get(cd, {}).items():
                         add_into(col, kf * pdim + cu, sg * c_con * vd * vu)
@@ -429,7 +406,7 @@ def multiplication_composite(n: int, r: int) -> dict:
     pdim = primitive_space(E, q).dim
     cols = {}
     for t in range(E.dim):
-        m = ops.wedge(q, t) if q < n else {}
+        m = ops.wedge(q, t)
         for c, col in m.items():
             cols[t * pdim + c] = dict(col)
     return cols
@@ -443,7 +420,7 @@ def contraction_composite(n: int, r: int) -> dict:
     pdim = primitive_space(E, q).dim
     cols = {}
     for t in range(E.dim):
-        m = ops.contract_sharp(q, t) if q > 0 else {}
+        m = ops.contract_sharp(q, t)
         for c, col in m.items():
             cols[t * pdim + c] = dict(col)
     return cols
@@ -463,6 +440,10 @@ def curvature_scalar_identities(n: int, r: int) -> dict:
              e_j wedge_circ e_i^sharp_) = -(n-r)(n+r+2) id on the primitive
              space of degree n-r.
 
+    The inner brackets are the family's left operators
+    `h_left("Sym2H", a, b)` and `e_left("Sym2E", i, j)`, so the identities
+    check the same matrices that the recovery oracle feeds in.
+
     The kappa/4 coefficients arise by multiplying the eigenvalue with the
     model-curvature prefactor -1/(8n(n+2)), the curvature antisymmetrization
     factor 1/2, a factor 2 from symmetrizing the tangent slots, and the
@@ -477,8 +458,7 @@ def curvature_scalar_identities(n: int, r: int) -> dict:
     for a in range(2):
         af, sa = H.flat_basis(a)
         for b in range(2):
-            inner = fam._h_matrix(
-                lambda mono, a=a, b=b: _sym_pair_action(fam, a, b, mono))
+            inner = fam.h_left("Sym2H", a, b)
 
             def outer(mono, af=af, sa=sa, b=b):
                 # plain dh_b contraction followed by dh_a^flat multiplication
@@ -491,8 +471,7 @@ def curvature_scalar_identities(n: int, r: int) -> dict:
             total = sparsemat.madd(total, sparsemat.compose(
                 fam._h_matrix(outer), inner))
     lam_h = Fraction(-r * (r + 2))
-    h_ok = sparsemat.is_scalar_multiple(total, sdim, lam_h) if lam_h \
-        else not total
+    h_ok = sparsemat.is_scalar_multiple(total, sdim, lam_h)
 
     # E side operator sum on the primitive level q = n - r
     ops = fam.eops
@@ -501,17 +480,11 @@ def curvature_scalar_identities(n: int, r: int) -> dict:
     toto: dict = {}
     for i in range(E.dim):
         for j in range(E.dim):
-            inner = sparsemat.madd(
-                sparsemat.compose(ops.wedge(q - 1, i), ops.contract_sharp(q, j))
-                if q >= 1 else {},
-                sparsemat.compose(ops.wedge(q - 1, j), ops.contract_sharp(q, i))
-                if q >= 1 else {})
-            outer = sparsemat.compose(ops.wedge_flat(q - 1, i),
-                                      ops.contract(q, j)) if q >= 1 else {}
+            inner = fam.e_left("Sym2E", i, j)
+            outer = sparsemat.compose(ops.wedge_flat(q - 1, i), ops.contract(q, j))
             toto = sparsemat.madd(toto, sparsemat.compose(outer, inner))
     lam_e = Fraction(-(n - r) * (n + r + 2))
-    e_ok = sparsemat.is_scalar_multiple(toto, pdim, lam_e) if lam_e \
-        else not toto
+    e_ok = sparsemat.is_scalar_multiple(toto, pdim, lam_e)
 
     # sigma traces of the complementary factors
     trace_e = sum((_sigma_flat_flat(E, i, j) * E.sigma_basis(i, j)
@@ -542,18 +515,6 @@ def _sigma_flat_flat(space, i, j) -> Fraction:
     fi, si = space.flat_basis(i)
     fj, sj = space.flat_basis(j)
     return si * sj * space.sigma_basis(fi, fj)
-
-
-def _sym_pair_action(fam: ProjectorFamily, a: int, b: int, mono: tuple) -> dict:
-    """(h_a . h_b^sharp_ + h_b . h_a^sharp_), the derivation action of h_a h_b."""
-    out: dict = {}
-    for m, v in sym_contract(sharp(fam.H, {b: Fraction(1)}),
-                             {mono: Fraction(1)}).items():
-        add_into(out, sym_insert(a, m), v)
-    for m, v in sym_contract(sharp(fam.H, {a: Fraction(1)}),
-                             {mono: Fraction(1)}).items():
-        add_into(out, sym_insert(b, m), v)
-    return out
 
 
 # -- row combinations of the matrix equation -------------------------------

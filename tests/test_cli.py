@@ -1,10 +1,31 @@
 """Command line contract: formats, determinism, exit codes."""
 
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
 from qkspin.cli import main
+
+BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load_bench():
+    """perfbench/run.py, whose workload commands have stored outputs."""
+    sys.path.insert(0, str(BENCH_DIR))   # run.py imports its sibling tracer
+    try:
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_run", BENCH_DIR / "run.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(BENCH_DIR))
+    return module
+
+
+bench = _load_bench()
 
 
 def run(capsys, *argv):
@@ -123,3 +144,14 @@ def test_csv_format(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "kind,name,status,value"
     assert any(line.startswith("value,bound,") for line in lines)
+
+
+@pytest.mark.parametrize(
+    "cmd", [cmd for cmds in bench.WORKLOADS.values() for cmd in cmds],
+    ids=bench.slug)
+def test_workload_output_matches_stored(capsys, cmd):
+    # every benchmark command prints its stored JSON byte for byte
+    code, out, _ = run(capsys, *bench.command_argv(cmd, bench.DEFAULT_SEED))
+    assert code == 0
+    stored = (bench.EXPECTED_DIR / f"{bench.slug(cmd)}.json").read_bytes()
+    assert out.encode() == stored

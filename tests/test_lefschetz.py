@@ -151,3 +151,20 @@ def test_caches_key_on_space_value():
     assert primitive_ops(E) is primitive_ops(F)
     assert canonical_bivector(E) is canonical_bivector(F)
     assert primitive_ops(E) is not primitive_ops(SymplecticSpace(2, "h"))
+
+
+def test_ladder_is_total():
+    # off the primitive ladder every operator is the zero matrix
+    ops = primitive_ops(SymplecticSpace(2))
+    for i in range(4):
+        assert ops.contract(0, i) == {}
+        assert ops.contract(3, i) == {}
+        assert ops.wedge(-1, i) == {}
+        assert ops.wedge(2, i) == {}
+        assert ops.contract_sharp(3, i) == {}
+        assert ops.wedge_flat(-1, i) == {}
+        assert ops.contract(1, i) is ops.contract(1, i)
+        assert ops.wedge(1, i) is ops.wedge(1, i)
+    # off-ladder keys are never cached
+    assert all(1 <= q <= 2 for q, _ in ops._contract)
+    assert all(0 <= q < 2 for q, _ in ops._wedge)

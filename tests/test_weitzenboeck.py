@@ -206,10 +206,17 @@ def test_estimate_bound_rejects_bad_input():
 
 
 def test_degenerate_members_flagged():
-    from qkspin.weitzenboeck import ProjectorFamily
-    assert ProjectorFamily(2, 1).zero_right_members() == []
-    # four summands vanish at each boundary grade
-    assert ProjectorFamily(2, 0).zero_right_members() == \
-        ["(-+,-+)", "(+-,-+)", "(+-,+-)", "(+-,K)"]
-    assert ProjectorFamily(2, 2).zero_right_members() == \
-        ["(-+,+-)", "(+-,+-)", "(-+,K)", "(+-,K)"]
+    # the right members that vanish on every tangent block are exactly the
+    # complement of the closed-form surviving columns that recover_w uses
+    from qkspin.weitzenboeck import ProjectorFamily, _surviving_columns
+    for n in (2, 3):
+        for r in range(n + 1):
+            fam = ProjectorFamily(n, r)
+            tangent = [(a, i) for a in range(2) for i in range(fam.E.dim)]
+            alive = set()
+            for (a, i) in tangent:
+                for (b, j) in tangent:
+                    for col, (hm, em) in enumerate(fam.right_factors(a, i, b, j)):
+                        if hm and em:
+                            alive.add(col)
+            assert sorted(alive) == _surviving_columns(n, r), (n, r)
