@@ -27,7 +27,8 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
-from . import linalg
+from . import linalg, sparsemat
+from .powers import ExtPower, sort_sign
 from .symplectic import SymplecticSpace, add_into, scale
 
 
@@ -43,22 +44,6 @@ def ekey(x, y):
 def skey(x, y):
     """Unordered symmetric pair."""
     return (x, y) if x <= y else (y, x)
-
-
-def sort_sign(seq) -> tuple | None:
-    """(sign, sorted tuple) for distinct entries, else None."""
-    seq = list(seq)
-    sign = 1
-    for i in range(1, len(seq)):
-        j = i
-        while j > 0 and seq[j - 1] > seq[j]:
-            seq[j - 1], seq[j] = seq[j], seq[j - 1]
-            sign = -sign
-            j -= 1
-    for i in range(1, len(seq)):
-        if seq[i - 1] == seq[i]:
-            return None
-    return sign, tuple(seq)
 
 
 def ext2_basis(nlabels: int) -> list:
@@ -228,10 +213,8 @@ def curv_span_rank(N: int) -> int:
 
 def m_rows(basis: list) -> list:
     """Sparse rows of m over the given Sym^2 Lambda^2 keys, by Lambda^4 key."""
-    rows: dict = {}
-    for idx, key in enumerate(basis):
-        for tgt, v in mult_m({key: Fraction(1)}).items():
-            rows.setdefault(tgt, {})[idx] = v
+    rows = sparsemat.transpose({idx: mult_m({key: Fraction(1)})
+                                for idx, key in enumerate(basis)})
     return [rows[t] for t in sorted(rows)]
 
 
@@ -331,13 +314,7 @@ def injectivity_report(half_dim: int) -> dict:
 
 
 def _rank_of_columns(cols) -> int:
-    key_index: dict = {}
-    rows: dict = {}
-    for ci, col in enumerate(cols):
-        for k, v in col.items():
-            r = key_index.setdefault(k, len(key_index))
-            rows.setdefault(r, {})[ci] = v
-    return linalg.rank(rows.values())
+    return linalg.rank(sparsemat.transpose(dict(enumerate(cols))).values())
 
 
 # -- the Bianchi block chain on V = H tensor E ----------------------------
@@ -713,7 +690,6 @@ def sym4_extraction(model: ModelCurvature, kind: str,
 
 def derivation_ext_matrix(space: SymplecticSpace, endo: dict, q: int) -> dict:
     """Derivation extension of an E-endomorphism to Lambda^q, column-major."""
-    from .powers import ExtPower
     amb = ExtPower(space, q)
     cols = {}
     for ci, mono in enumerate(amb.basis):
@@ -745,7 +721,6 @@ def sym2_endo(space: SymplecticSpace, i: int, j: int) -> dict:
 
 def sym4_acts_trivially(n: int, rform: dict) -> dict:
     """The induced endomorphism of Lambda E vanishes degree by degree."""
-    from . import sparsemat
     model = ModelCurvature(n, rform)
     E = model.E
     report = {"ok": True, "witness": None}
@@ -770,7 +745,6 @@ def sym4_acts_trivially(n: int, rform: dict) -> dict:
 def qzero_check(n: int, r: int, rform: dict) -> dict:
     """The operator sum de_j^flat wedge_circ de_i_ + (i <-> j) after the
     4-form action vanishes on the primitive space of degree n - r."""
-    from . import sparsemat
     from .lefschetz import primitive_ops, primitive_space
 
     model = ModelCurvature(n, rform)

@@ -8,7 +8,9 @@ so membership and coordinates are read off exactly.
 
 Two independent projector constructions (kernel/image splitting and the
 sl2 eigenvalue polynomial in L Lambda) are kept side by side; the test
-suite checks they produce identical matrices.
+suite checks they produce identical matrices.  Like every operator in the
+package, both are column-major `sparsemat` matrices, and the one inverse
+they need goes through `linalg.Echelon`.
 """
 
 from __future__ import annotations
@@ -56,27 +58,25 @@ def apply_Lambda(space: SymplecticSpace, elem: dict) -> dict:
     return out
 
 
-def _ext_matrix(space: SymplecticSpace, fn, degree_in: int) -> dict:
-    """Column-major matrix of an ambient exterior operator on Lambda^degree_in."""
-    dom = ExtPower(space, degree_in)
+def _ext_matrix(space: SymplecticSpace, fn, degree_in: int, degree_out: int) -> dict:
+    """Column-major matrix of an exterior operator Lambda^degree_in -> Lambda^degree_out."""
+    dom, codom = ExtPower(space, degree_in), ExtPower(space, degree_out)
     cols = {}
     for k, mono in enumerate(dom.basis):
         img = fn({mono: Fraction(1)})
         if img:
-            deg_out = len(next(iter(img)))
-            codom = ExtPower(space, deg_out)
             cols[k] = {codom.index[m]: v for m, v in img.items()}
     return cols
 
 
 def L_op(space: SymplecticSpace, q: int) -> dict:
     """Matrix of L: Lambda^(q-2) -> Lambda^q."""
-    return _ext_matrix(space, lambda x: apply_L(space, x), q - 2)
+    return _ext_matrix(space, lambda x: apply_L(space, x), q - 2, q)
 
 
 def Lambda_op(space: SymplecticSpace, q: int) -> dict:
     """Matrix of Lambda: Lambda^q -> Lambda^(q-2)."""
-    return _ext_matrix(space, lambda x: apply_Lambda(space, x), q)
+    return _ext_matrix(space, lambda x: apply_Lambda(space, x), q, q - 2)
 
 
 def H_op(space: SymplecticSpace, q: int) -> dict:
@@ -84,7 +84,7 @@ def H_op(space: SymplecticSpace, q: int) -> dict:
     def fn(x):
         return sub(apply_Lambda(space, apply_L(space, x)),
                    apply_L(space, apply_Lambda(space, x)))
-    return _ext_matrix(space, fn, q)
+    return _ext_matrix(space, fn, q, q)
 
 
 def wedge_circ(space: SymplecticSpace, vec: dict, elem: dict) -> dict:
@@ -118,8 +118,9 @@ class PrimitiveSpace:
         self.space = space
         self.q = q
         self.ambient = ExtPower(space, q)
-        rows = self._lambda_rows()
-        free_cols, kernel = linalg.kernel_basis_with_free(rows, self.ambient.dim)
+        rows = sparsemat.transpose(Lambda_op(space, q))
+        free_cols, kernel = linalg.kernel_basis_with_free(
+            [rows[t] for t in sorted(rows)], self.ambient.dim)
         self.free_cols = free_cols
         self.basis = [{self.ambient.basis[k]: v for k, v in vec.items()}
                       for vec in kernel]
@@ -128,15 +129,6 @@ class PrimitiveSpace:
             raise AssertionError(
                 f"primitive dimension {self.dim} != {primitive_dim(n, q)} "
                 f"at (n={n}, q={q})")
-        self._proj = None
-
-    def _lambda_rows(self):
-        rows: dict = {}
-        for k, mono in enumerate(self.ambient.basis):
-            img = apply_Lambda(self.space, {mono: Fraction(1)})
-            for tgt, val in img.items():
-                rows.setdefault(tgt, {})[k] = val
-        return [rows[t] for t in sorted(rows)]
 
     def to_coords(self, elem: dict) -> dict:
         """Coordinates over the kernel basis; raises if elem is not primitive."""
@@ -159,55 +151,41 @@ class PrimitiveSpace:
 
     # two independent projector constructions ------------------------
 
-    def projector(self) -> list[list]:
-        """Dense matrix of the projection onto ker(Lambda) along im(L)."""
-        if self._proj is None:
-            amb = self.ambient
-            cols = [[e.get(m, Fraction(0)) for m in amb.basis] for e in self.basis]
-            if self.q >= 2:
-                for mono in ExtPower(self.space, self.q - 2).basis:
-                    img = apply_L(self.space, {mono: Fraction(1)})
-                    cols.append([img.get(m, Fraction(0)) for m in amb.basis])
-            mat = [[cols[c][r] for c in range(len(cols))] for r in range(amb.dim)]
-            inv = linalg.invert(mat)
-            n_prim = self.dim
-            self._proj = [
-                [sum((mat[r][k] * inv[k][c] for k in range(n_prim)), Fraction(0))
-                 for c in range(amb.dim)]
-                for r in range(amb.dim)]
-        return self._proj
+    def projector(self) -> dict:
+        """Projection onto ker(Lambda) along im(L), column-major.
 
-    def projector_sl2(self) -> list[list]:
-        """The projection as the polynomial prod_k (lam_k - L Lambda)/lam_k."""
-        n = self.space.half_dim
-        amb = self.ambient
-        ll = [[Fraction(0)] * amb.dim for _ in range(amb.dim)]
-        for c, mono in enumerate(amb.basis):
-            img = apply_L(self.space, apply_Lambda(self.space, {mono: Fraction(1)}))
-            for m, v in img.items():
-                ll[amb.index[m]][c] = v
-        result = [[Fraction(1) if r == c else Fraction(0) for c in range(amb.dim)]
-                  for r in range(amb.dim)]
-        for k in range(1, self.q // 2 + 1):
-            lam = Fraction(k * (n - self.q + k + 1))
-            step = [[(lam * (r == c) - ll[r][c]) / lam for c in range(amb.dim)]
-                    for r in range(amb.dim)]
-            result = [[sum((step[r][m] * result[m][c] for m in range(amb.dim)),
-                           Fraction(0)) for c in range(amb.dim)]
-                      for r in range(amb.dim)]
+        With T = [primitive basis | L(Lambda^(q-2))], P e_c is the primitive
+        part sum_{k < dim} (T^-1)_{kc} b_k of e_c.
+        """
+        dim, amb_dim = self.dim, self.ambient.dim
+        cols = {k: {self.ambient.index[m]: v for m, v in b.items()}
+                for k, b in enumerate(self.basis)}
+        for k, col in L_op(self.space, self.q).items():
+            cols[dim + k] = col
+        rows = sparsemat.transpose(cols)
+        inv = linalg.invert([[rows.get(r, {}).get(c, 0) for c in range(amb_dim)]
+                             for r in range(amb_dim)])
+        coords = {c: {k: inv[k][c] for k in range(dim) if inv[k][c]}
+                  for c in range(amb_dim)}
+        return sparsemat.compose({k: cols[k] for k in range(dim)}, coords)
+
+    def projector_sl2(self) -> dict:
+        """The projection as the polynomial prod_k (id - L Lambda / lam_k)."""
+        n, q = self.space.half_dim, self.q
+        one = sparsemat.identity(self.ambient.dim, Fraction(1))
+        ll = sparsemat.compose(L_op(self.space, q), Lambda_op(self.space, q))
+        result = one
+        for k in range(1, q // 2 + 1):
+            lam = k * (n - q + k + 1)
+            step = sparsemat.madd(one, sparsemat.mscale(ll, Fraction(-1, lam)))
+            result = sparsemat.compose(step, result)
         return result
 
     def project(self, elem: dict) -> dict:
-        proj = self.projector()
         amb = self.ambient
-        out: dict = {}
-        for mono, c in elem.items():
-            col = amb.index[mono]
-            for r in range(amb.dim):
-                v = proj[r][col]
-                if v:
-                    add_into(out, amb.basis[r], v * c)
-        return out
+        img = sparsemat.apply_cols(self.projector(),
+                                   {amb.index[m]: c for m, c in elem.items()})
+        return {amb.basis[r]: v for r, v in img.items()}
 
     # sparse operator matrices over primitive coordinates ------------
 

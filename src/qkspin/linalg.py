@@ -5,7 +5,8 @@ in particular `fractions.Fraction` and `qkspin.scalar.Scalar`.  Rows are
 sparse dicts {column: value}; zero entries are never stored.  Pivot order
 is fixed by (row order, smallest column), so every result is deterministic.
 An `int` pivot is promoted to `Fraction` before dividing, so integer input
-gives exact rational results rather than floats.
+gives exact rational results rather than floats.  `Echelon` is the only
+elimination routine: rank, kernels and `invert` all feed it rows.
 """
 
 from __future__ import annotations
@@ -114,19 +115,20 @@ def _one_like(ech: Echelon):
 
 
 def invert(matrix: list[list]) -> list[list]:
-    """Exact inverse of a square dense matrix (list of rows)."""
+    """Exact inverse of a square dense matrix (list of rows).
+
+    The rows of [A | I] are fed to an `Echelon`.  A is singular exactly when
+    some pivot falls in the right block; otherwise the reduced rows, ordered
+    by pivot, read [I | A^-1].
+    """
     n = len(matrix)
-    aug = [list(row) + [1 if i == j else 0 for j in range(n)]
-           for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv_val = _exact(aug[col][col])
-        aug[col] = [v / inv_val for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    ech = Echelon()
+    for i, row in enumerate(matrix):
+        aug = {j: v for j, v in enumerate(row) if v}
+        aug[n + i] = 1
+        ech.add(aug)
+    if any(piv >= n for piv in ech.pivots):
+        raise ValueError("matrix is singular")
+    by_pivot = dict(zip(ech.pivots, ech.rows))
+    zero = _one_like(ech) * 0
+    return [[by_pivot[i].get(n + j, zero) for j in range(n)] for i in range(n)]

@@ -30,12 +30,15 @@ class SymPower:
 
 
 class ExtPower:
-    """Lambda^q of a symplectic space, on the increasing-tuple basis."""
+    """Lambda^q of a symplectic space, on the increasing-tuple basis.
+
+    A negative degree gives the zero space, as a degree above dim does.
+    """
 
     def __init__(self, base: SymplecticSpace, degree: int):
         self.base = base
         self.degree = degree
-        self.basis = list(combinations(range(base.dim), degree))
+        self.basis = list(combinations(range(base.dim), degree)) if degree >= 0 else []
         self.index = {m: k for k, m in enumerate(self.basis)}
 
     @property
@@ -85,18 +88,20 @@ def ext_product(x: dict, y: dict) -> dict:
     out = {}
     for mx, cx in x.items():
         for my, cy in y.items():
-            merged = _merge_ext(mx, my)
+            merged = sort_sign(mx + my)
             if merged:
                 sign, mono = merged
                 add_into(out, mono, sign * cx * cy)
     return out
 
 
-def _merge_ext(a: tuple, b: tuple) -> tuple[int, tuple] | None:
-    if set(a) & set(b):
-        return None
-    seq = list(a + b)
-    # insertion sort, counting transpositions
+def sort_sign(seq) -> tuple[int, tuple] | None:
+    """(sign, sorted tuple) of a sequence of labels, or None on a repeat.
+
+    An insertion sort whose sign counts the transpositions.  A repeated
+    label stops next to its twin when inserted, so it is caught there.
+    """
+    seq = list(seq)
     sign = 1
     for i in range(1, len(seq)):
         j = i
@@ -104,6 +109,8 @@ def _merge_ext(a: tuple, b: tuple) -> tuple[int, tuple] | None:
             seq[j - 1], seq[j] = seq[j], seq[j - 1]
             sign = -sign
             j -= 1
+        if j > 0 and seq[j - 1] == seq[j]:
+            return None
     return sign, tuple(seq)
 
 

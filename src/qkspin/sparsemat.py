@@ -50,6 +50,15 @@ def msub(a: dict, b: dict) -> dict:
     return madd(a, mscale(b, -1))
 
 
+def transpose(m: dict) -> dict:
+    """Swap the roles of rows and columns: {col: {row: v}} -> {row: {col: v}}."""
+    out: dict = {}
+    for col, mcol in m.items():
+        for row, v in mcol.items():
+            out.setdefault(row, {})[col] = v
+    return out
+
+
 def identity(dim: int, one=1) -> dict:
     return {k: {k: one} for k in range(dim)}
 

@@ -20,6 +20,7 @@ and the Scalar-valued mu methods multiply by sqrt2 once, at the end.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, factorial
@@ -55,7 +56,6 @@ class SpinorSpace:
         self.eops = primitive_ops(self.E)
         self._flat = None
         self._clifford_basis = {}   # tangent basis key -> M of that vector
-        self._grams = ({}, {}, {})
 
     # -- bases --------------------------------------------------------
 
@@ -206,33 +206,15 @@ class SpinorSpace:
 
     # -- twisted Hermitian form -----------------------------------------
 
-    def _h_gram(self, p: int):
-        basis = self.sym_basis(p)
-        jbasis = [j_sym(self.H, {m: Fraction(1)}) for m in basis]
-        return [[extended_sigma_sym(self.H, {m1: Fraction(1)}, jb)
-                 for jb in jbasis] for m1 in basis]
-
-    def _e_gram(self, q: int):
-        prim = primitive_space(self.E, q)
-        jbasis = [j_ext(self.E, b) for b in prim.basis]
-        return [[extended_sigma_ext(self.E, b1, jb) for jb in jbasis]
-                for b1 in prim.basis]
-
     def hermitian(self, psi1: dict, psi2: dict):
         """(1/p!) sigma_H(A1, J A2) sigma_E(w1, J w2), summed over bigrades."""
-        grams_h, grams_e, hidx = self._grams
         total = Scalar(0)
         for (p, q, hm, col), c1 in psi1.items():
             for (p2, q2, hm2, col2), c2 in psi2.items():
                 if (p, q) != (p2, q2):
                     continue
-                if p not in grams_h:
-                    grams_h[p] = self._h_gram(p)
-                    hidx[p] = {m: k for k, m in enumerate(self.sym_basis(p))}
-                if q not in grams_e:
-                    grams_e[q] = self._e_gram(q)
-                gh = grams_h[p][hidx[p][hm]][hidx[p][hm2]]
-                ge = grams_e[q][col][col2]
+                gh = sym_gram(self.H, p)[hm][hm2]
+                ge = primitive_gram(self.E, q)[col][col2]
                 if gh and ge:
                     total = total + Scalar.coerce(c1) \
                         * Scalar.coerce(c2).conjugate() * gh * ge \
@@ -313,6 +295,24 @@ class SpinorSpace:
                 db = sparsemat.mscale(self.derivation_matrix(b, p), coeff)
                 total = sparsemat.madd(total, sparsemat.compose(da, db))
         return total
+
+
+@functools.cache
+def sym_gram(space: SymplecticSpace, p: int) -> dict:
+    """sigma(m1, J m2) on Sym^p, keyed {m1: {m2: value}} by monomial."""
+    basis = list(combinations_with_replacement(range(space.dim), p))
+    jbasis = [j_sym(space, {m: Fraction(1)}) for m in basis]
+    return {m1: {m2: extended_sigma_sym(space, {m1: Fraction(1)}, jb)
+                 for m2, jb in zip(basis, jbasis)} for m1 in basis}
+
+
+@functools.cache
+def primitive_gram(space: SymplecticSpace, q: int) -> list:
+    """sigma(b1, J b2) on the primitive basis of Lambda^q, indexed by column."""
+    prim = primitive_space(space, q)
+    jbasis = [j_ext(space, b) for b in prim.basis]
+    return [[extended_sigma_ext(space, b1, jb) for jb in jbasis]
+            for b1 in prim.basis]
 
 
 def kraines_eigenvalue(n: int, r: int) -> Fraction:

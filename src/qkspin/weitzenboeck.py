@@ -186,8 +186,7 @@ class ProjectorFamily:
             s = self.H.sigma_basis(a, b)
             return {k: {k: s} for k in range(len(self.sym_basis))} if s else {}
         if label == "Sym2H":
-            return self._h_matrix(
-                lambda mono: self.spin.sym2h_derivation((a, b), mono))
+            return self.spin.derivation_matrix((a, b), self.r)
         raise ValueError(label)
 
     # E-side ----------------------------------------------------------

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from qkspin import sparsemat
 from qkspin.lefschetz import (
     apply_L,
     apply_Lambda,
@@ -79,11 +80,13 @@ def test_wedge_circ_is_projection_of_wedge():
 
 
 def test_projector_constructions_agree():
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         E = SymplecticSpace(n)
         for q in range(n + 1):
             prim = primitive_space(E, q)
             assert prim.projector() == prim.projector_sl2()
+            if q < 2:
+                assert prim.projector() == sparsemat.identity(prim.dim, Fraction(1))
 
 
 def test_projector_idempotent_and_fixes_subspace():
@@ -126,7 +129,6 @@ def test_sym_relations():
 
 
 def test_operator_matrices():
-    from qkspin import sparsemat
     from qkspin.lefschetz import H_op, L_op, Lambda_op
     for n in (1, 2, 3):
         E = SymplecticSpace(n)

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import pytest
+
 from qkspin.linalg import Echelon, invert, kernel_basis
 from qkspin.scalar import SQRT2, Scalar
 
@@ -46,3 +48,19 @@ def test_field_rows_keep_their_type():
     inv = invert([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]])
     assert inv == [[1, -1], [-1, 2]]
     assert all(isinstance(v, Fraction) for row in inv for v in row)
+
+
+def test_invert_singular_raises():
+    with pytest.raises(ValueError):
+        invert([[1, 2], [2, 4]])
+    with pytest.raises(ValueError):
+        invert([[Fraction(1), 0, 1], [0, 0, 0], [1, 1, 1]])
+
+
+def test_invert_scalar_matrix():
+    m = [[Scalar(1, 1), SQRT2], [Scalar(0, 0, 1), Scalar(2)]]
+    inv = invert(m)
+    assert all(isinstance(v, Scalar) for row in inv for v in row)
+    for i in range(2):
+        for j in range(2):
+            assert sum((m[i][k] * inv[k][j] for k in range(2)), Scalar(0)) == (i == j)
