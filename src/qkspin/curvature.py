@@ -22,12 +22,14 @@ equality with ker(m) is the oracle that validates them.
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
 from . import linalg, sparsemat
+from .lefschetz import primitive_ops, primitive_space
 from .powers import ExtPower, sort_sign
 from .symplectic import SymplecticSpace, add_into, scale
 
@@ -478,25 +480,24 @@ class BianchiSystem:
         return linalg.kernel_basis(m_rows(self.basis), len(self.basis))
 
     def solution_equals_ker_m(self) -> dict:
-        """Subspace equality by double inclusion: dim count + containment."""
+        """Subspace equality by double inclusion: dim count + containment.
+
+        Containment is one sparse product: column k of constraints @ kernel
+        holds the constraint values of kernel vector k.  The witness is the
+        first (kernel vector, constraint row) pair that fails, smallest
+        kernel index first, then smallest row index.
+        """
         constraints = self.constraint_rows()
         kernel = self.ker_m_basis()
         sol_dim = len(self.basis) - linalg.rank(constraints)
-        contained = True
+        values = sparsemat.compose(
+            sparsemat.transpose(dict(enumerate(constraints))),
+            dict(enumerate(kernel)))
+        contained = not values
         witness = None
-        for vec in kernel:
-            for row in constraints:
-                total = Fraction(0)
-                for col, v in row.items():
-                    x = vec.get(col)
-                    if x:
-                        total += v * x
-                if total:
-                    contained = False
-                    witness = (vec, row)
-                    break
-            if not contained:
-                break
+        if not contained:
+            k = min(values)
+            witness = (kernel[k], constraints[min(values[k])])
         return {
             "dim_ker_m": len(kernel),
             "dim_solutions": sol_dim,
@@ -533,7 +534,7 @@ class ModelCurvature:
                 v = self.rvalue(i, j, k, l)
                 if v:
                     t, sg = self.E.flat_basis(l)
-                    add_into(img, t, sg * v)
+                    add_into(img, t, v if sg == 1 else -v)
             if img:
                 endo[k] = img
         return endo
@@ -703,7 +704,7 @@ def derivation_ext_matrix(space: SymplecticSpace, endo: dict, q: int) -> dict:
                 res = sort_sign(rest[:pos] + (tgt,) + rest[pos:])
                 if res:
                     sg, key = res
-                    add_into(col, amb.index[key], sg * v)
+                    add_into(col, amb.index[key], v if sg == 1 else -v)
         if col:
             cols[ci] = col
     return cols
@@ -719,37 +720,71 @@ def sym2_endo(space: SymplecticSpace, i: int, j: int) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
+@functools.cache
+def _sym2_derivation(space: SymplecticSpace, i: int, j: int, q: int) -> dict:
+    """The derivation extension of de_i . de_j to Lambda^q.
+
+    Built once per run and shared, so callers must not modify it.
+    """
+    return derivation_ext_matrix(space, sym2_endo(space, i, j), q)
+
+
 def sym4_acts_trivially(n: int, rform: dict) -> dict:
-    """The induced endomorphism of Lambda E vanishes degree by degree."""
+    """The induced endomorphism of Lambda E vanishes degree by degree.
+
+    In degree q it is 1/2 sum_{i,j} der(de_i . de_j) der(R(e_i, e_j)).  The
+    factors der(de_i . de_j) depend only on (E, q, i, j), not on the form,
+    and are built once per run (`_sym2_derivation`, a `functools.cache`).
+    The terms are summed unscaled and the 1/2 is applied to the witness only.
+    """
     model = ModelCurvature(n, rform)
     E = model.E
-    report = {"ok": True, "witness": None}
+    rends = {}
+    for i in range(E.dim):
+        for j in range(E.dim):
+            rend = model.r_endo(i, j)
+            if rend:
+                rends[(i, j)] = rend
+    half = Fraction(1, 2)
     for q in range(E.dim + 1):
         total: dict = {}
-        for i in range(E.dim):
-            for j in range(E.dim):
-                rend = model.r_endo(i, j)
-                if not rend:
-                    continue
-                d_r = derivation_ext_matrix(E, rend, q)
-                d_b = derivation_ext_matrix(E, sym2_endo(E, i, j), q)
-                term = sparsemat.compose(d_b, d_r)
-                total = sparsemat.madd(total, sparsemat.mscale(term, Fraction(1, 2)))
+        for (i, j), rend in rends.items():
+            d_r = derivation_ext_matrix(E, rend, q)
+            sparsemat.madd_into(
+                total, sparsemat.compose(_sym2_derivation(E, i, j, q), d_r))
         if total:
-            report["ok"] = False
-            report["witness"] = (q, next(iter(total.items())))
-            break
-    return report
+            col, entries = next(iter(total.items()))
+            return {"ok": False,
+                    "witness": (q, (col, {row: half * v
+                                          for row, v in entries.items()}))}
+    return {"ok": True, "witness": None}
+
+
+@functools.cache
+def _qzero_operator(space: SymplecticSpace, q: int, i: int, j: int) -> dict:
+    """de_j^flat wedge_circ de_i_ + (i <-> j) from primitive level q to q.
+
+    Built once per run and shared, so callers must not modify it.
+    """
+    ops = primitive_ops(space)
+    return sparsemat.madd(
+        sparsemat.compose(ops.wedge_flat(q - 1, j), ops.contract(q, i)),
+        sparsemat.compose(ops.wedge_flat(q - 1, i), ops.contract(q, j)))
 
 
 def qzero_check(n: int, r: int, rform: dict) -> dict:
     """The operator sum de_j^flat wedge_circ de_i_ + (i <-> j) after the
-    4-form action vanishes on the primitive space of degree n - r."""
-    from .lefschetz import primitive_ops, primitive_space
+    4-form action vanishes on the primitive space of degree n - r.
 
+    The operator sums depend only on (E, q, i, j), not on the form, and are
+    built once per run (`_qzero_operator`, a `functools.cache`); only the
+    form's derivation, restricted to the primitive level, is built per call.
+    If that restriction leaves the primitive space (R is not a symmetric
+    4-form), the witness is ("not primitive", i, j, c) for the first
+    primitive basis column c whose image is not primitive.
+    """
     model = ModelCurvature(n, rform)
     E = model.E
-    ops = primitive_ops(E)
     q = n - r
     prim = primitive_space(E, q)
     total: dict = {}
@@ -769,11 +804,13 @@ def qzero_check(n: int, r: int, rform: dict) -> dict:
                         for ridx, w in col.items():
                             add_into(img_amb, prim.ambient.basis[ridx], w * v)
                 if img_amb:
-                    d_prim[c] = prim.to_coords(img_amb)
-            combo = sparsemat.madd(
-                sparsemat.compose(ops.wedge_flat(q - 1, j), ops.contract(q, i)),
-                sparsemat.compose(ops.wedge_flat(q - 1, i), ops.contract(q, j)))
-            total = sparsemat.madd(total, sparsemat.compose(combo, d_prim))
+                    try:
+                        d_prim[c] = prim.to_coords(img_amb)
+                    except ValueError:
+                        return {"ok": False,
+                                "witness": ("not primitive", i, j, c)}
+            sparsemat.madd_into(
+                total, sparsemat.compose(_qzero_operator(E, q, i, j), d_prim))
     ok = not total
     return {"ok": ok, "witness": None if ok else next(iter(total.items()))}
 

@@ -22,7 +22,8 @@ def row_sub(row: dict, factor, other: dict) -> dict:
     """row - factor * other, sparsely."""
     out = dict(row)
     for col, val in other.items():
-        new = out.get(col, 0) - factor * val
+        old = out.get(col)
+        new = -(factor * val) if old is None else old - factor * val
         if new:
             out[col] = new
         else:

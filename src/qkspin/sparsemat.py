@@ -1,4 +1,12 @@
-"""Column-major sparse matrices: {col: {row: value}} with no stored zeros."""
+"""Column-major sparse matrices: {col: {row: value}} with no stored zeros.
+
+Every sparse sum here starts an entry from its first term: the routines
+read `old = acc.get(key)` and store `term if old is None else old + term`,
+dropping the entry (and an emptied column) when the sum cancels.  No int
+`0` enters a field sum, so an entry keeps the type of its terms and its
+first addition never takes `Fraction`'s reflected path.  `madd_into` is the
+one in-place accumulator; `madd` is written on top of it.
+"""
 
 from __future__ import annotations
 
@@ -13,7 +21,8 @@ def compose(a: dict, b: dict) -> dict:
             if not acol:
                 continue
             for row, w in acol.items():
-                new = acc.get(row, 0) + w * v
+                old = acc.get(row)
+                new = w * v if old is None else old + w * v
                 if new:
                     acc[row] = new
                 else:
@@ -23,19 +32,30 @@ def compose(a: dict, b: dict) -> dict:
     return out
 
 
+def madd_into(acc: dict, m: dict) -> None:
+    """Add m into acc in place; m is not modified."""
+    for col, mcol in m.items():
+        out = acc.get(col)
+        if out is None:
+            out = {row: v for row, v in mcol.items() if v}
+            if out:
+                acc[col] = out
+            continue
+        for row, v in mcol.items():
+            old = out.get(row)
+            new = v if old is None else old + v
+            if new:
+                out[row] = new
+            else:
+                out.pop(row, None)
+        if not out:
+            del acc[col]
+
+
 def madd(*mats) -> dict:
-    out = {}
+    out: dict = {}
     for m in mats:
-        for col, mcol in m.items():
-            acc = out.setdefault(col, {})
-            for row, v in mcol.items():
-                new = acc.get(row, 0) + v
-                if new:
-                    acc[row] = new
-                else:
-                    acc.pop(row, None)
-            if not acc:
-                out.pop(col, None)
+        madd_into(out, m)
     return out
 
 
@@ -77,7 +97,8 @@ def apply_cols(m: dict, vec: dict) -> dict:
         if not mcol:
             continue
         for row, w in mcol.items():
-            new = out.get(row, 0) + w * v
+            old = out.get(row)
+            new = w * v if old is None else old + w * v
             if new:
                 out[row] = new
             else:

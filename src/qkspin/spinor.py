@@ -269,32 +269,37 @@ class SpinorSpace:
             kf, sg = self.E.flat_basis(k)
             prod = sparsemat.compose(self.clifford_basis_matrix((i, kf)),
                                      self.clifford_basis_matrix((j, k)))
-            total = sparsemat.madd(total, sparsemat.mscale(prod, 2 * sg))
+            sparsemat.madd_into(total, sparsemat.mscale(prod, 2 * sg))
             g += self.metric({(i, kf): Fraction(sg)}, {(j, k): Fraction(1)})
         if g:
-            total = sparsemat.madd(total, sparsemat.identity(self.dim, g))
+            sparsemat.madd_into(total, sparsemat.identity(self.dim, g))
         return total
-
-    def sym2h_dual_pairs(self) -> list:
-        """Pairs (A_k, B_k) of Sym^2 H basis elements with sigma(A_k, B_l) = delta."""
-        basis = list(combinations_with_replacement(range(2), 2))
-        gram = [[gram_perm(self.H, a, b) for b in basis] for a in basis]
-        inv = linalg.invert(gram)
-        duals = []
-        for k, a in enumerate(basis):
-            duals.append((a, [(basis[l], inv[l][k]) for l in range(len(basis))
-                              if inv[l][k]]))
-        return duals
 
     def casimir_matrix(self, p: int) -> dict:
         """sum_k der(A_k) der(B_k) over a sigma-dual basis of Sym^2 H."""
         total: dict = {}
-        for a, bs in self.sym2h_dual_pairs():
+        for a, bs in sym2h_dual_pairs(self.H):
             da = self.derivation_matrix(a, p)
             for b, coeff in bs:
                 db = sparsemat.mscale(self.derivation_matrix(b, p), coeff)
-                total = sparsemat.madd(total, sparsemat.compose(da, db))
+                sparsemat.madd_into(total, sparsemat.compose(da, db))
         return total
+
+
+@functools.cache
+def sym2h_dual_pairs(H: SymplecticSpace) -> list:
+    """Pairs (A_k, B_k) of Sym^2 H basis elements with sigma(A_k, B_l) = delta.
+
+    The Gram of Sym^2 H is built and inverted once per space.
+    """
+    basis = list(combinations_with_replacement(range(2), 2))
+    gram = [[gram_perm(H, a, b) for b in basis] for a in basis]
+    inv = linalg.invert(gram)
+    duals = []
+    for k, a in enumerate(basis):
+        duals.append((a, [(basis[l], inv[l][k]) for l in range(len(basis))
+                          if inv[l][k]]))
+    return duals
 
 
 @functools.cache

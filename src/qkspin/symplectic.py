@@ -124,11 +124,12 @@ def pairing(c: dict, v: dict):
 def add_into(acc: dict, key, val):
     if not val:
         return
-    new = acc.get(key, 0) + val
+    old = acc.get(key)
+    new = val if old is None else old + val
     if new:
         acc[key] = new
     else:
-        acc.pop(key, None)
+        del acc[key]
 
 
 def scale(elem: dict, factor) -> dict:

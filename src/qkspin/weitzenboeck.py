@@ -467,7 +467,7 @@ def curvature_scalar_identities(n: int, r: int) -> dict:
                     add_into(out, sym_insert(af, m), sa * v)
                 return out
 
-            total = sparsemat.madd(total, sparsemat.compose(
+            sparsemat.madd_into(total, sparsemat.compose(
                 fam._h_matrix(outer), inner))
     lam_h = Fraction(-r * (r + 2))
     h_ok = sparsemat.is_scalar_multiple(total, sdim, lam_h)
@@ -481,7 +481,7 @@ def curvature_scalar_identities(n: int, r: int) -> dict:
         for j in range(E.dim):
             inner = fam.e_left("Sym2E", i, j)
             outer = sparsemat.compose(ops.wedge_flat(q - 1, i), ops.contract(q, j))
-            toto = sparsemat.madd(toto, sparsemat.compose(outer, inner))
+            sparsemat.madd_into(toto, sparsemat.compose(outer, inner))
     lam_e = Fraction(-(n - r) * (n + r + 2))
     e_ok = sparsemat.is_scalar_multiple(toto, pdim, lam_e)
 

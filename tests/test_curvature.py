@@ -227,6 +227,41 @@ def test_qzero_identity():
             assert qzero_check(n, r, rform)["ok"]
 
 
+def _rvalue_not_symmetric(self, i, j, k, l):
+    return Fraction(1) if (i, j, k, l) == (0, 1, 0, 2) else Fraction(0)
+
+
+def test_non_symmetric_form_fails_with_witness(monkeypatch):
+    n = 2
+    rform = random_sym4(n, random.Random(89))
+    # warm the operator caches on a symmetric form and keep them: they hold
+    # only form-independent operators, so they cannot hide the failure below
+    assert sym4_acts_trivially(n, rform)["ok"]
+    assert all(qzero_check(n, r, rform)["ok"] for r in range(n + 1))
+    monkeypatch.setattr(ModelCurvature, "rvalue", _rvalue_not_symmetric)
+    # R(e_0, e_1) is e_0 -> e_0; with 1/2 de_0 . de_1 it sends e_0 to -1/2 e_3
+    assert sym4_acts_trivially(n, rform) == \
+        {"ok": False, "witness": (1, (0, {3: Fraction(-1, 2)}))}
+    reps = [qzero_check(n, r, rform) for r in range(n + 1)]
+    # in degree 2 it moves primitive column 3, e_1^e_3 - e_0^e_2, out of
+    # ker(Lambda), so the check reports that instead of raising
+    assert reps[0] == {"ok": False, "witness": ("not primitive", 0, 1, 3)}
+    assert not reps[1]["ok"] and reps[1]["witness"] is not None
+
+
+def test_bianchi_containment_witness(monkeypatch):
+    system = BianchiSystem(1)
+    rows = system.constraint_rows()
+    kernel = system.ker_m_basis()
+    extra = {col: Fraction(1) for col in range(len(system.basis))}
+    monkeypatch.setattr(system, "constraint_rows", lambda: rows + [extra])
+    rep = system.solution_equals_ker_m()
+    first = next((vec, row) for vec in kernel for row in rows + [extra]
+                 if sum((v * vec.get(c, 0) for c, v in row.items()), Fraction(0)))
+    assert not rep["kernel_satisfies_equations"] and not rep["equal"]
+    assert rep["witness"] == first
+
+
 def test_bianchi_n2_full():
     rep = BianchiSystem(2).solution_equals_ker_m()
     assert rep["equal"]

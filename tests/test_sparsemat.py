@@ -1,0 +1,122 @@
+"""Sparse accumulators: entries start from their first term and keep their type."""
+
+from fractions import Fraction
+
+import pytest
+
+from qkspin import sparsemat
+from qkspin.linalg import row_sub
+from qkspin.scalar import Scalar
+from qkspin.symplectic import add_into
+
+
+class Strict:
+    """A rational that refuses to be added to anything but another Strict.
+
+    It has no reflected operators, so `0 + x` raises: a sum that starts
+    from the int 0 instead of its first term fails loudly.
+    """
+
+    def __init__(self, value):
+        self.value = Fraction(value)
+
+    def _other(self, other):
+        if not isinstance(other, Strict):
+            raise TypeError(f"Strict combined with {type(other).__name__}")
+        return other.value
+
+    def __add__(self, other):
+        return Strict(self.value + self._other(other))
+
+    def __sub__(self, other):
+        return Strict(self.value - self._other(other))
+
+    def __mul__(self, other):
+        return Strict(self.value * self._other(other))
+
+    def __neg__(self):
+        return Strict(-self.value)
+
+    def __bool__(self):
+        return bool(self.value)
+
+    def __eq__(self, other):
+        return isinstance(other, Strict) and self.value == other.value
+
+    def __hash__(self):
+        return hash(self.value)
+
+
+ONES = [Fraction(1), Scalar(1), 1, Strict(1)]
+
+
+def _entries(m: dict):
+    for mcol in m.values():
+        yield from mcol.values()
+
+
+def _pair(one):
+    two, three = one + one, one + one + one
+    a = {0: {0: two, 1: three}, 1: {1: one}, 3: {2: three}}
+    b = {0: {0: one, 1: two}, 2: {1: three}, 4: {3: one}}
+    return a, b
+
+
+@pytest.mark.parametrize("one", ONES, ids=lambda o: type(o).__name__)
+def test_entry_type_kept(one):
+    a, b = _pair(one)
+    kind = type(one)
+    acc = sparsemat.madd(a)
+    sparsemat.madd_into(acc, b)
+    for result in (sparsemat.compose(a, b), sparsemat.madd(a, b), acc):
+        assert result
+        assert all(type(v) is kind for v in _entries(result))
+    vec = sparsemat.apply_cols(a, {0: one, 1: one + one})
+    assert vec and all(type(v) is kind for v in vec.values())
+
+
+@pytest.mark.parametrize("one", ONES, ids=lambda o: type(o).__name__)
+def test_cancelling_sum_drops_entry_and_column(one):
+    minus = -one
+    a = {0: {0: one, 1: one}, 1: {0: one}}
+    b = {0: {0: minus, 1: minus}, 1: {1: one}}
+    assert sparsemat.madd(a, b) == {1: {0: one, 1: one}}
+    acc = {0: {0: one}}
+    sparsemat.madd_into(acc, {0: {0: minus}})
+    assert acc == {}
+    # (1, -1) against a matrix whose two columns coincide
+    assert sparsemat.compose({0: {0: one}, 1: {0: one}}, {0: {0: one, 1: minus}}) == {}
+    assert sparsemat.apply_cols({0: {0: one}, 1: {0: one}}, {0: one, 1: minus}) == {}
+
+
+def test_madd_into_equals_madd_and_leaves_its_argument():
+    mats = [{0: {0: Fraction(1, 2), 2: Fraction(3)}, 1: {1: Fraction(1)}},
+            {0: {0: Fraction(-1, 2)}, 2: {0: Fraction(5)}},
+            {1: {1: Fraction(-1)}, 2: {1: Fraction(2, 3)}},
+            {0: {2: Fraction(-3), 4: Fraction(1)}}]
+    snapshot = [{c: dict(col) for c, col in m.items()} for m in mats]
+    acc: dict = {}
+    for m in mats:
+        sparsemat.madd_into(acc, m)
+    assert acc == sparsemat.madd(*mats) == {0: {4: Fraction(1)},
+                                            2: {0: Fraction(5), 1: Fraction(2, 3)}}
+    assert mats == snapshot
+
+
+@pytest.mark.parametrize("one", ONES, ids=lambda o: type(o).__name__)
+def test_add_into_starts_from_first_term(one):
+    acc: dict = {}
+    add_into(acc, "x", one)
+    add_into(acc, "y", one + one)
+    assert acc == {"x": one, "y": one + one}
+    assert all(type(v) is type(one) for v in acc.values())
+    add_into(acc, "x", -one)
+    assert acc == {"y": one + one}
+
+
+@pytest.mark.parametrize("one", ONES, ids=lambda o: type(o).__name__)
+def test_row_sub_starts_from_first_term(one):
+    two = one + one
+    out = row_sub({0: one, 1: two}, two, {1: one, 2: one})
+    assert out == {0: one, 2: -two}
+    assert all(type(v) is type(one) for v in out.values())
