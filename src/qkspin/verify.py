@@ -243,12 +243,14 @@ def suite_curvature(n: int, seed: int = 0) -> list[Check]:
     for trial in range(20):
         rf = random_sym4(n, rng) if trial else alpha_fourth(
             n, {i: Fraction(rng.randint(-3, 3)) for i in range(2 * n)})
-        if not sym4_acts_trivially(n, rf)["ok"]:
-            bad = ("lambda-E", trial)
+        rep = sym4_acts_trivially(n, rf)
+        if not rep["ok"]:
+            bad = ("lambda-E", trial, rep["witness"])
             break
         for r in range(n + 1):
-            if not qzero_check(n, r, rf)["ok"]:
-                bad = ("primitive", trial, r)
+            rep = qzero_check(n, r, rf)
+            if not rep["ok"]:
+                bad = ("primitive", trial, r, rep["witness"])
                 break
         if bad:
             break

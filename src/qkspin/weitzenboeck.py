@@ -12,6 +12,13 @@ between them is the 6x6 Weitzenboeck matrix, the Kronecker product of a
 operators by exact linear algebra; it must agree with the closed form.
 One exact span solver, `solve_in_span`, serves this 6x6 oracle and the
 2x2 (H-part) and 3x3 (E-part) sub-oracles `recover_wh` and `recover_we`.
+Each work item is done once: `projector_family` builds one family per
+(n, r), whose H-side factors are built once per (label, a, b) and E-side
+factors once per (label, i, j), shared by every tangent block and by all
+three oracles; and `solve_in_span` feeds each distinct Kronecker row to
+the echelon once.  A repeated row already lies in the echelon's span,
+which only grows, so skipping it changes neither the solution nor any
+failure.
 
 Row and column conventions (0-based):
   rows  (E-label major): [C.C, Sym2H.C, C.Sym2E, Sym2H.Sym2E,
@@ -24,6 +31,7 @@ the twistor slots) bookkeeping, centralized in OP_SLOTS below.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from . import linalg, sparsemat
@@ -128,6 +136,10 @@ class ProjectorFamily:
     H-side maps act on the monomial basis of Sym^r H, E-side maps on the
     primitive coordinates of Lambda^(n-r) E; the operators on the full
     space are Kronecker products assembled per pair of tangent slots.
+
+    The four factor builders are cached, so each factor is built once and
+    shared by every tangent block; `projector_family` builds one family per
+    (n, r) for every oracle.
     """
 
     H_LEFT = ("C", "Sym2H")
@@ -163,8 +175,12 @@ class ProjectorFamily:
         cov = sharp(self.H, {a: Fraction(1)})
         return sym_contract_circ(cov, {mono: Fraction(1)})
 
+    @functools.cache
     def h_right(self, label: str, a: int, b: int) -> dict:
-        """pr_{-+} = h_a^sharp_circ (h_b . s); pr_{+-} = h_a . (h_b^sharp_circ s)."""
+        """pr_{-+} = h_a^sharp_circ (h_b . s); pr_{+-} = h_a . (h_b^sharp_circ s).
+
+        Cached; the returned matrix is shared, so callers must not modify it.
+        """
         if label == "-+":
             def fn(mono):
                 out: dict = {}
@@ -181,7 +197,12 @@ class ProjectorFamily:
             raise ValueError(label)
         return self._h_matrix(fn)
 
+    @functools.cache
     def h_left(self, label: str, a: int, b: int) -> dict:
+        """C = sigma(h_a, h_b) id; Sym2H = the derivation action of h_a h_b.
+
+        Cached; the returned matrix is shared, so callers must not modify it.
+        """
         if label == "C":
             s = self.H.sigma_basis(a, b)
             return {k: {k: s} for k in range(len(self.sym_basis))} if s else {}
@@ -191,7 +212,14 @@ class ProjectorFamily:
 
     # E-side ----------------------------------------------------------
 
+    @functools.cache
     def e_right(self, label: str, i: int, j: int) -> dict:
+        """pr_{-+} = e_i^sharp_circ (e_j wedge_circ .), pr_{+-} = e_i wedge_circ
+        (e_j^sharp_circ .), and K = sigma(e_i, e_j) id plus fixed multiples
+        of the two.
+
+        Cached; the returned matrix is shared, so callers must not modify it.
+        """
         q, n, r = self.q, self.n, self.r
         ops = self.eops
         if label == "-+":
@@ -211,14 +239,19 @@ class ProjectorFamily:
             return total
         raise ValueError(label)
 
+    @functools.cache
     def e_left(self, label: str, i: int, j: int) -> dict:
-        q, n, r = self.q, self.n, self.r
-        ops = self.eops
+        """C = sigma(e_i, e_j) id; Sym2E and Lambda2E = the symmetric and
+        trace-free antisymmetric parts of e_j wedge_circ e_i^sharp_circ.
+
+        Cached; the returned matrix is shared, so callers must not modify it.
+        """
+        n, r = self.n, self.r
         if label == "C":
             s = self.E.sigma_basis(i, j)
             return sparsemat.identity(self.prim.dim, s) if s else {}
-        wedge_ji = sparsemat.compose(ops.wedge(q - 1, j), ops.contract_sharp(q, i))
-        wedge_ij = sparsemat.compose(ops.wedge(q - 1, i), ops.contract_sharp(q, j))
+        wedge_ji = self.e_right("+-", j, i)
+        wedge_ij = self.e_right("+-", i, j)
         if label == "Sym2E":
             return sparsemat.madd(wedge_ji, wedge_ij)
         if label == "Lambda2E":
@@ -242,6 +275,12 @@ class ProjectorFamily:
                 for eb in self.E_LEFT for hb in self.H_LEFT]
 
 
+@functools.cache
+def projector_family(n: int, r: int) -> ProjectorFamily:
+    """The one `ProjectorFamily` of (n, r), shared with its cached factors."""
+    return ProjectorFamily(n, r)
+
+
 class RecoveryError(AssertionError):
     pass
 
@@ -255,8 +294,15 @@ def solve_in_span(blocks, where: str) -> list:
     first columns, left members after them.  A pivot among the left columns
     means some left member is outside the span of the right family, which
     is a hard failure.  Returns X with None on right columns without pivot.
+
+    Each distinct row is fed once; the Kronecker rows of the tangent
+    blocks are mostly repeats.  Skipping a repeat is exact: the echelon's
+    span only grows, so a row fed before still lies in it, and
+    `Echelon.add` would reduce it to zero and leave `rows` and `pivots`
+    as they were.  X, the None columns and every failure are unchanged.
     """
     ech = linalg.Echelon()
+    seen: set = set()
     for rights, lefts in blocks:
         width, height = len(rights), len(lefts)
         entries: dict = {}
@@ -268,7 +314,10 @@ def solve_in_span(blocks, where: str) -> list:
                             add_into(entries.setdefault((hr, hc, er, ec), {}),
                                      col, hv * ev)
         for row in entries.values():
-            ech.add(row)
+            key = frozenset(row.items())
+            if key not in seen:
+                seen.add(key)
+                ech.add(row)
     for piv, row in zip(ech.pivots, ech.rows):
         if piv >= width:
             raise RecoveryError(
@@ -289,7 +338,7 @@ def recover_w(n: int, r: int) -> dict:
     produce the full rank-6 system; at r in {0, n} only the surviving
     columns are recovered.  Inconsistency is a hard failure.
     """
-    fam = ProjectorFamily(n, r)
+    fam = projector_family(n, r)
     tangent = [(a, i) for a in range(2) for i in range(fam.E.dim)]
     matrix = solve_in_span(
         ((fam.right_factors(a, i, b, j), fam.left_factors(a, i, b, j))
@@ -340,7 +389,7 @@ def _zero_dead(matrix: list) -> list:
 
 def recover_wh(r: int) -> list:
     """2x2 sub-oracle on H tensor H tensor Sym^r H."""
-    fam = ProjectorFamily(max(r + 1, 2), r)   # any n >= r+1 gives the same H side
+    fam = projector_family(max(r + 1, 2), r)   # any n >= r+1 gives the same H side
     return _zero_dead(solve_in_span(
         (([(fam.h_right(lbl, a, b), _ONE) for lbl in fam.H_RIGHT],
           [(fam.h_left(lbl, a, b), _ONE) for lbl in fam.H_LEFT])
@@ -350,7 +399,7 @@ def recover_wh(r: int) -> list:
 
 def recover_we(n: int, r: int) -> list:
     """3x3 sub-oracle on E tensor E tensor Lambda^(n-r)_prim E."""
-    fam = ProjectorFamily(n, r)
+    fam = projector_family(n, r)
     return _zero_dead(solve_in_span(
         (([(_ONE, fam.e_right(lbl, i, j)) for lbl in fam.E_RIGHT],
           [(_ONE, fam.e_left(lbl, i, j)) for lbl in fam.E_LEFT])
@@ -448,7 +497,7 @@ def curvature_scalar_identities(n: int, r: int) -> dict:
     factor 1/2, a factor 2 from symmetrizing the tangent slots, and the
     computed sigma-trace of the complementary factor (2n resp. 2).
     """
-    fam = ProjectorFamily(n, r)
+    fam = projector_family(n, r)
     H, E = fam.H, fam.E
 
     # H side operator sum on Sym^r H

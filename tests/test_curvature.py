@@ -1,11 +1,14 @@
 """Curvature space, Bianchi equations, model tensors and Ricci traces."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from qkspin import verify
+from qkspin.cli import _jsonable
 from qkspin.curvature import (
     BianchiSystem,
     ModelCurvature,
@@ -32,6 +35,7 @@ from qkspin.curvature import (
     sym4_extraction,
 )
 from qkspin.symplectic import add_into
+from qkspin.verify import run_suite
 
 
 def rand_cov(rng, N):
@@ -247,6 +251,23 @@ def test_non_symmetric_form_fails_with_witness(monkeypatch):
     # ker(Lambda), so the check reports that instead of raising
     assert reps[0] == {"ok": False, "witness": ("not primitive", 0, 1, 3)}
     assert not reps[1]["ok"] and reps[1]["witness"] is not None
+
+
+def test_curvature_suite_carries_the_structured_witness(monkeypatch):
+    # the Ricci report asserts symmetry and would raise before the last
+    # check, so it is given the report of the suite's own symmetric form
+    passing = einstein_report(2, random_sym4(2, random.Random(0)))
+    monkeypatch.setattr(verify, "einstein_report", lambda n, rform: passing)
+    monkeypatch.setattr(ModelCurvature, "rvalue", _rvalue_not_symmetric)
+    checks = run_suite("curvature", 2)
+    assert checks[4].name.startswith("Ricci constants") and checks[4].ok
+    last = checks[-1]
+    # trial 0 fails on the ambient check first, with the witness above
+    assert not last.ok
+    assert last.witness == ("lambda-E", 0, (1, (0, {3: Fraction(-1, 2)})))
+    # the JSON text, not list equality, so that no 0.0 or 1.0 can pass
+    assert json.dumps(_jsonable(last.witness)) == \
+        '["lambda-E", 0, [1, [0, {"3": "-1/2"}]]]'
 
 
 def test_bianchi_containment_witness(monkeypatch):

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from qkspin import sparsemat
+from qkspin import linalg, sparsemat
 from qkspin.weitzenboeck import (
     OP_SLOTS,
+    ProjectorFamily,
     RecoveryError,
     contraction_composite,
     curvature_scalar_identities,
@@ -15,7 +16,9 @@ from qkspin.weitzenboeck import (
     kernel_projection,
     lichnerowicz_vector,
     multiplication_composite,
+    projector_family,
     recover_matches_closed_form,
+    recover_w,
     recover_we,
     recover_wh,
     row_combination,
@@ -72,14 +75,17 @@ def test_w_json_serialization():
 
 
 def test_recover_generic_grades():
-    assert recover_matches_closed_form(2, 1)["ok"]
+    for n, r in [(2, 1), (4, 1), (4, 2), (4, 3)]:
+        rep = recover_matches_closed_form(n, r)
+        assert rep["ok"] and rep["alive"] == [0, 1, 2, 3, 4, 5], (n, r)
 
 
 def test_recover_degenerate_grades():
-    rep = recover_matches_closed_form(2, 0)
-    assert rep["ok"] and rep["alive"] == [2, 4]
-    rep = recover_matches_closed_form(2, 2)
-    assert rep["ok"] and rep["alive"] == [0, 1]
+    for n in (2, 4):
+        rep = recover_matches_closed_form(n, 0)
+        assert rep["ok"] and rep["alive"] == [2, 4], n
+        rep = recover_matches_closed_form(n, n)
+        assert rep["ok"] and rep["alive"] == [0, 1], n
 
 
 def test_sub_oracles():
@@ -112,6 +118,65 @@ def test_solve_in_span_rejects_a_left_member_outside_the_span():
     blocks = [([(_DIAG, _ONE)], [(_SWAP, _ONE)])]
     with pytest.raises(RecoveryError, match="not in the span.*in a test"):
         solve_in_span(blocks, "in a test")
+
+
+# X = [[2, 5]]: left = 2 DIAG + 5 SWAP; its four Kronecker rows are two
+# distinct rows, each twice
+_MIXED = ([(_DIAG, _ONE), (_SWAP, _ONE)],
+          [(sparsemat.madd(sparsemat.mscale(_DIAG, F(2)),
+                           sparsemat.mscale(_SWAP, F(5))), _ONE)])
+# the same family on a block where the second right member vanishes
+_PART = ([(_DIAG, _ONE), ({}, _ONE)], [(sparsemat.mscale(_DIAG, F(2)), _ONE)])
+
+
+def test_solve_in_span_ignores_a_repeated_block():
+    assert solve_in_span([_PART], "in a test") == [[F(2), None]]
+    assert solve_in_span([_PART, _PART], "in a test") == [[F(2), None]]
+    assert solve_in_span([_MIXED], "in a test") == [[F(2), F(5)]]
+    assert solve_in_span([_MIXED] * 3, "in a test") == [[F(2), F(5)]]
+    assert solve_in_span([_PART, _MIXED, _PART, _MIXED], "in a test") == \
+        solve_in_span([_PART, _MIXED], "in a test") == [[F(2), F(5)]]
+
+
+def test_solve_in_span_feeds_each_distinct_row_once(monkeypatch):
+    fed = []
+    add = linalg.Echelon.add
+
+    def counting_add(self, row):
+        fed.append(dict(row))
+        return add(self, row)
+
+    monkeypatch.setattr(linalg.Echelon, "add", counting_add)
+    solve_in_span([_MIXED] * 3, "in a test")
+    assert fed == [{0: F(1), 2: F(2)}, {1: F(1), 2: F(5)}]
+
+
+def test_solve_in_span_rejects_a_repeated_block_outside_the_span():
+    blocks = [([(_DIAG, _ONE)], [(_SWAP, _ONE)])] * 3
+    with pytest.raises(RecoveryError, match="not in the span.*in a test"):
+        solve_in_span(blocks, "in a test")
+
+
+def test_shared_factors_are_never_modified():
+    # every caller of the shared factors runs first; a caller that wrote
+    # into one would leave it unequal to a fresh, uncached build
+    recover_w(3, 1)
+    recover_we(3, 1)
+    curvature_scalar_identities(3, 1)
+    fam = projector_family(3, 1)
+    assert fam is projector_family(3, 1)
+    builders = [(ProjectorFamily.h_right, fam.H_RIGHT, 2),
+                (ProjectorFamily.h_left, fam.H_LEFT, 2),
+                (ProjectorFamily.e_right, fam.E_RIGHT, fam.E.dim),
+                (ProjectorFamily.e_left, fam.E_LEFT, fam.E.dim)]
+    for builder, labels, dim in builders:
+        for label in labels:
+            for i in range(dim):
+                for j in range(dim):
+                    shared = builder(fam, label, i, j)
+                    assert builder(fam, label, i, j) is shared
+                    assert shared == builder.__wrapped__(fam, label, i, j), \
+                        (builder.__name__, label, i, j)
 
 
 def test_kernel_projection_properties():
@@ -208,10 +273,10 @@ def test_estimate_bound_rejects_bad_input():
 def test_degenerate_members_flagged():
     # the right members that vanish on every tangent block are exactly the
     # complement of the closed-form surviving columns that recover_w uses
-    from qkspin.weitzenboeck import ProjectorFamily, _surviving_columns
+    from qkspin.weitzenboeck import _surviving_columns
     for n in (2, 3):
         for r in range(n + 1):
-            fam = ProjectorFamily(n, r)
+            fam = projector_family(n, r)
             tangent = [(a, i) for a in range(2) for i in range(fam.E.dim)]
             alive = set()
             for (a, i) in tangent:
