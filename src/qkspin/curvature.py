@@ -609,8 +609,12 @@ class ModelCurvature:
                 out[(xx, yy)] = total
         return out
 
-    def ricci_coefficient(self, kind: str) -> Fraction:
-        """Assert Ric^kind = c sigma_H tensor sigma_E and return c."""
+    def ricci_coefficient(self, kind: str) -> tuple:
+        """(c, None) with Ric^kind = c sigma_H tensor sigma_E, else (None, witness).
+
+        The witness (kind, X, Y) is the first tangent pair at which Ric^kind
+        leaves the line of the metric.
+        """
         ric = self.ricci(kind)
         basis = self.tangent_basis()
         coeff = None
@@ -620,33 +624,34 @@ class ModelCurvature:
                 v = ric.get((xx, yy), Fraction(0))
                 if not g:
                     if v:
-                        raise AssertionError(
-                            f"Ric^{kind} not proportional to the metric at {xx},{yy}")
+                        return None, (kind, xx, yy)
                     continue
                 c = v / g
                 if coeff is None:
                     coeff = c
                 elif coeff != c:
-                    raise AssertionError(
-                        f"Ric^{kind} not proportional: {coeff} vs {c}")
-        return Fraction(0) if coeff is None else coeff
+                    return None, (kind, xx, yy)
+        return (Fraction(0) if coeff is None else coeff), None
 
 
 def einstein_report(n: int, rform: dict) -> dict:
     """Ricci constants and the Einstein coefficient with formal kappa.
 
     For R = -kappa/(8n(n+2)) (R^H + R^E) + R^hyper the Ricci form is
-    kappa/(4n) g exactly; the report carries the verified pieces.
+    kappa/(4n) g exactly; the report carries the verified pieces.  A Ricci
+    form off the line of the metric leaves its constant None and names the
+    first such tangent pair in "ricci_witness".
     """
     model = ModelCurvature(n, rform)
-    c_h = model.ricci_coefficient("H")
-    c_e = model.ricci_coefficient("E")
-    c_hyper = model.ricci_coefficient("hyper")
-    einstein = Fraction(-(c_h + c_e), 8 * n * (n + 2))
+    (c_h, w_h), (c_e, w_e), (c_hyper, w_hyper) = (
+        model.ricci_coefficient(kind) for kind in ("H", "E", "hyper"))
+    einstein = None if None in (c_h, c_e) else \
+        Fraction(-(c_h + c_e), 8 * n * (n + 2))
     return {
         "ricci_H": c_h,                      # expected -3
         "ricci_E": c_e,                      # expected -(2n+1)
         "ricci_hyper": c_hyper,              # expected 0
+        "ricci_witness": w_h or w_e or w_hyper,
         "einstein_coefficient": einstein,    # expected 1/(4n), times kappa
         "einstein_ok": einstein == Fraction(1, 4 * n),
     }

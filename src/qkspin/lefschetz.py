@@ -11,6 +11,12 @@ sl2 eigenvalue polynomial in L Lambda) are kept side by side; the test
 suite checks they produce identical matrices.  Like every operator in the
 package, both are column-major `sparsemat` matrices, and the one inverse
 they need goes through `linalg.Echelon`.
+
+The relation suites check every lemma relation as an identity between
+operator matrices: `PrimitiveOps` owns the contraction / modified-wedge
+ladder on the primitive levels of Lambda^q E, and `powers.SymOps` the
+product / normalized-contraction ladder on Sym^r H.  A failing relation
+names its first failing index pair.
 """
 
 from __future__ import annotations
@@ -20,11 +26,10 @@ from fractions import Fraction
 from math import comb
 
 from . import linalg, sparsemat
-from .powers import ExtPower, ext_contract, ext_product, ext_wedge_vec
+from .powers import ExtPower, ext_contract, ext_product, ext_wedge_vec, sym_ops
 from .symplectic import (
     SymplecticSpace,
     add_into,
-    flat,
     scale,
     sharp,
     sub,
@@ -291,17 +296,11 @@ def check_sl2(space: SymplecticSpace) -> list[Check]:
     n = space.half_dim
     checks = []
     for k in range(space.dim + 1):
-        amb = ExtPower(space, k)
-        ok, witness = True, None
-        for mono in amb.basis:
-            x = {mono: Fraction(1)}
-            lhs = sub(apply_Lambda(space, apply_L(space, x)),
-                      apply_L(space, apply_Lambda(space, x)))
-            if lhs != scale(x, Fraction(n - k)):
-                ok, witness = False, mono
-                break
-        checks.append(Check(f"sl2 commutator on degree {k}", ok, witness,
-                            Fraction(n - k)))
+        h, v = H_op(space, k), Fraction(n - k)
+        witness = next((mono for c, mono in enumerate(ExtPower(space, k).basis)
+                        if h.get(c) != ({c: v} if v else None)), None)
+        checks.append(Check(f"sl2 commutator on degree {k}", witness is None,
+                            witness, v))
     return checks
 
 
@@ -311,70 +310,49 @@ def check_ext_relations(space: SymplecticSpace, s: int) -> list[Check]:
     ops = primitive_ops(space)
     dim = ops.level(s).dim
     dim2 = space.dim
+    compose, madd = sparsemat.compose, sparsemat.madd
     checks = []
 
     # {de_i_, de_j_} = 0 on level s
-    bad = None
-    for i in range(dim2):
-        for j in range(i, dim2):
-            m = sparsemat.madd(
-                sparsemat.compose(ops.contract(s - 1, i), ops.contract(s, j)),
-                sparsemat.compose(ops.contract(s - 1, j), ops.contract(s, i)))
-            if m:
-                bad = (i, j)
-                break
-        if bad:
-            break
+    bad = next(((i, j) for i in range(dim2) for j in range(i, dim2)
+                if madd(compose(ops.contract(s - 1, i), ops.contract(s, j)),
+                        compose(ops.contract(s - 1, j), ops.contract(s, i)))),
+               None)
     checks.append(Check(f"contractions anticommute (s={s})", bad is None, bad))
 
     # {e_i wedge_circ, e_j wedge_circ} = 0
-    bad = None
-    for i in range(dim2):
-        for j in range(i, dim2):
-            m = sparsemat.madd(
-                sparsemat.compose(ops.wedge(s + 1, i), ops.wedge(s, j)),
-                sparsemat.compose(ops.wedge(s + 1, j), ops.wedge(s, i)))
-            if m:
-                bad = (i, j)
-                break
-        if bad:
-            break
+    bad = next(((i, j) for i in range(dim2) for j in range(i, dim2)
+                if madd(compose(ops.wedge(s + 1, i), ops.wedge(s, j)),
+                        compose(ops.wedge(s + 1, j), ops.wedge(s, i)))),
+               None)
     checks.append(Check(f"modified wedges anticommute (s={s})", bad is None, bad))
 
     # {de_i_, e_j wedge_circ} = delta_ij + 1/(n-s+1) de_i^flat wedge_circ e_j^sharp_
-    bad = None
-    for i in range(dim2):
-        for j in range(dim2):
-            lhs = sparsemat.madd(
-                sparsemat.compose(ops.contract(s + 1, i), ops.wedge(s, j)),
-                sparsemat.compose(ops.wedge(s - 1, j), ops.contract(s, i)))
-            rhs = sparsemat.compose(ops.wedge_flat(s - 1, i),
-                                    ops.contract_sharp(s, j))
-            rhs = sparsemat.mscale(rhs, Fraction(1, n - s + 1))
-            if i == j:
-                rhs = sparsemat.madd(rhs, sparsemat.identity(dim, Fraction(1)))
-            if sparsemat.msub(lhs, rhs):
-                bad = (i, j)
-                break
-        if bad:
-            break
+    one = sparsemat.identity(dim, Fraction(1))
+
+    def mixed_defect(i, j):
+        lhs = madd(compose(ops.contract(s + 1, i), ops.wedge(s, j)),
+                   compose(ops.wedge(s - 1, j), ops.contract(s, i)))
+        rhs = sparsemat.mscale(compose(ops.wedge_flat(s - 1, i),
+                                       ops.contract_sharp(s, j)),
+                               Fraction(1, n - s + 1))
+        return sparsemat.msub(lhs, madd(rhs, one) if i == j else rhs)
+
+    bad = next(((i, j) for i in range(dim2) for j in range(dim2)
+                if mixed_defect(i, j)), None)
     checks.append(Check(f"mixed anticommutator relation (s={s})", bad is None, bad))
 
     # sum_i de_i_ e_i wedge_circ = (2n-s+2)(n-s)/(n-s+1) id
     expect = Fraction((2 * n - s + 2) * (n - s), n - s + 1)
-    total = {}
-    for i in range(dim2):
-        total = sparsemat.madd(
-            total, sparsemat.compose(ops.contract(s + 1, i), ops.wedge(s, i)))
+    total = madd(*(compose(ops.contract(s + 1, i), ops.wedge(s, i))
+                   for i in range(dim2)))
     ok = sparsemat.is_scalar_multiple(total, dim, expect)
     checks.append(Check(f"number operator de_i_ e_i^circ (s={s})", ok,
                         None if ok else total, expect))
 
     # sum_i e_i wedge_circ de_i_ = s id
-    total = {}
-    for i in range(dim2):
-        total = sparsemat.madd(
-            total, sparsemat.compose(ops.wedge(s - 1, i), ops.contract(s, i)))
+    total = madd(*(compose(ops.wedge(s - 1, i), ops.contract(s, i))
+                   for i in range(dim2)))
     ok = sparsemat.is_scalar_multiple(total, dim, Fraction(s))
     checks.append(Check(f"number operator e_i^circ de_i_ (s={s})", ok,
                         None if ok else total, Fraction(s)))
@@ -384,98 +362,61 @@ def check_ext_relations(space: SymplecticSpace, s: int) -> list[Check]:
 def check_sym_relations(r: int) -> list[Check]:
     """The six product / normalized-contraction relations on Sym^r H.
 
-    The identities whose right-hand side applies the normalized contraction
-    on Sym^r itself need r >= 1 (on Sym^0 the 1/r normalization has no
-    meaning); those are only checked for r >= 1.
+    Each is an operator identity on the `SymOps` matrices; a failing
+    relation names its first failing index pair.  The identities whose
+    right-hand side applies the normalized contraction on Sym^r itself need
+    r >= 1 (on Sym^0 the 1/r normalization has no meaning); those are only
+    checked for r >= 1.
     """
-    from .powers import SymPower, sym_contract_circ, sym_mul_vec
-
-    space = SymplecticSpace(1, name="h")
-    sym = SymPower(space, r)
+    ops = sym_ops(SymplecticSpace(1, name="h"))
+    mul, circ = ops.mul, ops.contract_circ
+    dim = r + 1     # dim Sym^r H
+    pairs = [(i, j) for i in range(2) for j in range(2)]
+    compose, madd, msub = sparsemat.compose, sparsemat.madd, sparsemat.msub
     checks = []
 
-    def mul(i):
-        return lambda x: sym_mul_vec(space.basis_vector(i), x)
-
-    def con(i):
-        return lambda x: sym_contract_circ({i: Fraction(1)}, x)
-
-    def commutator_zero(f, g):
-        for mono in sym.basis:
-            x = {mono: Fraction(1)}
-            if sub(f(g(x)), g(f(x))):
-                return mono
-        return None
-
-    bad = None
-    for i in range(2):
-        for j in range(2):
-            bad = bad or commutator_zero(mul(i), mul(j))
+    # [h_i., h_j.] = 0
+    bad = next(((i, j) for i, j in pairs
+                if msub(compose(mul(r + 1, i), mul(r, j)),
+                        compose(mul(r + 1, j), mul(r, i)))), None)
     checks.append(Check(f"symmetric products commute (r={r})", bad is None, bad))
 
-    bad = None
-    for i in range(2):
-        for j in range(2):
-            bad = bad or commutator_zero(con(i), con(j))
+    # [dh_i_, dh_j_] = 0
+    bad = next(((i, j) for i, j in pairs
+                if msub(compose(circ(r - 1, i), circ(r, j)),
+                        compose(circ(r - 1, j), circ(r, i)))), None)
     checks.append(Check(f"normalized contractions commute (r={r})", bad is None, bad))
 
     if r >= 1:
-        # [alpha_, h.] = -1/(r+1) alpha^flat . h^sharp_  as operators on Sym^r
-        bad = None
-        for i in range(2):
-            alpha = {i: Fraction(1)}
-            af = flat(space, alpha)
-            for j in range(2):
-                h = space.basis_vector(j)
-                hs = sharp(space, h)
-                for mono in sym.basis:
-                    x = {mono: Fraction(1)}
-                    lhs = sub(sym_contract_circ(alpha, sym_mul_vec(h, x)),
-                              sym_mul_vec(h, sym_contract_circ(alpha, x)))
-                    rhs = scale(sym_mul_vec(af, sym_contract_circ(hs, x)),
-                                Fraction(-1, r + 1))
-                    if lhs != rhs:
-                        bad = (i, j, mono)
-        checks.append(Check(f"contraction/product commutator (r={r})", bad is None, bad))
+        # [alpha_, h.] = -1/(r+1) alpha^flat . h^sharp_, alpha = dh_i, h = h_j
+        def commutator_defect(i, j):
+            lhs = msub(compose(circ(r + 1, i), mul(r, j)),
+                       compose(mul(r - 1, j), circ(r, i)))
+            rhs = compose(ops.mul_flat(r - 1, i), ops.contract_sharp(r, j))
+            return msub(lhs, sparsemat.mscale(rhs, Fraction(-1, r + 1)))
+
+        bad = next(((i, j) for i, j in pairs if commutator_defect(i, j)), None)
+        checks.append(Check(f"contraction/product commutator (r={r})",
+                            bad is None, bad))
 
         # alpha(h) id = h . alpha_ - alpha^flat . h^sharp_
-        bad = None
-        for i in range(2):
-            alpha = {i: Fraction(1)}
-            af = flat(space, alpha)
-            for j in range(2):
-                h = space.basis_vector(j)
-                hs = sharp(space, h)
-                for mono in sym.basis:
-                    x = {mono: Fraction(1)}
-                    lhs = sub(sym_mul_vec(h, sym_contract_circ(alpha, x)),
-                              sym_mul_vec(af, sym_contract_circ(hs, x)))
-                    if lhs != scale(x, Fraction(1 if i == j else 0)):
-                        bad = (i, j, mono)
+        def evaluation(i, j):
+            return msub(compose(mul(r - 1, j), circ(r, i)),
+                        compose(ops.mul_flat(r - 1, i), ops.contract_sharp(r, j)))
+
+        bad = next(((i, j) for i, j in pairs if not sparsemat.is_scalar_multiple(
+            evaluation(i, j), dim, Fraction(int(i == j)))), None)
         checks.append(Check(f"evaluation identity (r={r})", bad is None, bad))
 
         # sum h_i . dh_i_ = id
-        bad = None
-        for mono in sym.basis:
-            x = {mono: Fraction(1)}
-            total: dict = {}
-            for i in range(2):
-                for m, c in mul(i)(con(i)(x)).items():
-                    add_into(total, m, c)
-            if total != x:
-                bad = mono
-        checks.append(Check(f"Euler identity (r={r})", bad is None, bad))
+        total = madd(*(compose(mul(r - 1, i), circ(r, i)) for i in range(2)))
+        ok = sparsemat.is_scalar_multiple(total, dim, Fraction(1))
+        checks.append(Check(f"Euler identity (r={r})", ok, None if ok else total))
 
     # sum dh_i_ h_i . = (r+2)/(r+1) id
     expect = Fraction(r + 2, r + 1)
-    bad = None
-    for mono in sym.basis:
-        x = {mono: Fraction(1)}
-        total = {}
-        for i in range(2):
-            for m, c in con(i)(mul(i)(x)).items():
-                add_into(total, m, c)
-        if total != scale(x, expect):
-            bad = mono
-    checks.append(Check(f"number operator dh_i_ h_i (r={r})", bad is None, bad, expect))
+    total = madd(*(compose(circ(r + 1, i), mul(r, i)) for i in range(2)))
+    ok = sparsemat.is_scalar_multiple(total, dim, expect)
+    checks.append(Check(f"number operator dh_i_ h_i (r={r})", ok,
+                        None if ok else total, expect))
     return checks

@@ -5,13 +5,19 @@ is a strictly increasing tuple of basis indices, a symmetric monomial a
 sorted tuple with repetitions; no combinatorial prefactor is stored, all
 normalizations live in the operations.  Degrees are read off the key
 length, so one dict may hold mixed degrees where convenient.
+
+`SymOps` holds the matrices of the product and contraction operators
+between the levels of Sym^r, built once from the elementwise rules here,
+as `lefschetz.PrimitiveOps` does for the primitive exterior levels.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
+from . import sparsemat
 from .symplectic import SymplecticSpace, add_into
 
 
@@ -155,6 +161,62 @@ def sym_contract_circ(cov: dict, elem: dict) -> dict:
             if x:
                 add_into(out, mono[:pos] + mono[pos + 1:], x * c * Fraction(1, r))
     return out
+
+
+class SymOps:
+    """Cached product / contraction matrices between the levels of Sym^r.
+
+    mul(r, i) is h_i . from Sym^r to Sym^(r+1); contract(r, i) is the plain
+    (derivation) contraction with dh_i and contract_circ(r, i) the
+    normalized one, both from Sym^r to Sym^(r-1).  Each matrix applies the
+    elementwise rule above to every basis monomial.  The flat and sharp
+    variants are index relabelings with a sign.  The ladder is total: off
+    it, i.e. below degree 0 or a contraction at degree 0, the operator is
+    the zero matrix {}, and no such key is cached.
+    """
+
+    def __init__(self, space: SymplecticSpace):
+        self.space = space
+        self._cache: dict = {}
+
+    def _matrix(self, rule, r: int, i: int, shift: int) -> dict:
+        key = (rule.__name__, r, i)
+        m = self._cache.get(key)
+        if m is None:
+            codom = SymPower(self.space, r + shift)
+            m = {}
+            for k, mono in enumerate(SymPower(self.space, r).basis):
+                img = rule({i: Fraction(1)}, {mono: Fraction(1)})
+                if img:
+                    m[k] = {codom.index[x]: v for x, v in img.items()}
+            self._cache[key] = m
+        return m
+
+    def mul(self, r: int, i: int) -> dict:
+        return self._matrix(sym_mul_vec, r, i, 1) if r >= 0 else {}
+
+    def contract(self, r: int, i: int) -> dict:
+        return self._matrix(sym_contract, r, i, -1) if r >= 1 else {}
+
+    def contract_circ(self, r: int, i: int) -> dict:
+        return self._matrix(sym_contract_circ, r, i, -1) if r >= 1 else {}
+
+    def mul_flat(self, r: int, cov_index: int) -> dict:
+        """Product with dh_cov_index^flat."""
+        j, sg = self.space.flat_basis(cov_index)
+        m = self.mul(r, j)
+        return m if sg == 1 else sparsemat.mscale(m, Fraction(-1))
+
+    def contract_sharp(self, r: int, vec_index: int) -> dict:
+        """Normalized contraction with h_vec_index^sharp."""
+        j, sg = self.space.sharp_basis(vec_index)
+        m = self.contract_circ(r, j)
+        return m if sg == 1 else sparsemat.mscale(m, Fraction(-1))
+
+
+@functools.cache
+def sym_ops(space: SymplecticSpace) -> SymOps:
+    return SymOps(space)
 
 
 # -- extended symplectic forms and J ------------------------------------

@@ -221,6 +221,22 @@ class SpinorSpace:
                         * Fraction(1, factorial(p))
         return total
 
+    def hermitian_gram(self) -> dict:
+        """h(e_k1, e_k2) over the flat basis, column-major and rational.
+
+        No two grades pair; `hermitian` is the elementwise reference.
+        """
+        cols, start = {}, 0
+        for r in range(self.n + 1):
+            block = self.grade_basis(r)
+            gh, ge = sym_gram(self.H, r), primitive_gram(self.E, self.n - r)
+            for k2, (_, _, hm2, c2) in enumerate(block, start):
+                cols[k2] = {k1: gh[hm1][hm2] * ge[c1][c2] / factorial(r)
+                            for k1, (_, _, hm1, c1) in enumerate(block, start)
+                            if gh[hm1][hm2] and ge[c1][c2]}
+            start += len(block)
+        return cols
+
     def bigrade_basis(self, p: int, q: int) -> list:
         """Basis keys of Sym^p H tensor Lambda^q_prim E (any bigrade)."""
         if p < 0 or not 0 <= q <= self.n:

@@ -33,7 +33,6 @@ from .lefschetz import (
     check_sym_relations,
     primitive_space,
 )
-from .scalar import Scalar
 from .spinor import SpinorSpace, kraines_eigenvalue, rank_formula
 from .symplectic import SymplecticSpace
 from .weitzenboeck import (
@@ -97,28 +96,31 @@ def suite_clifford(n: int, seed: int = 0) -> list[Check]:
     checks.append(Check("Clifford multiplication shifts the grade by one",
                         bad is None, bad))
 
-    bad = None
-    for key in spin.flat_basis():
-        v = spin.hermitian({key: Fraction(1)}, {key: Fraction(1)})
-        if not v.is_positive_real():
-            bad = key
-            break
+    gram = spin.hermitian_gram()
+    bad = next((key for k, key in enumerate(flat)
+                if not gram.get(k, {}).get(k, 0) > 0), None)
     checks.append(Check("twisted Hermitian form positive on the basis",
                         bad is None, bad))
 
-    rng = random.Random(seed)
+    # h(mu+-(t) psi1, psi2) = -h(psi1, mu-+(tbar) psi2).  The sqrt2 of
+    # mu = sqrt2 M is real and cancels, and the relation is linear in t and
+    # psi1 and antilinear in psi2, so basis triples prove it for every
+    # input: A^T G + G B = 0, with A the grade-raising part of M(t) and B
+    # the grade-lowering part of M(tbar).
+    def grade_part(m, step):
+        return {c: rows for c, col in m.items() if (rows := {
+            k: v for k, v in col.items() if flat[k][0] == flat[c][0] + step})}
+
     bad = None
-    for _ in range(20):
-        x = {(rng.randrange(2), rng.randrange(2 * n)):
-             Scalar(rng.randint(-2, 2), 0, rng.randint(-2, 2), 0)}
-        xbar = spin.conjugate_tangent(x)
-        r = rng.randrange(0, n + 1)
-        psi1 = _rand_spinor(spin, r, rng)
-        psi2 = _rand_spinor(spin, r + 1, rng) if r + 1 <= n else {}
-        lhs = spin.hermitian(spin.mu_plus_minus(x, psi1), psi2)
-        rhs = spin.hermitian(psi1, spin.mu_minus_plus(xbar, psi2))
-        if lhs != -rhs:
-            bad = (x, r)
+    for t in tangent:
+        raising = sparsemat.transpose(grade_part(mats[t], 1))
+        tbar = spin.conjugate_tangent({t: Fraction(1)})
+        lowering = grade_part(spin.clifford_matrix(tbar), -1)
+        defect = sparsemat.madd(sparsemat.compose(raising, gram),
+                                sparsemat.compose(gram, lowering))
+        if defect:
+            b2 = min(defect)
+            bad = (t, flat[min(defect[b2])], flat[b2])
             break
     checks.append(Check("adjointness of the two Clifford components",
                         bad is None, bad))
@@ -165,18 +167,6 @@ def suite_clifford(n: int, seed: int = 0) -> list[Check]:
     return checks
 
 
-def _rand_spinor(spin: SpinorSpace, r: int, rng) -> dict:
-    out = {}
-    if not 0 <= r <= spin.n:
-        return out
-    for key in spin.grade_basis(r):
-        if rng.randrange(2):
-            c = Scalar(rng.randint(-3, 3), 0, rng.randint(-2, 2), 0)
-            if c:
-                out[key] = c
-    return out
-
-
 def suite_lemmas(n: int, seed: int = 0) -> list[Check]:
     E = SymplecticSpace(n)
     checks = list(check_sl2(E))
@@ -217,7 +207,7 @@ def suite_curvature(n: int, seed: int = 0) -> list[Check]:
     checks.append(Check("Ricci constants (-3, -(2n+1), 0)",
                         rep["ricci_H"] == -3 and
                         rep["ricci_E"] == -(2 * n + 1) and
-                        rep["ricci_hyper"] == 0, rep,
+                        rep["ricci_hyper"] == 0, rep["ricci_witness"] or rep,
                         value=[rep["ricci_H"], rep["ricci_E"], rep["ricci_hyper"]]))
     checks.append(Check("Einstein coefficient kappa/(4n)", rep["einstein_ok"],
                         value=rep["einstein_coefficient"]))

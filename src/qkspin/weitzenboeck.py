@@ -36,10 +36,10 @@ from fractions import Fraction
 
 from . import linalg, sparsemat
 from .lefschetz import primitive_ops, primitive_space
-from .powers import sym_contract, sym_contract_circ, sym_insert
+from .powers import sym_ops
 from .scalar import Scalar
 from .spinor import SpinorSpace
-from .symplectic import SymplecticSpace, add_into, sharp
+from .symplectic import SymplecticSpace, add_into
 
 ROW_LABELS = ["C.C", "Sym2H.C", "C.Sym2E", "Sym2H.Sym2E",
               "C.Lambda2E", "Sym2H.Lambda2E"]
@@ -135,7 +135,9 @@ class ProjectorFamily:
 
     H-side maps act on the monomial basis of Sym^r H, E-side maps on the
     primitive coordinates of Lambda^(n-r) E; the operators on the full
-    space are Kronecker products assembled per pair of tangent slots.
+    space are Kronecker products assembled per pair of tangent slots.  Both
+    sides compose the ladder matrices of their one owner, `SymOps` for H
+    and `PrimitiveOps` for E.
 
     The four factor builders are cached, so each factor is built once and
     shared by every tangent block; `projector_family` builds one family per
@@ -157,23 +159,10 @@ class ProjectorFamily:
         self.H = self.spin.H
         self.E = self.spin.E
         self.eops = primitive_ops(self.E)
-        self.sym_basis = self.spin.sym_basis(r)
-        self.sym_index = {m: k for k, m in enumerate(self.sym_basis)}
+        self.hops = sym_ops(self.H)
         self.prim = primitive_space(self.E, self.q)
 
     # H-side ----------------------------------------------------------
-
-    def _h_matrix(self, fn) -> dict:
-        cols = {}
-        for ci, mono in enumerate(self.sym_basis):
-            img = fn(mono)
-            if img:
-                cols[ci] = {self.sym_index[m]: v for m, v in img.items()}
-        return cols
-
-    def _h_con(self, a: int, mono: tuple) -> dict:
-        cov = sharp(self.H, {a: Fraction(1)})
-        return sym_contract_circ(cov, {mono: Fraction(1)})
 
     @functools.cache
     def h_right(self, label: str, a: int, b: int) -> dict:
@@ -181,21 +170,12 @@ class ProjectorFamily:
 
         Cached; the returned matrix is shared, so callers must not modify it.
         """
+        r, ops = self.r, self.hops
         if label == "-+":
-            def fn(mono):
-                out: dict = {}
-                for m, v in self._h_con(a, sym_insert(b, mono)).items():
-                    add_into(out, m, v)
-                return out
-        elif label == "+-":
-            def fn(mono):
-                out: dict = {}
-                for m, v in self._h_con(b, mono).items():
-                    add_into(out, sym_insert(a, m), v)
-                return out
-        else:
-            raise ValueError(label)
-        return self._h_matrix(fn)
+            return sparsemat.compose(ops.contract_sharp(r + 1, a), ops.mul(r, b))
+        if label == "+-":
+            return sparsemat.compose(ops.mul(r - 1, a), ops.contract_sharp(r, b))
+        raise ValueError(label)
 
     @functools.cache
     def h_left(self, label: str, a: int, b: int) -> dict:
@@ -205,7 +185,7 @@ class ProjectorFamily:
         """
         if label == "C":
             s = self.H.sigma_basis(a, b)
-            return {k: {k: s} for k in range(len(self.sym_basis))} if s else {}
+            return sparsemat.identity(self.r + 1, s) if s else {}
         if label == "Sym2H":
             return self.spin.derivation_matrix((a, b), self.r)
         raise ValueError(label)
@@ -500,39 +480,29 @@ def curvature_scalar_identities(n: int, r: int) -> dict:
     fam = projector_family(n, r)
     H, E = fam.H, fam.E
 
-    # H side operator sum on Sym^r H
-    sdim = len(fam.sym_basis)
-    total: dict = {}
+    # H side operator sum on Sym^r H (dim r + 1)
+    hops = fam.hops
+    h_total: dict = {}
     for a in range(2):
-        af, sa = H.flat_basis(a)
         for b in range(2):
             inner = fam.h_left("Sym2H", a, b)
-
-            def outer(mono, af=af, sa=sa, b=b):
-                # plain dh_b contraction followed by dh_a^flat multiplication
-                out: dict = {}
-                mid = sym_contract({b: Fraction(1)}, {mono: Fraction(1)})
-                for m, v in mid.items():
-                    add_into(out, sym_insert(af, m), sa * v)
-                return out
-
-            sparsemat.madd_into(total, sparsemat.compose(
-                fam._h_matrix(outer), inner))
+            outer = sparsemat.compose(hops.mul_flat(r - 1, a), hops.contract(r, b))
+            sparsemat.madd_into(h_total, sparsemat.compose(outer, inner))
     lam_h = Fraction(-r * (r + 2))
-    h_ok = sparsemat.is_scalar_multiple(total, sdim, lam_h)
+    h_ok = sparsemat.is_scalar_multiple(h_total, r + 1, lam_h)
 
     # E side operator sum on the primitive level q = n - r
     ops = fam.eops
     q = n - r
     pdim = fam.prim.dim
-    toto: dict = {}
+    e_total: dict = {}
     for i in range(E.dim):
         for j in range(E.dim):
             inner = fam.e_left("Sym2E", i, j)
             outer = sparsemat.compose(ops.wedge_flat(q - 1, i), ops.contract(q, j))
-            sparsemat.madd_into(toto, sparsemat.compose(outer, inner))
+            sparsemat.madd_into(e_total, sparsemat.compose(outer, inner))
     lam_e = Fraction(-(n - r) * (n + r + 2))
-    e_ok = sparsemat.is_scalar_multiple(toto, pdim, lam_e)
+    e_ok = sparsemat.is_scalar_multiple(e_total, pdim, lam_e)
 
     # sigma traces of the complementary factors
     trace_e = sum((_sigma_flat_flat(E, i, j) * E.sigma_basis(i, j)
@@ -567,6 +537,13 @@ def _sigma_flat_flat(space, i, j) -> Fraction:
 
 # -- row combinations of the matrix equation -------------------------------
 
+def _rational(x) -> Fraction:
+    """x as a Fraction; a float is refused, it is not an exact input."""
+    if isinstance(x, float):
+        raise TypeError(f"exact input required, got the float {x!r}")
+    return Fraction(x)
+
+
 def row_combination(n: int, r: int, avec: list) -> dict:
     """Multiply the matrix equation from the left by a row vector.
 
@@ -575,7 +552,7 @@ def row_combination(n: int, r: int, avec: list) -> dict:
     of the left-hand side.
     """
     w = w_full(n, r)
-    avec = [Fraction(x) if not isinstance(x, Fraction) else x for x in avec]
+    avec = [_rational(x) for x in avec]
     atw = [sum((avec[k] * w.entries[k][j] for k in range(6)), Fraction(0))
            for j in range(6)]
     folded = [atw[j] * OP_SLOTS[j][0] for j in range(6)]
@@ -624,7 +601,7 @@ def estimate_bound(n: int, r: int, kappa: Fraction) -> dict:
         raise ValueError("the bound requires quaternionic dimension n >= 2")
     if not 0 <= r <= n:
         raise ValueError(f"grade {r} out of range")
-    kappa = Fraction(kappa)
+    kappa = _rational(kappa)
     if kappa <= 0:
         raise ValueError("positive scalar curvature required")
     combo = row_combination(n, r, twistor_elimination_vector(n, r))

@@ -178,7 +178,7 @@ def test_07_einstein_ricci():
         for trial in range(20):
             rform = random_sym4(n, rng)
             model = ModelCurvature(n, rform)
-            assert model.ricci_coefficient("hyper") == 0, (n, trial)
+            assert model.ricci_coefficient("hyper") == (0, None), (n, trial)
         rep = einstein_report(n, random_sym4(n, rng))
         assert rep["ricci_H"] == -3
         assert rep["ricci_E"] == -(2 * n + 1)

@@ -7,7 +7,6 @@ from fractions import Fraction
 
 import pytest
 
-from qkspin import verify
 from qkspin.cli import _jsonable
 from qkspin.curvature import (
     BianchiSystem,
@@ -254,13 +253,14 @@ def test_non_symmetric_form_fails_with_witness(monkeypatch):
 
 
 def test_curvature_suite_carries_the_structured_witness(monkeypatch):
-    # the Ricci report asserts symmetry and would raise before the last
-    # check, so it is given the report of the suite's own symmetric form
-    passing = einstein_report(2, random_sym4(2, random.Random(0)))
-    monkeypatch.setattr(verify, "einstein_report", lambda n, rform: passing)
     monkeypatch.setattr(ModelCurvature, "rvalue", _rvalue_not_symmetric)
     checks = run_suite("curvature", 2)
-    assert checks[4].name.startswith("Ricci constants") and checks[4].ok
+    # R^hyper_{X,Y} is no longer antisymmetric, so its Ricci form leaves the
+    # metric's line: at ((0, 1), (1, 0)) the metric vanishes, Ric does not
+    ricci = checks[4]
+    assert ricci.name.startswith("Ricci constants") and not ricci.ok
+    assert ricci.witness == ("hyper", (0, 1), (1, 0))
+    assert json.dumps(_jsonable(ricci.witness)) == '["hyper", [0, 1], [1, 0]]'
     last = checks[-1]
     # trial 0 fails on the ambient check first, with the witness above
     assert not last.ok
@@ -268,6 +268,16 @@ def test_curvature_suite_carries_the_structured_witness(monkeypatch):
     # the JSON text, not list equality, so that no 0.0 or 1.0 can pass
     assert json.dumps(_jsonable(last.witness)) == \
         '["lambda-E", 0, [1, [0, {"3": "-1/2"}]]]'
+
+
+def test_ricci_coefficient_names_the_first_pair_off_the_metric(monkeypatch):
+    monkeypatch.setattr(ModelCurvature, "rvalue", _rvalue_not_symmetric)
+    model = ModelCurvature(2, {})
+    assert model.ricci_coefficient("H") == (-3, None)
+    assert model.ricci_coefficient("hyper") == (None, ("hyper", (0, 1), (1, 0)))
+    rep = einstein_report(2, {})
+    assert rep["ricci_hyper"] is None
+    assert rep["ricci_witness"] == ("hyper", (0, 1), (1, 0))
 
 
 def test_bianchi_containment_witness(monkeypatch):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from qkspin.scalar import Scalar
 from qkspin.verify import run_suite
 
 
@@ -31,3 +32,20 @@ def test_no_float_in_values_or_witnesses(n):
         for part in ("value", "witness"):
             found = list(_floats(getattr(check, part)))
             assert not found, (check.name, part, found)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_suites_construct_no_scalar(n, monkeypatch):
+    # every suite runs over Q; Scalar is left to the public mu API, the
+    # twisted Hermitian form, J and the JSON codec
+    made = []
+    init = Scalar.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Scalar, "__init__", counting)
+    checks = run_suite("all", n)
+    assert all(c.ok for c in checks)
+    assert len(made) == 0, made[:5]

@@ -6,6 +6,7 @@ from itertools import combinations, permutations, product
 
 from qkspin.powers import (
     ExtPower,
+    SymOps,
     SymPower,
     ext_contract,
     ext_product,
@@ -15,8 +16,10 @@ from qkspin.powers import (
     gram_det,
     gram_perm,
     j_ext,
+    sym_contract,
     sym_contract_circ,
     sym_mul_vec,
+    sym_ops,
 )
 from qkspin.scalar import Scalar
 from qkspin.symplectic import SymplecticSpace, is_positive, j_apply, sharp
@@ -150,3 +153,73 @@ def test_gram_sums_match_permutation_expansion():
             for b in tuples:
                 assert gram_det(E, a, b) == _gram_by_permutations(E, a, b, True)
                 assert gram_perm(E, a, b) == _gram_by_permutations(E, a, b, False)
+
+
+def test_sym_ladder_is_total():
+    # off the Sym^r ladder every operator is the zero matrix
+    ops = SymOps(SymplecticSpace(1, name="h"))
+    for i in range(2):
+        assert ops.mul(-1, i) == {}
+        assert ops.mul_flat(-1, i) == {}
+        for r in (-1, 0):
+            assert ops.contract(r, i) == {}
+            assert ops.contract_circ(r, i) == {}
+            assert ops.contract_sharp(r, i) == {}
+        assert ops.mul(3, i) is ops.mul(3, i)
+        assert ops.contract_circ(3, i) is ops.contract_circ(3, i)
+        assert ops.contract(3, i) is ops.contract(3, i)
+    # off-ladder keys are never cached
+    assert ops._cache
+    assert all(r >= (0 if name == "sym_mul_vec" else 1)
+               for name, r, _ in ops._cache)
+
+
+def test_sym_ops_match_the_elementwise_rules():
+    from qkspin.lefschetz import check_sym_relations
+    from qkspin.weitzenboeck import curvature_scalar_identities
+
+    H = SymplecticSpace(1, name="h")
+    # the shared instance, after the callers that compose its matrices
+    for r in range(6):
+        check_sym_relations(r)
+    curvature_scalar_identities(3, 2)
+    ops = sym_ops(H)
+    assert ops is sym_ops(SymplecticSpace(1, name="h"))
+    for r in range(6):
+        dom, up, down = SymPower(H, r), SymPower(H, r + 1), SymPower(H, max(r - 1, 0))
+        for i in range(2):
+            unit = {i: Fraction(1)}
+            for op, rule, codom in ((ops.mul, sym_mul_vec, up),
+                                    (ops.contract, sym_contract, down),
+                                    (ops.contract_circ, sym_contract_circ, down)):
+                m = op(r, i)
+                for k, mono in enumerate(dom.basis):
+                    img = rule(unit, {mono: Fraction(1)})
+                    assert m.get(k, {}) == {codom.index[x]: v for x, v in img.items()}, \
+                        (rule.__name__, r, i, mono)
+            j, sg = H.flat_basis(i)
+            assert ops.mul_flat(r, i) == {c: {k: sg * v for k, v in col.items()}
+                                          for c, col in ops.mul(r, j).items()}
+            j, sg = H.sharp_basis(i)
+            assert ops.contract_sharp(r, i) == \
+                {c: {k: sg * v for k, v in col.items()}
+                 for c, col in ops.contract_circ(r, j).items()}
+
+
+def test_sym_relation_witness_is_the_first_failing_pair(monkeypatch):
+    from qkspin import lefschetz, powers
+
+    def broken(cov, elem):
+        # the normalized contraction, scaled by 2 on degree 2
+        out = sym_contract_circ(cov, elem)
+        if any(len(m) == 2 for m in elem):
+            out = {m: 2 * v for m, v in out.items()}
+        return out
+
+    monkeypatch.setattr(powers, "sym_contract_circ", broken)
+    # a fresh, uncached owner, so that the shared matrices stay intact
+    monkeypatch.setattr(lefschetz, "sym_ops", SymOps)
+    checks = {c.name: c for c in lefschetz.check_sym_relations(2)}
+    check = checks["contraction/product commutator (r=2)"]
+    assert not check.ok and check.witness == (0, 0)
+    assert not checks["Euler identity (r=2)"].ok

@@ -83,6 +83,18 @@ def test_hermitian_positive_on_basis():
             assert v.is_positive_real(), key
 
 
+def test_hermitian_gram_matches_the_elementwise_form():
+    for n in (1, 2):
+        S = SpinorSpace(n)
+        flat = S.flat_basis()
+        gram = S.hermitian_gram()
+        for k1, b1 in enumerate(flat):
+            for k2, b2 in enumerate(flat):
+                want = S.hermitian({b1: Fraction(1)}, {b2: Fraction(1)})
+                got = gram.get(k2, {}).get(k1, Fraction(0))
+                assert isinstance(got, Fraction) and got == want, (b1, b2)
+
+
 def test_hermitian_sesquilinear():
     S = SpinorSpace(2)
     rng = random.Random(7)

@@ -270,6 +270,17 @@ def test_estimate_bound_rejects_bad_input():
         estimate_bound(2, 0, -3)
 
 
+def test_exact_api_rejects_floats():
+    # Fraction(0.1) would be the binary float, 3602879701896397/36028797018963968
+    with pytest.raises(TypeError, match="float"):
+        estimate_bound(2, 0, 0.1)
+    with pytest.raises(TypeError, match="float"):
+        row_combination(2, 1, [0.5, 0, 0, 0, 0, 0])
+    # the exact spellings still work, the CLI's strings among them
+    assert estimate_bound(2, 0, "1/10")["bound"] == F(1, 32)
+    assert row_combination(2, 1, ["1/2", 0, 0, 0, 0, 0])["a"][0] == F(1, 2)
+
+
 def test_degenerate_members_flagged():
     # the right members that vanish on every tangent block are exactly the
     # complement of the closed-form surviving columns that recover_w uses
