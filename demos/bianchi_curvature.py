@@ -32,7 +32,8 @@ print("subspace equality:", report["equal"])
 
 rng = random.Random(0)
 rform = random_sym4(n, rng)
-rep = einstein_report(n, rform)
+model = ModelCurvature(n, rform)
+rep = einstein_report(model)
 print("\nRicci traces: R^H ->", rep["ricci_H"], "  R^E ->", rep["ricci_E"],
       "  R^hyper ->", rep["ricci_hyper"])
 print("Einstein coefficient of -1/(8n(n+2)) (R^H + R^E):",
@@ -40,7 +41,6 @@ print("Einstein coefficient of -1/(8n(n+2)) (R^H + R^E):",
 
 # the trace-free part is recovered from the full tensor by symmetrization,
 # independently of the auxiliary H-vectors
-model = ModelCurvature(n, rform)
 h_quads = [
     [{0: Fraction(1)}, {1: Fraction(1)}, {0: Fraction(1)}, {1: Fraction(1)}],
     [{0: Fraction(1), 1: Fraction(2)}, {1: Fraction(1)},
@@ -51,6 +51,6 @@ values = [sym4_extraction(model, "hyper", hq, e_quad) for hq in h_quads]
 print("\n4-form extraction with two h-choices:", values,
       "| stored value:", model.rvalue(*e_quad))
 
-print("acts trivially on Lambda E:", sym4_acts_trivially(n, rform)["ok"])
+print("acts trivially on Lambda E:", sym4_acts_trivially(model)["ok"])
 print("kills the primitive operator combination at every grade:",
-      all(qzero_check(n, r, rform)["ok"] for r in range(n + 1)))
+      all(qzero_check(model, r)["ok"] for r in range(n + 1)))

@@ -21,7 +21,6 @@ import sys
 import time
 from fractions import Fraction
 
-from .curvature import BianchiSystem
 from .lefschetz import Check, primitive_dim
 from .scalar import Scalar
 from .spinor import SpinorSpace, rank_formula
@@ -193,9 +192,6 @@ def cmd_verify(args) -> int:
     n = args.n
     if n < 1:
         raise UsageError("verify requires n >= 1")
-    if args.suite == "bianchi" and n > BianchiSystem.MAX_N:
-        raise UsageError(
-            f"the bianchi suite is limited to n <= {BianchiSystem.MAX_N}")
     if n > 4:
         raise UsageError("verification suites are limited to n <= 4")
     checks = run_suite(args.suite, n, args.seed)

@@ -330,7 +330,9 @@ class BianchiSystem:
     Lambda^2 H tensor Sym^2 E) and 'M' (the mixed product block).
     """
 
-    MAX_N = 2   # the largest n the system is built for
+    # the largest n measured: 15-17 s and 33 MB peak RSS in-process on a
+    # 2-vCPU VM (Python 3.11.7), against about 3 s and 22 MB at n = 4
+    MAX_N = 5
 
     def __init__(self, n: int):
         if n > self.MAX_N:
@@ -513,7 +515,9 @@ class ModelCurvature:
     """The End(H tensor E)-valued 2-forms R^H, R^E, R^hyper on basis pairs.
 
     R^hyper is parametrized by a symmetric 4-form on E, stored as a dict
-    from sorted index 4-multisets to Fractions.
+    from sorted index 4-multisets to Fractions.  Its endomorphisms
+    R(e_i, e_j) are derived once, at construction, into `r_endos`: the
+    nonzero ones keyed (i, j), in (i, j) order.
     """
 
     def __init__(self, n: int, rform: dict | None = None):
@@ -521,6 +525,8 @@ class ModelCurvature:
         self.H = SymplecticSpace(1, name="h")
         self.E = SymplecticSpace(n, name="e")
         self.rform = rform or {}
+        self.r_endos = {(i, j): endo for i in range(self.E.dim)
+                        for j in range(self.E.dim) if (endo := self.r_endo(i, j))}
 
     def rvalue(self, i, j, k, l) -> Fraction:
         return self.rform.get(tuple(sorted((i, j, k, l))), Fraction(0))
@@ -579,8 +585,7 @@ class ModelCurvature:
             s = self.H.sigma_basis(a, b)
             if not s:
                 return {}
-            rend = self.r_endo(i, j)
-            for k, img_e in rend.items():
+            for k, img_e in self.r_endos.get((i, j), {}).items():
                 for c in range(2):
                     endo[(c, k)] = {(c, ee): s * v for ee, v in img_e.items()}
         else:
@@ -634,7 +639,7 @@ class ModelCurvature:
         return (Fraction(0) if coeff is None else coeff), None
 
 
-def einstein_report(n: int, rform: dict) -> dict:
+def einstein_report(model: ModelCurvature) -> dict:
     """Ricci constants and the Einstein coefficient with formal kappa.
 
     For R = -kappa/(8n(n+2)) (R^H + R^E) + R^hyper the Ricci form is
@@ -642,7 +647,7 @@ def einstein_report(n: int, rform: dict) -> dict:
     form off the line of the metric leaves its constant None and names the
     first such tangent pair in "ricci_witness".
     """
-    model = ModelCurvature(n, rform)
+    n = model.n
     (c_h, w_h), (c_e, w_e), (c_hyper, w_hyper) = (
         model.ricci_coefficient(kind) for kind in ("H", "E", "hyper"))
     einstein = None if None in (c_h, c_e) else \
@@ -734,7 +739,7 @@ def _sym2_derivation(space: SymplecticSpace, i: int, j: int, q: int) -> dict:
     return derivation_ext_matrix(space, sym2_endo(space, i, j), q)
 
 
-def sym4_acts_trivially(n: int, rform: dict) -> dict:
+def sym4_acts_trivially(model: ModelCurvature) -> dict:
     """The induced endomorphism of Lambda E vanishes degree by degree.
 
     In degree q it is 1/2 sum_{i,j} der(de_i . de_j) der(R(e_i, e_j)).  The
@@ -742,18 +747,11 @@ def sym4_acts_trivially(n: int, rform: dict) -> dict:
     and are built once per run (`_sym2_derivation`, a `functools.cache`).
     The terms are summed unscaled and the 1/2 is applied to the witness only.
     """
-    model = ModelCurvature(n, rform)
     E = model.E
-    rends = {}
-    for i in range(E.dim):
-        for j in range(E.dim):
-            rend = model.r_endo(i, j)
-            if rend:
-                rends[(i, j)] = rend
     half = Fraction(1, 2)
     for q in range(E.dim + 1):
         total: dict = {}
-        for (i, j), rend in rends.items():
+        for (i, j), rend in model.r_endos.items():
             d_r = derivation_ext_matrix(E, rend, q)
             sparsemat.madd_into(
                 total, sparsemat.compose(_sym2_derivation(E, i, j, q), d_r))
@@ -777,7 +775,7 @@ def _qzero_operator(space: SymplecticSpace, q: int, i: int, j: int) -> dict:
         sparsemat.compose(ops.wedge_flat(q - 1, i), ops.contract(q, j)))
 
 
-def qzero_check(n: int, r: int, rform: dict) -> dict:
+def qzero_check(model: ModelCurvature, r: int) -> dict:
     """The operator sum de_j^flat wedge_circ de_i_ + (i <-> j) after the
     4-form action vanishes on the primitive space of degree n - r.
 
@@ -788,34 +786,29 @@ def qzero_check(n: int, r: int, rform: dict) -> dict:
     4-form), the witness is ("not primitive", i, j, c) for the first
     primitive basis column c whose image is not primitive.
     """
-    model = ModelCurvature(n, rform)
     E = model.E
-    q = n - r
+    q = model.n - r
     prim = primitive_space(E, q)
     total: dict = {}
-    for i in range(E.dim):
-        for j in range(E.dim):
-            rend = model.r_endo(i, j)
-            if not rend:
-                continue
-            # derivation action restricted to the primitive level
-            d_amb = derivation_ext_matrix(E, rend, q)
-            d_prim = {}
-            for c in range(prim.dim):
-                img_amb: dict = {}
-                for mono, v in prim.basis[c].items():
-                    col = d_amb.get(prim.ambient.index[mono])
-                    if col:
-                        for ridx, w in col.items():
-                            add_into(img_amb, prim.ambient.basis[ridx], w * v)
-                if img_amb:
-                    try:
-                        d_prim[c] = prim.to_coords(img_amb)
-                    except ValueError:
-                        return {"ok": False,
-                                "witness": ("not primitive", i, j, c)}
-            sparsemat.madd_into(
-                total, sparsemat.compose(_qzero_operator(E, q, i, j), d_prim))
+    for (i, j), rend in model.r_endos.items():
+        # derivation action restricted to the primitive level
+        d_amb = derivation_ext_matrix(E, rend, q)
+        d_prim = {}
+        for c in range(prim.dim):
+            img_amb: dict = {}
+            for mono, v in prim.basis[c].items():
+                col = d_amb.get(prim.ambient.index[mono])
+                if col:
+                    for ridx, w in col.items():
+                        add_into(img_amb, prim.ambient.basis[ridx], w * v)
+            if img_amb:
+                try:
+                    d_prim[c] = prim.to_coords(img_amb)
+                except ValueError:
+                    return {"ok": False,
+                            "witness": ("not primitive", i, j, c)}
+        sparsemat.madd_into(
+            total, sparsemat.compose(_qzero_operator(E, q, i, j), d_prim))
     ok = not total
     return {"ok": ok, "witness": None if ok else next(iter(total.items()))}
 

@@ -65,13 +65,9 @@ def apply_Lambda(space: SymplecticSpace, elem: dict) -> dict:
 
 def _ext_matrix(space: SymplecticSpace, fn, degree_in: int, degree_out: int) -> dict:
     """Column-major matrix of an exterior operator Lambda^degree_in -> Lambda^degree_out."""
-    dom, codom = ExtPower(space, degree_in), ExtPower(space, degree_out)
-    cols = {}
-    for k, mono in enumerate(dom.basis):
-        img = fn({mono: Fraction(1)})
-        if img:
-            cols[k] = {codom.index[m]: v for m, v in img.items()}
-    return cols
+    return sparsemat.from_images(
+        (fn({mono: Fraction(1)}) for mono in ExtPower(space, degree_in).basis),
+        ExtPower(space, degree_out).coords)
 
 
 def L_op(space: SymplecticSpace, q: int) -> dict:
@@ -163,8 +159,8 @@ class PrimitiveSpace:
         part sum_{k < dim} (T^-1)_{kc} b_k of e_c.
         """
         dim, amb_dim = self.dim, self.ambient.dim
-        cols = {k: {self.ambient.index[m]: v for m, v in b.items()}
-                for k, b in enumerate(self.basis)}
+        basis_cols = sparsemat.from_images(self.basis, self.ambient.coords)
+        cols = dict(basis_cols)
         for k, col in L_op(self.space, self.q).items():
             cols[dim + k] = col
         rows = sparsemat.transpose(cols)
@@ -172,7 +168,7 @@ class PrimitiveSpace:
                              for r in range(amb_dim)])
         coords = {c: {k: inv[k][c] for k in range(dim) if inv[k][c]}
                   for c in range(amb_dim)}
-        return sparsemat.compose({k: cols[k] for k in range(dim)}, coords)
+        return sparsemat.compose(basis_cols, coords)
 
     def projector_sl2(self) -> dict:
         """The projection as the polynomial prod_k (id - L Lambda / lam_k)."""
@@ -188,29 +184,22 @@ class PrimitiveSpace:
 
     def project(self, elem: dict) -> dict:
         amb = self.ambient
-        img = sparsemat.apply_cols(self.projector(),
-                                   {amb.index[m]: c for m, c in elem.items()})
+        img = sparsemat.apply_cols(self.projector(), amb.coords(elem))
         return {amb.basis[r]: v for r, v in img.items()}
 
     # sparse operator matrices over primitive coordinates ------------
 
     def contract_matrix(self, cov_index: int, target: "PrimitiveSpace") -> dict:
         """Matrix of (de_cov_index contraction): self -> target (degree q-1)."""
-        cols = {}
-        for c, elem in enumerate(self.basis):
-            img = ext_contract({cov_index: Fraction(1)}, elem)
-            if img:
-                cols[c] = target.to_coords(img)
-        return cols
+        cov = {cov_index: Fraction(1)}
+        return sparsemat.from_images(
+            (ext_contract(cov, elem) for elem in self.basis), target.to_coords)
 
     def wedge_circ_matrix(self, vec_index: int, target: "PrimitiveSpace") -> dict:
         """Matrix of (e_vec_index wedge_circ): self -> target (degree q+1)."""
-        cols = {}
-        for c, elem in enumerate(self.basis):
-            img = wedge_circ(self.space, {vec_index: Fraction(1)}, elem)
-            if img:
-                cols[c] = target.to_coords(img)
-        return cols
+        vec = {vec_index: Fraction(1)}
+        return sparsemat.from_images(
+            (wedge_circ(self.space, vec, elem) for elem in self.basis), target.to_coords)
 
 
 @functools.cache
@@ -229,33 +218,31 @@ class PrimitiveOps:
     wedge_circ from q to q+1.  Sharp and flat variants are index
     relabelings with a sign.  The ladder is total: off the ladder, i.e.
     C(q) unless 1 <= q <= n and W(q) unless 0 <= q < n, the operator is
-    the zero matrix {}, so callers never test the level themselves.
+    the zero matrix {}, so callers never test the level themselves.  The
+    level is tested before the `functools.cache` lookup, so no off-ladder
+    key is cached; the cached matrices are shared and must not be modified.
     """
 
     def __init__(self, space: SymplecticSpace):
         self.space = space
         self.n = space.half_dim
-        self._contract: dict = {}
-        self._wedge: dict = {}
 
     def level(self, q: int) -> PrimitiveSpace:
         return primitive_space(self.space, q)
 
     def contract(self, q: int, i: int) -> dict:
-        if not 1 <= q <= self.n:
-            return {}
-        key = (q, i)
-        if key not in self._contract:
-            self._contract[key] = self.level(q).contract_matrix(i, self.level(q - 1))
-        return self._contract[key]
+        return self._contract(q, i) if 1 <= q <= self.n else {}
 
     def wedge(self, q: int, i: int) -> dict:
-        if not 0 <= q < self.n:
-            return {}
-        key = (q, i)
-        if key not in self._wedge:
-            self._wedge[key] = self.level(q).wedge_circ_matrix(i, self.level(q + 1))
-        return self._wedge[key]
+        return self._wedge(q, i) if 0 <= q < self.n else {}
+
+    @functools.cache
+    def _contract(self, q: int, i: int) -> dict:
+        return self.level(q).contract_matrix(i, self.level(q - 1))
+
+    @functools.cache
+    def _wedge(self, q: int, i: int) -> dict:
+        return self.level(q).wedge_circ_matrix(i, self.level(q + 1))
 
     def contract_sharp(self, q: int, vec_index: int) -> dict:
         """Contraction with e_vec_index^sharp."""

@@ -21,35 +21,40 @@ from . import sparsemat
 from .symplectic import SymplecticSpace, add_into
 
 
-class SymPower:
-    """Sym^r of a symplectic space, on the sorted-multiset basis."""
+class MonomialPower:
+    """One degree of the symmetric or exterior algebra on its monomial basis.
 
-    def __init__(self, base: SymplecticSpace, degree: int):
-        self.base = base
-        self.degree = degree
-        self.basis = list(combinations_with_replacement(range(base.dim), degree))
-        self.index = {m: k for k, m in enumerate(self.basis)}
-
-    @property
-    def dim(self):
-        return len(self.basis)
-
-
-class ExtPower:
-    """Lambda^q of a symplectic space, on the increasing-tuple basis.
-
-    A negative degree gives the zero space, as a degree above dim does.
+    The two kinds differ only in the monomials they list.  A negative
+    degree gives the zero space, as an exterior degree above dim does.
     """
 
+    monomials = None    # (labels, degree) -> the basis monomials, in order
+
     def __init__(self, base: SymplecticSpace, degree: int):
         self.base = base
         self.degree = degree
-        self.basis = list(combinations(range(base.dim), degree)) if degree >= 0 else []
+        self.basis = list(self.monomials(range(base.dim), degree)) if degree >= 0 else []
         self.index = {m: k for k, m in enumerate(self.basis)}
 
     @property
     def dim(self):
         return len(self.basis)
+
+    def coords(self, elem: dict) -> dict:
+        """Coordinates of an element of this degree over the basis."""
+        return {self.index[m]: v for m, v in elem.items()}
+
+
+class SymPower(MonomialPower):
+    """Sym^r of a symplectic space, on the sorted-multiset basis."""
+
+    monomials = staticmethod(combinations_with_replacement)
+
+
+class ExtPower(MonomialPower):
+    """Lambda^q of a symplectic space, on the increasing-tuple basis."""
+
+    monomials = staticmethod(combinations)
 
 
 # -- exterior algebra ---------------------------------------------------
@@ -172,25 +177,20 @@ class SymOps:
     elementwise rule above to every basis monomial.  The flat and sharp
     variants are index relabelings with a sign.  The ladder is total: off
     it, i.e. below degree 0 or a contraction at degree 0, the operator is
-    the zero matrix {}, and no such key is cached.
+    the zero matrix {}, tested before the `functools.cache` lookup, so no
+    such key is cached.
     """
 
     def __init__(self, space: SymplecticSpace):
         self.space = space
-        self._cache: dict = {}
 
+    @functools.cache
     def _matrix(self, rule, r: int, i: int, shift: int) -> dict:
-        key = (rule.__name__, r, i)
-        m = self._cache.get(key)
-        if m is None:
-            codom = SymPower(self.space, r + shift)
-            m = {}
-            for k, mono in enumerate(SymPower(self.space, r).basis):
-                img = rule({i: Fraction(1)}, {mono: Fraction(1)})
-                if img:
-                    m[k] = {codom.index[x]: v for x, v in img.items()}
-            self._cache[key] = m
-        return m
+        """Cached; the returned matrix is shared, so callers must not modify it."""
+        unit = {i: Fraction(1)}
+        return sparsemat.from_images(
+            (rule(unit, {mono: Fraction(1)}) for mono in SymPower(self.space, r).basis),
+            SymPower(self.space, r + shift).coords)
 
     def mul(self, r: int, i: int) -> dict:
         return self._matrix(sym_mul_vec, r, i, 1) if r >= 0 else {}

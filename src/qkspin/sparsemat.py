@@ -6,9 +6,21 @@ dropping the entry (and an emptied column) when the sum cancels.  No int
 `0` enters a field sum, so an entry keeps the type of its terms and its
 first addition never takes `Fraction`'s reflected path.  `madd_into` is the
 one in-place accumulator; `madd` is written on top of it.
+
+`from_images` is the one operator builder: every matrix that applies an
+elementwise rule to each basis element of its domain goes through it.
 """
 
 from __future__ import annotations
+
+
+def from_images(images, coords) -> dict:
+    """The matrix whose column k is coords(images[k]); zero images are skipped.
+
+    images is any iterable of sparse elements, one per domain basis element
+    in basis order, and coords maps an element to its codomain coordinates.
+    """
+    return {k: coords(img) for k, img in enumerate(images) if img}
 
 
 def compose(a: dict, b: dict) -> dict:

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from math import comb, factorial
 
 from . import linalg, sparsemat
 from .lefschetz import primitive_ops, primitive_space
 from .powers import (
+    SymPower,
     extended_sigma_ext,
     extended_sigma_sym,
     gram_perm,
@@ -54,13 +54,15 @@ class SpinorSpace:
         self.H = SymplecticSpace(1, name="h")
         self.E = SymplecticSpace(n, name="e")
         self.eops = primitive_ops(self.E)
-        self._flat = None
-        self._clifford_basis = {}   # tangent basis key -> M of that vector
+
+    # value semantics, so equal spaces share the cached bases and matrices
+    def __eq__(self, other):
+        return isinstance(other, SpinorSpace) and self.n == other.n
+
+    def __hash__(self):
+        return hash(self.n)
 
     # -- bases --------------------------------------------------------
-
-    def sym_basis(self, p: int) -> list:
-        return list(combinations_with_replacement(range(2), p))
 
     def grade_basis(self, r: int) -> list:
         """Basis keys (r, n-r, h_mono, col) of the grade-r summand."""
@@ -69,19 +71,25 @@ class SpinorSpace:
         q = self.n - r
         prim = primitive_space(self.E, q)
         return [(r, q, hm, c)
-                for hm in self.sym_basis(r) for c in range(prim.dim)]
+                for hm in SymPower(self.H, r).basis for c in range(prim.dim)]
 
     def grade_dim(self, r: int) -> int:
         q = self.n - r
         return (r + 1) * primitive_space(self.E, q).dim
 
+    @functools.cache
     def flat_basis(self) -> list:
-        if self._flat is None:
-            flat = []
-            for r in range(self.n + 1):
-                flat.extend(self.grade_basis(r))
-            self._flat = flat
-        return self._flat
+        """The basis keys of every grade, in grade order; shared, not to be modified."""
+        return [key for r in range(self.n + 1) for key in self.grade_basis(r)]
+
+    @functools.cache
+    def _flat_index(self) -> dict:
+        return {key: k for k, key in enumerate(self.flat_basis())}
+
+    def coords(self, psi: dict) -> dict:
+        """Coordinates of a spinor over the flat basis."""
+        index = self._flat_index()
+        return {index[key]: v for key, v in psi.items()}
 
     @property
     def dim(self) -> int:
@@ -175,24 +183,17 @@ class SpinorSpace:
         """Full Clifford multiplication: mu_plus_minus + mu_minus_plus."""
         return scale(self._clifford(x, psi), SQRT2)
 
+    @functools.cache
     def clifford_basis_matrix(self, t) -> dict:
         """M of the tangent basis vector t over the flat spinor basis.
 
-        Built on first use and cached on the space; the returned matrix is
-        shared, so callers must not modify it.
+        Built on first use and shared by equal spaces, so callers must not
+        modify it.
         """
-        m = self._clifford_basis.get(t)
-        if m is None:
-            flat = self.flat_basis()
-            index = {k: i for i, k in enumerate(flat)}
-            x = {t: Fraction(1)}
-            m = {}
-            for ci, key in enumerate(flat):
-                img = self._clifford(x, {key: Fraction(1)})
-                if img:
-                    m[ci] = {index[k]: v for k, v in img.items()}
-            self._clifford_basis[t] = m
-        return m
+        x = {t: Fraction(1)}
+        return sparsemat.from_images(
+            (self._clifford(x, {key: Fraction(1)}) for key in self.flat_basis()),
+            self.coords)
 
     def clifford_matrix(self, x: dict) -> dict:
         """M(x) with mu(x) = sqrt2 M(x); rational entries for rational x."""
@@ -242,7 +243,7 @@ class SpinorSpace:
         if p < 0 or not 0 <= q <= self.n:
             return []
         prim = primitive_space(self.E, q)
-        return [(p, q, hm, c) for hm in self.sym_basis(p)
+        return [(p, q, hm, c) for hm in SymPower(self.H, p).basis
                 for c in range(prim.dim)]
 
     # -- two-forms, Casimir, Kraines -------------------------------------
@@ -260,14 +261,9 @@ class SpinorSpace:
         return out
 
     def derivation_matrix(self, pair: tuple, p: int) -> dict:
-        basis = self.sym_basis(p)
-        index = {m: k for k, m in enumerate(basis)}
-        cols = {}
-        for ci, hm in enumerate(basis):
-            img = self.sym2h_derivation(pair, hm)
-            if img:
-                cols[ci] = {index[m]: v for m, v in img.items()}
-        return cols
+        sym = SymPower(self.H, p)
+        return sparsemat.from_images(
+            (self.sym2h_derivation(pair, hm) for hm in sym.basis), sym.coords)
 
     def two_form_matrix(self, pair: tuple) -> dict:
         """Brute-force Clifford action of (h_i h_j) tensor sigma_E on spinors.
@@ -308,7 +304,7 @@ def sym2h_dual_pairs(H: SymplecticSpace) -> list:
 
     The Gram of Sym^2 H is built and inverted once per space.
     """
-    basis = list(combinations_with_replacement(range(2), 2))
+    basis = SymPower(H, 2).basis
     gram = [[gram_perm(H, a, b) for b in basis] for a in basis]
     inv = linalg.invert(gram)
     duals = []
@@ -321,7 +317,7 @@ def sym2h_dual_pairs(H: SymplecticSpace) -> list:
 @functools.cache
 def sym_gram(space: SymplecticSpace, p: int) -> dict:
     """sigma(m1, J m2) on Sym^p, keyed {m1: {m2: value}} by monomial."""
-    basis = list(combinations_with_replacement(range(space.dim), p))
+    basis = SymPower(space, p).basis
     jbasis = [j_sym(space, {m: Fraction(1)}) for m in basis]
     return {m1: {m2: extended_sigma_sym(space, {m1: Fraction(1)}, jb)
                  for m2, jb in zip(basis, jbasis)} for m1 in basis}

@@ -58,14 +58,6 @@ class SymplecticSpace:
         m = self.half_dim
         return (i + m, 1) if i < m else (i - m, -1)
 
-    def basis_vector(self, i: int) -> dict:
-        return {i: Fraction(1)}
-
-
-def check_same_space(a: SymplecticSpace, b: SymplecticSpace):
-    if a is not b:
-        raise ValueError(f"mismatched spaces {a} and {b}")
-
 
 def sigma(space: SymplecticSpace, v: dict, w: dict):
     """Symplectic form; bilinear and antisymmetric."""
@@ -109,16 +101,6 @@ def hermitian(space: SymplecticSpace, v: dict, w: dict):
     return sigma(space, v, j_apply(space, w))
 
 
-def pairing(c: dict, v: dict):
-    """Evaluate a covector on a vector."""
-    total = Fraction(0)
-    for i, x in c.items():
-        y = v.get(i)
-        if y:
-            total = total + x * y
-    return total
-
-
 # -- generic sparse element helpers, shared by all modules -------------
 
 def add_into(acc: dict, key, val):
@@ -136,13 +118,6 @@ def scale(elem: dict, factor) -> dict:
     if not factor:
         return {}
     return {k: factor * v for k, v in elem.items()}
-
-
-def add(x: dict, y: dict) -> dict:
-    out = dict(x)
-    for k, v in y.items():
-        add_into(out, k, v)
-    return out
 
 
 def sub(x: dict, y: dict) -> dict:

@@ -141,18 +141,14 @@ def suite_clifford(n: int, seed: int = 0) -> list[Check]:
                         "6n - 4r(r+2)", bad is None, bad,
                         value=[kraines_eigenvalue(n, r) for r in range(n + 1)]))
 
-    idx = {k: m for m, k in enumerate(flat)}
     bad = None
     r0_value = None
     for pair in [(0, 0), (0, 1), (1, 1)]:
         M = spin.two_form_matrix(pair)
-        expect = {}
-        for key in flat:
-            p, q, hm, col = key
-            colm = {idx[(p, q, hm2, col)]: 2 * v
-                    for hm2, v in spin.sym2h_derivation(pair, hm).items()}
-            if colm:
-                expect[idx[key]] = colm
+        expect = sparsemat.from_images(
+            ({(p, q, hm2, col): 2 * v
+              for hm2, v in spin.sym2h_derivation(pair, hm).items()}
+             for p, q, hm, col in flat), spin.coords)
         diff = sparsemat.msub(M, expect)
         # grade-0 block separately: reported, and empirically zero as well
         r0_block = {c: v for c, v in M.items() if flat[c][0] == 0}
@@ -202,8 +198,8 @@ def suite_curvature(n: int, seed: int = 0) -> list[Check]:
                         rep))
 
     rng = random.Random(seed)
-    rform = random_sym4(n, rng)
-    rep = einstein_report(n, rform)
+    model = ModelCurvature(n, random_sym4(n, rng))
+    rep = einstein_report(model)
     checks.append(Check("Ricci constants (-3, -(2n+1), 0)",
                         rep["ricci_H"] == -3 and
                         rep["ricci_E"] == -(2 * n + 1) and
@@ -212,7 +208,6 @@ def suite_curvature(n: int, seed: int = 0) -> list[Check]:
     checks.append(Check("Einstein coefficient kappa/(4n)", rep["einstein_ok"],
                         value=rep["einstein_coefficient"]))
 
-    model = ModelCurvature(n, rform)
     h_quads = [
         [{0: Fraction(1)}, {1: Fraction(1)}, {0: Fraction(1)}, {1: Fraction(1)}],
         [{0: Fraction(2), 1: Fraction(1)}, {1: Fraction(3)},
@@ -233,12 +228,13 @@ def suite_curvature(n: int, seed: int = 0) -> list[Check]:
     for trial in range(20):
         rf = random_sym4(n, rng) if trial else alpha_fourth(
             n, {i: Fraction(rng.randint(-3, 3)) for i in range(2 * n)})
-        rep = sym4_acts_trivially(n, rf)
+        trial_model = ModelCurvature(n, rf)
+        rep = sym4_acts_trivially(trial_model)
         if not rep["ok"]:
             bad = ("lambda-E", trial, rep["witness"])
             break
         for r in range(n + 1):
-            rep = qzero_check(n, r, rf)
+            rep = qzero_check(trial_model, r)
             if not rep["ok"]:
                 bad = ("primitive", trial, r, rep["witness"])
                 break

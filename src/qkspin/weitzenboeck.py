@@ -393,36 +393,18 @@ def kernel_projection(n: int, r: int) -> dict:
     """Projection of E tensor Lambda^(n-r)_prim E onto the kernel summand K.
 
     Basis keys are t * prim_dim + c for E index t and primitive column c.
+    Block (k, t) is sign * K(i, t), with (i, sign) = E.flat_basis(k) and K
+    the family's own right operator `e_right("K", i, t)`.
     """
-    E = SymplecticSpace(n, name="e")
-    ops = primitive_ops(E)
-    q = n - r
-    prim = primitive_space(E, q)
-    pdim = prim.dim
-    c_mult = Fraction(-1, n - r + 1)
-    c_con = Fraction(-(r + 2), (n + r + 3) * (r + 1))
-    cols = {}
-    for t in range(E.dim):
-        wedge_t = ops.wedge(q, t)
-        con_t = ops.contract_sharp(q, t)
-        for c in range(pdim):
-            col: dict = {}
-            add_into(col, t * pdim + c, Fraction(1))
-            up = wedge_t.get(c, {})
-            for k in range(E.dim):
-                down = ops.contract(q + 1, k)
-                for cu, vu in up.items():
-                    for cd, vd in down.get(cu, {}).items():
-                        add_into(col, k * pdim + cd, c_mult * vu * vd)
-            dn = con_t.get(c, {})
-            for k in range(E.dim):
-                kf, sg = E.flat_basis(k)
-                upk = ops.wedge(q - 1, k)
-                for cd, vd in dn.items():
-                    for cu, vu in upk.get(cd, {}).items():
-                        add_into(col, kf * pdim + cu, sg * c_con * vd * vu)
-            if col:
-                cols[t * pdim + c] = col
+    fam = projector_family(n, r)
+    E, pdim = fam.E, fam.prim.dim
+    cols: dict = {}
+    for k in range(E.dim):
+        i, sign = E.flat_basis(k)
+        for t in range(E.dim):
+            for c, col in fam.e_right("K", i, t).items():
+                cols.setdefault(t * pdim + c, {}).update(
+                    (k * pdim + row, sign * v) for row, v in col.items())
     return cols
 
 

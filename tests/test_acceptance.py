@@ -179,7 +179,7 @@ def test_07_einstein_ricci():
             rform = random_sym4(n, rng)
             model = ModelCurvature(n, rform)
             assert model.ricci_coefficient("hyper") == (0, None), (n, trial)
-        rep = einstein_report(n, random_sym4(n, rng))
+        rep = einstein_report(ModelCurvature(n, random_sym4(n, rng)))
         assert rep["ricci_H"] == -3
         assert rep["ricci_E"] == -(2 * n + 1)
         assert rep["einstein_coefficient"] == Fraction(1, 4 * n)
@@ -194,9 +194,10 @@ def test_08_sym4_triviality():
                                   for i in range(2 * n)})]
         forms += [random_sym4(n, rng) for _ in range(3 if n == 3 else 6)]
         for k, rform in enumerate(forms):
-            assert sym4_acts_trivially(n, rform)["ok"], (n, k)
+            model = ModelCurvature(n, rform)
+            assert sym4_acts_trivially(model)["ok"], (n, k)
             for r in range(n + 1):
-                assert qzero_check(n, r, rform)["ok"], (n, k, r)
+                assert qzero_check(model, r)["ok"], (n, k, r)
     _passed(8, "symmetric 4-forms act trivially, ambient and primitive")
 
 

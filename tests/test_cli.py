@@ -77,8 +77,19 @@ def test_verify_bianchi_reports_dimension(capsys):
 
 
 def test_verify_rejects_big_bianchi(capsys):
-    code, _, err = run(capsys, "verify", "--n", "3", "--suite", "bianchi")
+    code, _, err = run(capsys, "verify", "--n", "5", "--suite", "bianchi")
     assert code == 2
+
+
+def test_verify_bianchi_at_n3(capsys):
+    # dim V = 12: the solution space is 12^2 (12^2 - 1) / 12 = 1716
+    code, out, _ = run(capsys, "verify", "--n", "3", "--suite", "bianchi",
+                       "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "check,Bianchi solution space dimension (n=3),pass,1716",
+        "check,solutions of I-III' equal ker(m) as subspaces,pass,None",
+    ]
 
 
 def test_weitzenboeck_json_entry(capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from qkspin import sparsemat
 from qkspin.lefschetz import (
+    PrimitiveOps,
     apply_L,
     apply_Lambda,
     canonical_bivector,
@@ -156,8 +157,11 @@ def test_caches_key_on_space_value():
 
 
 def test_ladder_is_total():
-    # off the primitive ladder every operator is the zero matrix
+    # off the primitive ladder every operator is the zero matrix; the level
+    # is tested before the cache lookup, so no off-ladder key is cached
     ops = primitive_ops(SymplecticSpace(2))
+    caches = (PrimitiveOps._contract, PrimitiveOps._wedge)
+    before = [c.cache_info() for c in caches]
     for i in range(4):
         assert ops.contract(0, i) == {}
         assert ops.contract(3, i) == {}
@@ -165,8 +169,8 @@ def test_ladder_is_total():
         assert ops.wedge(2, i) == {}
         assert ops.contract_sharp(3, i) == {}
         assert ops.wedge_flat(-1, i) == {}
+    assert [c.cache_info() for c in caches] == before
+    for i in range(4):
         assert ops.contract(1, i) is ops.contract(1, i)
         assert ops.wedge(1, i) is ops.wedge(1, i)
-    # off-ladder keys are never cached
-    assert all(1 <= q <= 2 for q, _ in ops._contract)
-    assert all(0 <= q < 2 for q, _ in ops._wedge)
+    assert all(c.cache_info().hits >= b.hits + 4 for c, b in zip(caches, before))

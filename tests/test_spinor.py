@@ -35,6 +35,15 @@ def test_rank_formula_and_construction():
         assert sum(rank_formula(n, r) for r in range(n + 1)) == 4 ** n
 
 
+def test_equal_spinor_spaces_share_cached_matrices():
+    S, T = SpinorSpace(2), SpinorSpace(2)
+    assert S is not T and S == T and hash(S) == hash(T)
+    assert S != SpinorSpace(3)
+    assert S.flat_basis() is T.flat_basis()
+    for t in S.tangent_basis():
+        assert S.clifford_basis_matrix(t) is T.clifford_basis_matrix(t)
+
+
 def test_clifford_relation_n2_all_pairs():
     S = SpinorSpace(2)
     mats = {t: S.mu_matrix({t: Fraction(1)}) for t in S.tangent_basis()}

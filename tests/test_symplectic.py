@@ -3,8 +3,6 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from qkspin.scalar import I, Scalar
 from qkspin.symplectic import (
     SymplecticSpace,
@@ -113,13 +111,6 @@ def test_hermitian():
             Scalar.coerce(hermitian(E, w, v)).conjugate()
         if v:
             assert is_positive(Scalar.coerce(hermitian(E, v, v)))
-
-
-def test_mismatched_spaces_rejected():
-    E, F = SymplecticSpace(2), SymplecticSpace(2)
-    from qkspin.symplectic import check_same_space
-    with pytest.raises(ValueError):
-        check_same_space(E, F)
 
 
 def test_space_equality_is_by_half_dim_and_name():

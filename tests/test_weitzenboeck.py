@@ -180,7 +180,7 @@ def test_shared_factors_are_never_modified():
 
 
 def test_kernel_projection_properties():
-    for (n, r) in [(2, 1), (2, 0), (3, 2)]:
+    for (n, r) in [(n, r) for n in (2, 3) for r in range(n + 1)]:
         P = kernel_projection(n, r)
         assert not sparsemat.msub(sparsemat.compose(P, P), P)
         assert not sparsemat.compose(multiplication_composite(n, r), P)
