@@ -205,6 +205,8 @@ def cmd_weitzenboeck(args) -> int:
     n, r = args.n, args.r if args.r is not None else 0
     if n < 1 or not 0 <= r <= n:
         raise UsageError("weitzenboeck requires n >= 1 and 0 <= r <= n")
+    if args.oracle and n > 5:
+        raise UsageError("the weitzenboeck oracle is limited to n <= 5")
     w = w_full(n, r)
     if args.format == "json":
         w_value = w.to_json()

@@ -25,13 +25,13 @@ from __future__ import annotations
 import functools
 import random
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, permutations
 from math import comb
 
 from . import linalg, sparsemat
-from .lefschetz import primitive_ops, primitive_space
+from .lefschetz import NotPrimitiveError, primitive_ops, primitive_space
 from .powers import ExtPower, sort_sign
-from .symplectic import SymplecticSpace, add_into, scale
+from .symplectic import SymplecticSpace, add_into, scale, sigma
 
 
 # -- key algebra ----------------------------------------------------------
@@ -528,6 +528,14 @@ class ModelCurvature:
         self.r_endos = {(i, j): endo for i in range(self.E.dim)
                         for j in range(self.E.dim) if (endo := self.r_endo(i, j))}
 
+    @functools.cached_property
+    def r_derivations(self) -> list:
+        """[q][(i, j)]: der(R(e_i, e_j)) on Lambda^q, q = 0..2n, built on first
+        use and freed with the model; shared, so callers must not modify it."""
+        return [{ij: derivation_ext_matrix(self.E, endo, q)
+                 for ij, endo in self.r_endos.items()}
+                for q in range(self.E.dim + 1)]
+
     def rvalue(self, i, j, k, l) -> Fraction:
         return self.rform.get(tuple(sorted((i, j, k, l))), Fraction(0))
 
@@ -670,15 +678,12 @@ def sym4_extraction(model: ModelCurvature, kind: str,
     The symmetrization over S4 divided by 24 sigma_H(h1,h2) sigma_H(h3,h4)
     is independent of the h-choice whenever the prefactor is nonzero.
     """
-    from itertools import permutations as perms
-    from .symplectic import sigma
-
     h1, h2, h3, h4 = h_quad
     pref = sigma(model.H, h1, h2) * sigma(model.H, h3, h4)
     if not pref:
         raise ValueError("vanishing sigma_H prefactor")
     total = Fraction(0)
-    for tau in perms(range(4)):
+    for tau in permutations(range(4)):
         e = [e_quad[t] for t in tau]
         # < R_{h1 (x) e0', h2 (x) e1'} h3 (x) e2', h4 (x) e3' > with g-pairing
         for (a1, c1) in h1.items():
@@ -744,15 +749,15 @@ def sym4_acts_trivially(model: ModelCurvature) -> dict:
 
     In degree q it is 1/2 sum_{i,j} der(de_i . de_j) der(R(e_i, e_j)).  The
     factors der(de_i . de_j) depend only on (E, q, i, j), not on the form,
-    and are built once per run (`_sym2_derivation`, a `functools.cache`).
+    and are built once per run (`_sym2_derivation`, a `functools.cache`);
+    the factors der(R(e_i, e_j)) are the model's `r_derivations`.
     The terms are summed unscaled and the 1/2 is applied to the witness only.
     """
     E = model.E
     half = Fraction(1, 2)
-    for q in range(E.dim + 1):
+    for q, d_rs in enumerate(model.r_derivations):
         total: dict = {}
-        for (i, j), rend in model.r_endos.items():
-            d_r = derivation_ext_matrix(E, rend, q)
+        for (i, j), d_r in d_rs.items():
             sparsemat.madd_into(
                 total, sparsemat.compose(_sym2_derivation(E, i, j, q), d_r))
         if total:
@@ -777,36 +782,25 @@ def _qzero_operator(space: SymplecticSpace, q: int, i: int, j: int) -> dict:
 
 def qzero_check(model: ModelCurvature, r: int) -> dict:
     """The operator sum de_j^flat wedge_circ de_i_ + (i <-> j) after the
-    4-form action vanishes on the primitive space of degree n - r.
+    4-form action vanishes on the primitive space of degree q = n - r.
 
     The operator sums depend only on (E, q, i, j), not on the form, and are
-    built once per run (`_qzero_operator`, a `functools.cache`); only the
-    form's derivation, restricted to the primitive level, is built per call.
-    If that restriction leaves the primitive space (R is not a symmetric
-    4-form), the witness is ("not primitive", i, j, c) for the first
-    primitive basis column c whose image is not primitive.
+    built once per run (`_qzero_operator`, a `functools.cache`).  The form's
+    derivation (`model.r_derivations`) is restricted to the primitive level
+    as `to_coords` of its product with the kernel basis B.  If that leaves
+    the primitive space (R is not a symmetric 4-form), the witness is
+    ("not primitive", i, j, c) for the first primitive basis column c whose
+    image is not primitive.
     """
     E = model.E
     q = model.n - r
     prim = primitive_space(E, q)
     total: dict = {}
-    for (i, j), rend in model.r_endos.items():
-        # derivation action restricted to the primitive level
-        d_amb = derivation_ext_matrix(E, rend, q)
-        d_prim = {}
-        for c in range(prim.dim):
-            img_amb: dict = {}
-            for mono, v in prim.basis[c].items():
-                col = d_amb.get(prim.ambient.index[mono])
-                if col:
-                    for ridx, w in col.items():
-                        add_into(img_amb, prim.ambient.basis[ridx], w * v)
-            if img_amb:
-                try:
-                    d_prim[c] = prim.to_coords(img_amb)
-                except ValueError:
-                    return {"ok": False,
-                            "witness": ("not primitive", i, j, c)}
+    for (i, j), d_amb in model.r_derivations[q].items():
+        try:
+            d_prim = prim.to_coords(sparsemat.compose(d_amb, prim.matrix))
+        except NotPrimitiveError as exc:
+            return {"ok": False, "witness": ("not primitive", i, j, exc.column)}
         sparsemat.madd_into(
             total, sparsemat.compose(_qzero_operator(E, q, i, j), d_prim))
     ok = not total

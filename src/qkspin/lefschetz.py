@@ -4,7 +4,7 @@ L wedges with the canonical bivector L_E = 1/2 sum de_i^flat wedge e_i,
 its adjoint Lambda contracts with the symplectic form, and H = [Lambda, L]
 acts as (n-k) id on Lambda^k E.  The primitive space is ker(Lambda); it is
 realized by an explicitly computed kernel basis in free-column-pivot form,
-so membership and coordinates are read off exactly.
+so the coordinates of a column are its entries on the free columns.
 
 Two independent projector constructions (kernel/image splitting and the
 sl2 eigenvalue polynomial in L Lambda) are kept side by side; the test
@@ -109,8 +109,20 @@ def wedge_circ(space: SymplecticSpace, vec: dict, elem: dict) -> dict:
     return out
 
 
+class NotPrimitiveError(ValueError):
+    """A column handed to `PrimitiveSpace.to_coords` lies outside ker(Lambda)."""
+
+    def __init__(self, column):
+        super().__init__(f"column {column} is not in the primitive subspace")
+        self.column = column
+
+
 class PrimitiveSpace:
-    """ker(Lambda) inside Lambda^q E with an exact coordinate system."""
+    """ker(Lambda) inside Lambda^q E with an exact coordinate system.
+
+    The kernel basis is the column-major matrix B (`matrix`) over the ambient
+    basis, and `basis` lists its columns as elements for the elementwise rules.
+    """
 
     def __init__(self, space: SymplecticSpace, q: int):
         n = space.half_dim
@@ -123,6 +135,7 @@ class PrimitiveSpace:
         free_cols, kernel = linalg.kernel_basis_with_free(
             [rows[t] for t in sorted(rows)], self.ambient.dim)
         self.free_cols = free_cols
+        self.matrix = dict(enumerate(kernel))
         self.basis = [{self.ambient.basis[k]: v for k, v in vec.items()}
                       for vec in kernel]
         self.dim = len(self.basis)
@@ -131,44 +144,36 @@ class PrimitiveSpace:
                 f"primitive dimension {self.dim} != {primitive_dim(n, q)} "
                 f"at (n={n}, q={q})")
 
-    def to_coords(self, elem: dict) -> dict:
-        """Coordinates over the kernel basis; raises if elem is not primitive."""
-        coords = {}
-        for c, free in enumerate(self.free_cols):
-            v = elem.get(self.ambient.basis[free])
-            if v:
-                coords[c] = v
-        recon = self.from_coords(coords)
-        if recon != {m: v for m, v in elem.items() if v}:
-            raise ValueError("element is not in the primitive subspace")
-        return coords
+    def to_coords(self, m: dict) -> dict:
+        """Primitive coordinates of each column of m, over the ambient basis.
 
-    def from_coords(self, coords: dict) -> dict:
-        out: dict = {}
-        for c, v in coords.items():
-            for mono, b in self.basis[c].items():
-                add_into(out, mono, v * b)
-        return out
+        Read off the free columns and checked by B coords = m; the first
+        column outside ker(Lambda) raises `NotPrimitiveError`, naming it.
+        """
+        coords = {col: {c: v for c, free in enumerate(self.free_cols)
+                        if (v := mcol.get(free))}
+                  for col, mcol in m.items()}
+        recon = sparsemat.compose(self.matrix, coords)
+        for col in sorted(m):
+            if recon.get(col, {}) != m[col]:
+                raise NotPrimitiveError(col)
+        return coords
 
     # two independent projector constructions ------------------------
 
     def projector(self) -> dict:
         """Projection onto ker(Lambda) along im(L), column-major.
 
-        With T = [primitive basis | L(Lambda^(q-2))], P e_c is the primitive
-        part sum_{k < dim} (T^-1)_{kc} b_k of e_c.
+        With T = [B | L(Lambda^(q-2))], P e_c is the primitive part
+        sum_{k < dim} (T^-1)_{kc} b_k of e_c.
         """
-        dim, amb_dim = self.dim, self.ambient.dim
-        basis_cols = sparsemat.from_images(self.basis, self.ambient.coords)
-        cols = dict(basis_cols)
+        cols = dict(self.matrix)
         for k, col in L_op(self.space, self.q).items():
-            cols[dim + k] = col
-        rows = sparsemat.transpose(cols)
-        inv = linalg.invert([[rows.get(r, {}).get(c, 0) for c in range(amb_dim)]
-                             for r in range(amb_dim)])
-        coords = {c: {k: inv[k][c] for k in range(dim) if inv[k][c]}
-                  for c in range(amb_dim)}
-        return sparsemat.compose(basis_cols, coords)
+            cols[self.dim + k] = col
+        inv = linalg.invert(cols, self.ambient.dim)
+        coords = {c: part for c, col in inv.items()
+                  if (part := {k: v for k, v in col.items() if k < self.dim})}
+        return sparsemat.compose(self.matrix, coords)
 
     def projector_sl2(self) -> dict:
         """The projection as the polynomial prod_k (id - L Lambda / lam_k)."""
@@ -192,14 +197,15 @@ class PrimitiveSpace:
     def contract_matrix(self, cov_index: int, target: "PrimitiveSpace") -> dict:
         """Matrix of (de_cov_index contraction): self -> target (degree q-1)."""
         cov = {cov_index: Fraction(1)}
-        return sparsemat.from_images(
-            (ext_contract(cov, elem) for elem in self.basis), target.to_coords)
+        return target.to_coords(sparsemat.from_images(
+            (ext_contract(cov, elem) for elem in self.basis), target.ambient.coords))
 
     def wedge_circ_matrix(self, vec_index: int, target: "PrimitiveSpace") -> dict:
         """Matrix of (e_vec_index wedge_circ): self -> target (degree q+1)."""
         vec = {vec_index: Fraction(1)}
-        return sparsemat.from_images(
-            (wedge_circ(self.space, vec, elem) for elem in self.basis), target.to_coords)
+        return target.to_coords(sparsemat.from_images(
+            (wedge_circ(self.space, vec, elem) for elem in self.basis),
+            target.ambient.coords))
 
 
 @functools.cache

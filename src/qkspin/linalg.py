@@ -2,7 +2,8 @@
 
 Works for any element type supporting +, -, *, /, bool() and equality,
 in particular `fractions.Fraction` and `qkspin.scalar.Scalar`.  Rows are
-sparse dicts {column: value}; zero entries are never stored.  Pivot order
+sparse dicts {column: value} and `invert` takes and returns column-major
+`sparsemat` matrices; zero entries are never stored in either.  Pivot order
 is fixed by (row order, smallest column), so every result is deterministic.
 An `int` pivot is promoted to `Fraction` before dividing, so integer input
 gives exact rational results rather than floats.  `Echelon` is the only
@@ -115,21 +116,18 @@ def _one_like(ech: Echelon):
     return Fraction(1)
 
 
-def invert(matrix: list[list]) -> list[list]:
-    """Exact inverse of a square dense matrix (list of rows).
+def invert(m: dict, dim: int) -> dict:
+    """Exact inverse of a square column-major matrix over 0..dim-1.
 
-    The rows of [A | I] are fed to an `Echelon`.  A is singular exactly when
-    some pivot falls in the right block; otherwise the reduced rows, ordered
-    by pivot, read [I | A^-1].
+    Column j of A, followed by e_j in the right block, is fed to an `Echelon`
+    as row j of [A^T | I].  A is singular exactly when some pivot falls in
+    the right block; otherwise the reduced row with pivot i reads
+    [e_i | column i of A^-1].
     """
-    n = len(matrix)
     ech = Echelon()
-    for i, row in enumerate(matrix):
-        aug = {j: v for j, v in enumerate(row) if v}
-        aug[n + i] = 1
-        ech.add(aug)
-    if any(piv >= n for piv in ech.pivots):
+    for j in range(dim):
+        ech.add({**m.get(j, {}), dim + j: 1})
+    if any(piv >= dim for piv in ech.pivots):
         raise ValueError("matrix is singular")
-    by_pivot = dict(zip(ech.pivots, ech.rows))
-    zero = _one_like(ech) * 0
-    return [[by_pivot[i].get(n + j, zero) for j in range(n)] for i in range(n)]
+    return {piv: {k - dim: v for k, v in row.items() if k >= dim}
+            for piv, row in zip(ech.pivots, ech.rows)}

@@ -305,13 +305,11 @@ def sym2h_dual_pairs(H: SymplecticSpace) -> list:
     The Gram of Sym^2 H is built and inverted once per space.
     """
     basis = SymPower(H, 2).basis
-    gram = [[gram_perm(H, a, b) for b in basis] for a in basis]
-    inv = linalg.invert(gram)
-    duals = []
-    for k, a in enumerate(basis):
-        duals.append((a, [(basis[l], inv[l][k]) for l in range(len(basis))
-                          if inv[l][k]]))
-    return duals
+    gram = {j: {i: v for i, a in enumerate(basis) if (v := gram_perm(H, a, b))}
+            for j, b in enumerate(basis)}
+    inv = linalg.invert(gram, len(basis))
+    return [(a, [(basis[l], v) for l, v in sorted(inv[k].items())])
+            for k, a in enumerate(basis)]
 
 
 @functools.cache

@@ -81,6 +81,17 @@ def test_verify_rejects_big_bianchi(capsys):
     assert code == 2
 
 
+def test_weitzenboeck_rejects_big_oracle(capsys):
+    code, _, err = run(capsys, "weitzenboeck", "--n", "6", "--r", "2", "--oracle")
+    assert code == 2
+    assert "n <= 5" in err
+    # the closed form alone has no limit on n
+    code, out, _ = run(capsys, "weitzenboeck", "--n", "6", "--r", "2",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["params"] == {"n": 6, "r": 2, "oracle": False}
+
+
 def test_verify_bianchi_at_n3(capsys):
     # dim V = 12: the solution space is 12^2 (12^2 - 1) / 12 = 1716
     code, out, _ = run(capsys, "verify", "--n", "3", "--suite", "bianchi",

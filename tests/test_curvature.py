@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from qkspin import curvature
 from qkspin.cli import _jsonable
 from qkspin.curvature import (
     BianchiSystem,
@@ -229,6 +230,26 @@ def test_qzero_identity():
         model = ModelCurvature(n, random_sym4(n, rng))
         for r in range(n + 1):
             assert qzero_check(model, r)["ok"]
+
+
+def test_each_derivation_is_built_once_per_model(monkeypatch):
+    n = 2
+    rform = random_sym4(n, random.Random(97))
+    # warm the form-independent der(de_i . de_j) cache on another model
+    assert sym4_acts_trivially(ModelCurvature(n, rform))["ok"]
+    built = []
+    build = curvature.derivation_ext_matrix
+
+    def counted(space, endo, q):
+        built.append(q)
+        return build(space, endo, q)
+
+    monkeypatch.setattr(curvature, "derivation_ext_matrix", counted)
+    model = ModelCurvature(n, rform)
+    assert sym4_acts_trivially(model)["ok"]
+    assert all(qzero_check(model, r)["ok"] for r in range(n + 1))
+    # one build per (i, j, q): the qzero levels q = n - r reuse the ambient ones
+    assert len(built) == len(model.r_endos) * (2 * n + 1)
 
 
 def _rvalue_not_symmetric(self, i, j, k, l):

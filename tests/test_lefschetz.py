@@ -1,12 +1,12 @@
 """sl2 triple, primitive subspaces and the operator relation suites."""
 
-import random
 from fractions import Fraction
 
 import pytest
 
 from qkspin import sparsemat
 from qkspin.lefschetz import (
+    L_op,
     PrimitiveOps,
     apply_L,
     apply_Lambda,
@@ -50,34 +50,47 @@ def test_primitive_degree_out_of_range():
 
 
 def test_contraction_preserves_primitivity():
-    rng = random.Random(41)
+    # complete on a basis: every primitive basis element, every covector
     for n in (2, 3):
         E = SymplecticSpace(n)
         for q in range(1, n + 1):
-            prim = primitive_space(E, q)
-            for _ in range(10):
-                coords = {rng.randrange(prim.dim): Fraction(rng.randint(-3, 3))}
-                elem = prim.from_coords(coords)
-                eta = {rng.randrange(E.dim): Fraction(1)}
-                assert not apply_Lambda(E, ext_contract(eta, elem))
+            for elem in primitive_space(E, q).basis:
+                for i in range(E.dim):
+                    assert not apply_Lambda(E, ext_contract({i: Fraction(1)}, elem))
 
 
 def test_wedge_circ_is_projection_of_wedge():
-    # the modified wedge equals projector(plain wedge) on primitive input
-    rng = random.Random(43)
+    # the modified wedge equals projector(plain wedge) on primitive input,
+    # checked on every primitive basis element and every basis vector
     for n in (2, 3):
         E = SymplecticSpace(n)
         for q in range(0, n):
             prim = primitive_space(E, q)
             target = primitive_space(E, q + 1)
-            for _ in range(5):
-                coords = {rng.randrange(prim.dim): Fraction(rng.randint(-3, 3))}
-                elem = prim.from_coords(coords)
-                vec = {rng.randrange(E.dim): Fraction(rng.randint(-2, 2))}
-                via_formula = wedge_circ(E, vec, elem)
-                via_proj = target.project(ext_wedge_vec(vec, elem))
-                assert via_formula == via_proj
-                assert not apply_Lambda(E, via_formula)
+            for elem in prim.basis:
+                for i in range(E.dim):
+                    vec = {i: Fraction(1)}
+                    via_formula = wedge_circ(E, vec, elem)
+                    via_proj = target.project(ext_wedge_vec(vec, elem))
+                    assert via_formula == via_proj
+                    assert not apply_Lambda(E, via_formula)
+
+
+def test_to_coords_of_the_kernel_basis_is_the_identity():
+    for n in (1, 2, 3):
+        E = SymplecticSpace(n)
+        for q in range(n + 1):
+            prim = primitive_space(E, q)
+            assert prim.to_coords(prim.matrix) == \
+                sparsemat.identity(prim.dim, Fraction(1))
+
+
+def test_to_coords_rejects_the_image_of_L():
+    # L(1) = L_E is the one column of L: Lambda^0 -> Lambda^2, not primitive
+    E = SymplecticSpace(2)
+    with pytest.raises(ValueError, match="column 0 ") as info:
+        primitive_space(E, 2).to_coords(L_op(E, 2))
+    assert info.value.column == 0
 
 
 def test_projector_constructions_agree():

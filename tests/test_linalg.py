@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from qkspin import sparsemat
 from qkspin.linalg import Echelon, invert, kernel_basis
 from qkspin.scalar import SQRT2, Scalar
 
@@ -19,19 +20,19 @@ def _values(result):
 
 
 def test_integer_input_divides_exactly():
-    inv = invert([[2, 0], [0, 3]])
-    assert inv == [[Fraction(1, 2), 0], [0, Fraction(1, 3)]]
+    # matrices are column-major {col: {row: value}} with no stored zeros
+    inv = invert({0: {0: 2}, 1: {1: 3}}, 2)
+    assert inv == {0: {0: Fraction(1, 2)}, 1: {1: Fraction(1, 3)}}
     ech = Echelon()
     ech.add({0: 2, 1: 3})
     assert ech.rows == [{0: 1, 1: Fraction(3, 2)}]
     kern = kernel_basis([{0: 2, 1: 3}], 2)
     assert kern == [{1: 1, 0: Fraction(-3, 2)}]
 
-    m = [[3, 1, 0], [1, 2, 5], [0, 7, 4]]
-    inv3 = invert(m)
-    for i in range(3):
-        for j in range(3):
-            assert sum(m[i][k] * inv3[k][j] for k in range(3)) == (i == j)
+    # rows (3, 1, 0), (1, 2, 5), (0, 7, 4)
+    m = {0: {0: 3, 1: 1}, 1: {0: 1, 1: 2, 2: 7}, 2: {1: 5, 2: 4}}
+    inv3 = invert(m, 3)
+    assert sparsemat.compose(m, inv3) == sparsemat.identity(3)
     rows = [{0: 3, 1: 1, 2: 7}, {0: 6, 2: 5}, {1: 4, 2: 9}]
     big = Echelon()
     for row in rows:
@@ -45,22 +46,23 @@ def test_field_rows_keep_their_type():
     ech = Echelon()
     ech.add({0: Scalar(2, 1), 1: SQRT2})
     assert all(isinstance(v, Scalar) for v in ech.rows[0].values())
-    inv = invert([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]])
-    assert inv == [[1, -1], [-1, 2]]
-    assert all(isinstance(v, Fraction) for row in inv for v in row)
+    inv = invert({0: {0: Fraction(2), 1: Fraction(1)},
+                  1: {0: Fraction(1), 1: Fraction(1)}}, 2)
+    assert inv == {0: {0: 1, 1: -1}, 1: {0: -1, 1: 2}}
+    assert all(isinstance(v, Fraction) for v in _values(inv))
 
 
 def test_invert_singular_raises():
     with pytest.raises(ValueError):
-        invert([[1, 2], [2, 4]])
+        invert({0: {0: 1, 1: 2}, 1: {0: 2, 1: 4}}, 2)
+    # rows (1, 0, 1), (0, 0, 0), (1, 1, 1): a zero row
     with pytest.raises(ValueError):
-        invert([[Fraction(1), 0, 1], [0, 0, 0], [1, 1, 1]])
+        invert({0: {0: Fraction(1), 2: 1}, 1: {2: 1}, 2: {0: 1, 2: 1}}, 3)
 
 
 def test_invert_scalar_matrix():
-    m = [[Scalar(1, 1), SQRT2], [Scalar(0, 0, 1), Scalar(2)]]
-    inv = invert(m)
-    assert all(isinstance(v, Scalar) for row in inv for v in row)
-    for i in range(2):
-        for j in range(2):
-            assert sum((m[i][k] * inv[k][j] for k in range(2)), Scalar(0)) == (i == j)
+    # rows (1 + sqrt2, sqrt2), (i, 2)
+    m = {0: {0: Scalar(1, 1), 1: Scalar(0, 0, 1)}, 1: {0: SQRT2, 1: Scalar(2)}}
+    inv = invert(m, 2)
+    assert all(isinstance(v, Scalar) for v in _values(inv))
+    assert sparsemat.compose(m, inv) == sparsemat.identity(2)
