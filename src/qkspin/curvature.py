@@ -18,6 +18,14 @@ Conventions for the block decomposition of Sym^2 Lambda^2 (H* tensor E*):
 The five Bianchi equations compare projections of the same element arriving
 through different blocks, so these normalizations matter; the subspace
 equality with ker(m) is the oracle that validates them.
+
+The two Sym^4 checks, `sym4_acts_trivially` and `qzero_check`, run in int
+arithmetic.  Every operator they compose is integral except the 4-form's
+own values, and `ModelCurvature` clears those denominators once, with the
+int lcm `scale`.  Each check tests "operator = 0", and the operator is
+linear in the form, so it vanishes for scale R exactly when it vanishes
+for R: the verdicts are exact, and a witness is divided back by the scale
+into a Fraction.
 """
 
 from __future__ import annotations
@@ -26,13 +34,15 @@ import functools
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
-from math import comb
+from math import comb, lcm
 
 from . import linalg, sparsemat
 from .lefschetz import NotPrimitiveError, primitive_ops, primitive_space
 from .powers import ExtPower, sort_sign
 from .symplectic import SymplecticSpace, add_into, scale, sigma
 
+# the value of a 4-form off its support, shared so no lookup builds a Fraction
+_ZERO = Fraction(0)
 
 # -- key algebra ----------------------------------------------------------
 
@@ -517,8 +527,12 @@ class ModelCurvature:
     R^hyper is parametrized by a symmetric 4-form on E, stored as a dict
     from sorted index 4-multisets to Fractions.  Its endomorphisms
     R(e_i, e_j) are derived once, at construction, into `r_endos`: the
-    nonzero ones keyed (i, j), in (i, j) order.
+    nonzero ones keyed (i, j), in (i, j) order.  `scale` is the lcm of
+    their entries' denominators, and `scaled_endos` holds scale R(e_i, e_j)
+    with int entries, for the Sym^4 checks.
     """
+
+    KINDS = ("H", "E", "hyper")
 
     def __init__(self, n: int, rform: dict | None = None):
         self.n = n
@@ -527,17 +541,31 @@ class ModelCurvature:
         self.rform = rform or {}
         self.r_endos = {(i, j): endo for i in range(self.E.dim)
                         for j in range(self.E.dim) if (endo := self.r_endo(i, j))}
+        self.scale = lcm(*(v.denominator for endo in self.r_endos.values()
+                           for img in endo.values() for v in img.values()))
+        self.scaled_endos = {
+            ij: {k: {t: v.numerator * (self.scale // v.denominator)
+                     for t, v in img.items()} for k, img in endo.items()}
+            for ij, endo in self.r_endos.items()}
 
     @functools.cached_property
     def r_derivations(self) -> list:
-        """[q][(i, j)]: der(R(e_i, e_j)) on Lambda^q, q = 0..2n, built on first
-        use and freed with the model; shared, so callers must not modify it."""
-        return [{ij: derivation_ext_matrix(self.E, endo, q)
-                 for ij, endo in self.r_endos.items()}
-                for q in range(self.E.dim + 1)]
+        """[q][(i, j)]: der(scale R(e_i, e_j)) on Lambda^q for q = 0..n.
+
+        These levels are read twice, by `sym4_acts_trivially` and
+        `qzero_check`, so they are built on first use and held until the
+        model is freed; shared, so callers must not modify them.  A level
+        above n is read once, and `derivations` builds it afresh.
+        """
+        return [self.derivations(q) for q in range(self.n + 1)]
+
+    def derivations(self, q: int) -> dict:
+        """{(i, j): der(scale R(e_i, e_j))} on Lambda^q, with int entries."""
+        return {ij: derivation_ext_matrix(self.E, endo, q)
+                for ij, endo in self.scaled_endos.items()}
 
     def rvalue(self, i, j, k, l) -> Fraction:
-        return self.rform.get(tuple(sorted((i, j, k, l))), Fraction(0))
+        return self.rform.get(tuple(sorted((i, j, k, l))), _ZERO)
 
     def r_endo(self, i: int, j: int) -> dict:
         """e_k -> rform(e_i, e_j, e_k, .)^flat, as {in: {out: coeff}}."""
@@ -553,8 +581,26 @@ class ModelCurvature:
                 endo[k] = img
         return endo
 
+    @functools.cached_property
+    def tensors(self) -> dict:
+        """{(kind, X, Y): R^kind_{X,Y}} over every kind and basis pair.
+
+        `ricci` and `sym4_extraction` both read it, so it is built once, on
+        first use, and held until the model is freed; zero tensors are left
+        out.  Shared, so callers must not modify it.
+        """
+        basis = self.tangent_basis()
+        return {(kind, x, y): endo for kind in self.KINDS
+                for x in basis for y in basis
+                if (endo := self._tensor(kind, x, y))}
+
     def apply(self, kind: str, x: tuple, y: tuple) -> dict:
         """R^kind_{X,Y} for basis tangent vectors; {(a,i): {(b,j): coeff}}."""
+        if kind not in self.KINDS:
+            raise ValueError(f"unknown model tensor {kind!r}")
+        return self.tensors.get((kind, x, y), {})
+
+    def _tensor(self, kind: str, x: tuple, y: tuple) -> dict:
         (a, i), (b, j) = x, y
         endo: dict = {}
         if kind == "H":
@@ -596,8 +642,6 @@ class ModelCurvature:
             for k, img_e in self.r_endos.get((i, j), {}).items():
                 for c in range(2):
                     endo[(c, k)] = {(c, ee): s * v for ee, v in img_e.items()}
-        else:
-            raise ValueError(f"unknown model tensor {kind!r}")
         return endo
 
     def tangent_basis(self) -> list:
@@ -634,7 +678,7 @@ class ModelCurvature:
         for xx in basis:
             for yy in basis:
                 g = self.metric(xx, yy)
-                v = ric.get((xx, yy), Fraction(0))
+                v = ric.get((xx, yy), _ZERO)
                 if not g:
                     if v:
                         return None, (kind, xx, yy)
@@ -704,40 +748,59 @@ def sym4_extraction(model: ModelCurvature, kind: str,
 
 # -- Sym^4 triviality and the primitive-space operator identity -----------
 
-def derivation_ext_matrix(space: SymplecticSpace, endo: dict, q: int) -> dict:
-    """Derivation extension of an E-endomorphism to Lambda^q, column-major."""
+@functools.cache
+def _derivation_table(space: SymplecticSpace, q: int) -> list:
+    """(column, source, target, sign, row) for each label of each Lambda^q
+    monomial and each label that may replace it, sorted by (column, row).
+
+    Replacing source by target in the monomial of `column` gives sign times
+    the monomial of `row`.  The table depends only on (space, q), so the
+    sorting signs are found once per run, not once per endomorphism.
+    """
     amb = ExtPower(space, q)
-    cols = {}
-    for ci, mono in enumerate(amb.basis):
-        col: dict = {}
-        for pos in range(q):
-            img = endo.get(mono[pos])
-            if not img:
-                continue
+    table = []
+    for column, mono in enumerate(amb.basis):
+        for pos, source in enumerate(mono):
             rest = mono[:pos] + mono[pos + 1:]
-            for tgt, v in img.items():
-                res = sort_sign(rest[:pos] + (tgt,) + rest[pos:])
+            for target in range(space.dim):
+                res = sort_sign(rest[:pos] + (target,) + rest[pos:])
                 if res:
-                    sg, key = res
-                    add_into(col, amb.index[key], v if sg == 1 else -v)
-        if col:
-            cols[ci] = col
-    return cols
+                    sign, key = res
+                    table.append((column, source, target, sign, amb.index[key]))
+    table.sort(key=lambda entry: (entry[0], entry[4]))
+    return table
+
+
+def derivation_ext_matrix(space: SymplecticSpace, endo: dict, q: int) -> dict:
+    """Derivation extension of an E-endomorphism to Lambda^q, column-major.
+
+    Read off `_derivation_table`, so columns, and the rows of each column,
+    come out in ascending order; entries keep the type of endo's entries.
+    """
+    cols: dict = {}
+    for column, source, target, sign, row in _derivation_table(space, q):
+        img = endo.get(source)
+        if img and (v := img.get(target)):
+            add_into(cols.setdefault(column, {}), row, v if sign == 1 else -v)
+    return {column: col for column, col in cols.items() if col}
 
 
 def sym2_endo(space: SymplecticSpace, i: int, j: int) -> dict:
-    """de_i . de_j as an endomorphism: e -> de_i(e) de_j^flat + de_j(e) de_i^flat."""
+    """de_i . de_j as an endomorphism: e -> de_i(e) de_j^flat + de_j(e) de_i^flat.
+
+    Its entries are the int signs of the flat map.
+    """
     out: dict = {}
     ti, si = space.flat_basis(i)
     tj, sj = space.flat_basis(j)
-    add_into(out.setdefault(i, {}), tj, Fraction(sj))
-    add_into(out.setdefault(j, {}), ti, Fraction(si))
+    add_into(out.setdefault(i, {}), tj, sj)
+    add_into(out.setdefault(j, {}), ti, si)
     return {k: v for k, v in out.items() if v}
 
 
 @functools.cache
 def _sym2_derivation(space: SymplecticSpace, i: int, j: int, q: int) -> dict:
-    """The derivation extension of de_i . de_j to Lambda^q.
+    """The derivation extension of de_i . de_j to Lambda^q, with int entries.
 
     Built once per run and shared, so callers must not modify it.
     """
@@ -750,12 +813,16 @@ def sym4_acts_trivially(model: ModelCurvature) -> dict:
     In degree q it is 1/2 sum_{i,j} der(de_i . de_j) der(R(e_i, e_j)).  The
     factors der(de_i . de_j) depend only on (E, q, i, j), not on the form,
     and are built once per run (`_sym2_derivation`, a `functools.cache`);
-    the factors der(R(e_i, e_j)) are the model's `r_derivations`.
-    The terms are summed unscaled and the 1/2 is applied to the witness only.
+    the factors der(scale R(e_i, e_j)) come from the model, held for
+    q <= n (`r_derivations`) and built afresh above n.  Both have int
+    entries, so the sum is int arithmetic.  It is 2 scale times the
+    operator; the test "operator = 0" is linear in the form, so clearing
+    the denominators with the nonzero int scale changes no verdict, and a
+    witness entry v is divided back exactly, as Fraction(v, 2 scale).
     """
     E = model.E
-    half = Fraction(1, 2)
-    for q, d_rs in enumerate(model.r_derivations):
+    for q in range(E.dim + 1):
+        d_rs = model.r_derivations[q] if q <= model.n else model.derivations(q)
         total: dict = {}
         for (i, j), d_r in d_rs.items():
             sparsemat.madd_into(
@@ -763,7 +830,7 @@ def sym4_acts_trivially(model: ModelCurvature) -> dict:
         if total:
             col, entries = next(iter(total.items()))
             return {"ok": False,
-                    "witness": (q, (col, {row: half * v
+                    "witness": (q, (col, {row: Fraction(v, 2 * model.scale)
                                           for row, v in entries.items()}))}
     return {"ok": True, "witness": None}
 
@@ -772,12 +839,13 @@ def sym4_acts_trivially(model: ModelCurvature) -> dict:
 def _qzero_operator(space: SymplecticSpace, q: int, i: int, j: int) -> dict:
     """de_j^flat wedge_circ de_i_ + (i <-> j) from primitive level q to q.
 
-    Built once per run and shared, so callers must not modify it.
+    Its entries are integers, stored as ints.  Built once per run and
+    shared, so callers must not modify it.
     """
     ops = primitive_ops(space)
-    return sparsemat.madd(
+    return sparsemat.integral(sparsemat.madd(
         sparsemat.compose(ops.wedge_flat(q - 1, j), ops.contract(q, i)),
-        sparsemat.compose(ops.wedge_flat(q - 1, i), ops.contract(q, j)))
+        sparsemat.compose(ops.wedge_flat(q - 1, i), ops.contract(q, j))))
 
 
 def qzero_check(model: ModelCurvature, r: int) -> dict:
@@ -786,8 +854,12 @@ def qzero_check(model: ModelCurvature, r: int) -> dict:
 
     The operator sums depend only on (E, q, i, j), not on the form, and are
     built once per run (`_qzero_operator`, a `functools.cache`).  The form's
-    derivation (`model.r_derivations`) is restricted to the primitive level
-    as `to_coords` of its product with the kernel basis B.  If that leaves
+    derivation der(scale R(e_i, e_j)) (`model.r_derivations`) is restricted
+    to the primitive level as `to_coords` of its product with the kernel
+    basis B.  Every factor has int entries, so the sum is int arithmetic
+    and is scale times the operator; as the test "operator = 0" is linear
+    in the form, the scaling changes no verdict, and a witness entry v is
+    divided back exactly, as Fraction(v, scale).  If the restriction leaves
     the primitive space (R is not a symmetric 4-form), the witness is
     ("not primitive", i, j, c) for the first primitive basis column c whose
     image is not primitive.
@@ -803,8 +875,12 @@ def qzero_check(model: ModelCurvature, r: int) -> dict:
             return {"ok": False, "witness": ("not primitive", i, j, exc.column)}
         sparsemat.madd_into(
             total, sparsemat.compose(_qzero_operator(E, q, i, j), d_prim))
-    ok = not total
-    return {"ok": ok, "witness": None if ok else next(iter(total.items()))}
+    if not total:
+        return {"ok": True, "witness": None}
+    col, entries = next(iter(total.items()))
+    return {"ok": False,
+            "witness": (col, {row: Fraction(v, model.scale)
+                              for row, v in entries.items()})}
 
 
 def random_sym4(n: int, rng: random.Random, height: int = 4) -> dict:

@@ -135,7 +135,9 @@ class PrimitiveSpace:
         free_cols, kernel = linalg.kernel_basis_with_free(
             [rows[t] for t in sorted(rows)], self.ambient.dim)
         self.free_cols = free_cols
-        self.matrix = dict(enumerate(kernel))
+        # B is +-1 in free-column form: int entries keep products with it
+        # (the 4-form's derivations in `qzero_check`) in int arithmetic
+        self.matrix = sparsemat.integral(dict(enumerate(kernel)))
         self.basis = [{self.ambient.basis[k]: v for k, v in vec.items()}
                       for vec in kernel]
         self.dim = len(self.basis)

@@ -91,6 +91,17 @@ def transpose(m: dict) -> dict:
     return out
 
 
+def integral(m: dict) -> dict:
+    """m with each rational entry of denominator 1 stored as an int.
+
+    The other entries are kept as they are, so an exact matrix stays exact;
+    an operator that is integral then multiplies in int arithmetic.
+    """
+    return {col: {row: v.numerator if v.denominator == 1 else v
+                  for row, v in mcol.items()}
+            for col, mcol in m.items()}
+
+
 def identity(dim: int, one=1) -> dict:
     return {k: {k: one} for k in range(dim)}
 

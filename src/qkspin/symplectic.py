@@ -15,6 +15,9 @@ from fractions import Fraction
 
 from .scalar import Scalar
 
+# shared values of sigma on basis pairs, so no call builds a Fraction
+_ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
+
 
 class SymplecticSpace:
     def __init__(self, half_dim: int, name: str = "e"):
@@ -38,10 +41,10 @@ class SymplecticSpace:
     def sigma_basis(self, i: int, j: int) -> Fraction:
         m = self.half_dim
         if j == i + m:
-            return Fraction(1)
+            return _ONE
         if i == j + m:
-            return Fraction(-1)
-        return Fraction(0)
+            return _MINUS_ONE
+        return _ZERO
 
     def sharp_basis(self, i: int) -> tuple[int, int]:
         """e_i^sharp = sign * d e_index; returns (index, sign)."""

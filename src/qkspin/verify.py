@@ -228,13 +228,14 @@ def suite_curvature(n: int, seed: int = 0) -> list[Check]:
     for trial in range(20):
         rf = random_sym4(n, rng) if trial else alpha_fourth(
             n, {i: Fraction(rng.randint(-3, 3)) for i in range(2 * n)})
-        trial_model = ModelCurvature(n, rf)
-        rep = sym4_acts_trivially(trial_model)
+        # rebinding `model` frees the first form's model and its tensors
+        model = ModelCurvature(n, rf)
+        rep = sym4_acts_trivially(model)
         if not rep["ok"]:
             bad = ("lambda-E", trial, rep["witness"])
             break
         for r in range(n + 1):
-            rep = qzero_check(trial_model, r)
+            rep = qzero_check(model, r)
             if not rep["ok"]:
                 bad = ("primitive", trial, r, rep["witness"])
                 break

@@ -18,6 +18,7 @@ from qkspin.curvature import (
     curv_generator,
     curv_span_rank,
     delta_sym,
+    derivation_ext_matrix,
     dim_s2l2,
     einstein_report,
     injectivity_report,
@@ -31,9 +32,11 @@ from qkspin.curvature import (
     s2s2_curv_part,
     s2s2_sym4_part,
     skey,
+    sym2_endo,
     sym4_acts_trivially,
     sym4_extraction,
 )
+from qkspin.powers import ExtPower, sort_sign
 from qkspin.symplectic import add_into
 from qkspin.verify import run_suite
 
@@ -250,6 +253,65 @@ def test_each_derivation_is_built_once_per_model(monkeypatch):
     assert all(qzero_check(model, r)["ok"] for r in range(n + 1))
     # one build per (i, j, q): the qzero levels q = n - r reuse the ambient ones
     assert len(built) == len(model.r_endos) * (2 * n + 1)
+    # only the levels read twice, q <= n, are held by the model
+    assert len(model.r_derivations) == n + 1
+
+
+def _derivation_by_sort_sign(space, endo, q):
+    """The per-monomial derivation loop, kept as the reference for the table."""
+    amb = ExtPower(space, q)
+    cols = {}
+    for ci, mono in enumerate(amb.basis):
+        col: dict = {}
+        for pos in range(q):
+            img = endo.get(mono[pos])
+            if not img:
+                continue
+            rest = mono[:pos] + mono[pos + 1:]
+            for tgt, v in img.items():
+                res = sort_sign(rest[:pos] + (tgt,) + rest[pos:])
+                if res:
+                    sg, key = res
+                    add_into(col, amb.index[key], v if sg == 1 else -v)
+        if col:
+            cols[ci] = col
+    return cols
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_derivation_table_matches_the_sort_sign_loop(n):
+    model = ModelCurvature(n, random_sym4(n, random.Random(101 + n)))
+    E = model.E
+    # de_i . de_j with int signs, the int scaled endos and the Fraction ones
+    endos = [sym2_endo(E, i, j) for i in range(E.dim) for j in range(i, E.dim)]
+    endos += list(model.scaled_endos.values()) + list(model.r_endos.values())
+    for q in range(E.dim + 1):
+        for endo in endos:
+            got = derivation_ext_matrix(E, endo, q)
+            assert got == _derivation_by_sort_sign(E, endo, q)
+            assert list(got) == sorted(got)
+            assert all(list(col) == sorted(col) for col in got.values())
+
+
+def test_each_model_tensor_is_built_once_per_model(monkeypatch):
+    built = []
+    tensor = ModelCurvature._tensor
+
+    def counted(self, kind, x, y):
+        built.append((kind, x, y))
+        return tensor(self, kind, x, y)
+
+    monkeypatch.setattr(ModelCurvature, "_tensor", counted)
+    n = 2
+    model = ModelCurvature(n, random_sym4(n, random.Random(103)))
+    assert einstein_report(model)["einstein_ok"]
+    h_quad = [{0: Fraction(2), 1: Fraction(1)}, {1: Fraction(3)},
+              {0: Fraction(1), 1: Fraction(-1)}, {0: Fraction(1), 1: Fraction(2)}]
+    for e_quad in [(0, 1, 2, 3), (0, 0, 1, 3)]:
+        assert sym4_extraction(model, "hyper", h_quad, e_quad) == \
+            model.rvalue(*e_quad)
+    # ricci and the extraction share one build per (kind, X, Y)
+    assert len(built) == len(set(built)) == 3 * len(model.tangent_basis()) ** 2
 
 
 def _rvalue_not_symmetric(self, i, j, k, l):
@@ -275,6 +337,38 @@ def test_non_symmetric_form_fails_with_witness(monkeypatch):
     # ker(Lambda), so the check reports that instead of raising
     assert reps[0] == {"ok": False, "witness": ("not primitive", 0, 1, 3)}
     assert not reps[1]["ok"] and reps[1]["witness"] is not None
+
+
+# a non-symmetric form with values of denominators 2 and 3, so scale = 6
+_HALVES_AND_THIRDS = {(0, 1, 0, 2): Fraction(1, 2), (0, 2, 0, 0): Fraction(-2, 3)}
+
+
+def _rvalue_halves_and_thirds(self, i, j, k, l):
+    return _HALVES_AND_THIRDS.get((i, j, k, l), Fraction(0))
+
+
+def test_witnesses_divide_the_scale_back_exactly(monkeypatch):
+    # the expected witnesses are those of the same checks computed over
+    # Fractions on the unscaled form
+    monkeypatch.setattr(ModelCurvature, "rvalue", _rvalue_halves_and_thirds)
+    model = ModelCurvature(2, {})
+    assert model.scale == 6
+    sym4 = sym4_acts_trivially(model)
+    assert sym4 == {"ok": False, "witness": (
+        1, (0, {3: Fraction(-1, 4), 2: Fraction(-1, 3)}))}
+    assert [qzero_check(model, r) for r in range(3)] == [
+        {"ok": False, "witness": ("not primitive", 0, 1, 3)},
+        {"ok": False, "witness": (0, {3: Fraction(-1, 2), 2: Fraction(-2, 3)})},
+        {"ok": True, "witness": None}]
+    # the JSON text, not value equality, so that no float can pass
+    assert json.dumps(_jsonable(sym4["witness"]), sort_keys=True) == \
+        '[1, [0, {"2": "-1/3", "3": "-1/4"}]]'
+    model = ModelCurvature(3, {})
+    assert model.scale == 6
+    assert sym4_acts_trivially(model) == \
+        {"ok": False, "witness": (2, (0, {13: Fraction(-1, 4)}))}
+    assert [qzero_check(model, r)["witness"] for r in range(4)] == [
+        ("not primitive", 0, 1, 0), ("not primitive", 0, 1, 1), None, None]
 
 
 def test_curvature_suite_carries_the_structured_witness(monkeypatch):

@@ -1,7 +1,19 @@
 """Exactness: no float reaches a value or witness that a suite reports."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
+from qkspin.curvature import (
+    ModelCurvature,
+    _qzero_operator,
+    _sym2_derivation,
+    qzero_check,
+    random_sym4,
+    sym4_acts_trivially,
+)
+from qkspin.lefschetz import primitive_space
 from qkspin.scalar import Scalar
 from qkspin.verify import run_suite
 
@@ -49,3 +61,36 @@ def test_suites_construct_no_scalar(n, monkeypatch):
     checks = run_suite("all", n)
     assert all(c.ok for c in checks)
     assert len(made) == 0, made[:5]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_curvature_operators_have_int_entries(n):
+    # every operator the Sym^4 checks compose is stored with int entries,
+    # so no int/int division can turn one of them into a float unseen
+    model = ModelCurvature(n, random_sym4(n, random.Random(5)))
+    E = model.E
+    pairs = [(i, j) for i in range(E.dim) for j in range(E.dim)]
+    mats = [d for level in model.r_derivations for d in level.values()]
+    mats += [d for q in range(n + 1, E.dim + 1)
+             for d in model.derivations(q).values()]
+    mats += [_sym2_derivation(E, i, j, q)
+             for q in range(E.dim + 1) for i, j in pairs if i <= j]
+    mats += [_qzero_operator(E, q, i, j) for q in range(n + 1) for i, j in pairs]
+    mats += [primitive_space(E, q).matrix for q in range(n + 1)]
+    assert model.scale > 1
+    bad = [v for m in mats for col in m.values() for v in col.values()
+           if type(v) is not int]
+    assert not bad, bad[:5]
+
+
+def test_no_float_in_sym4_witnesses(monkeypatch):
+    # a non-symmetric form with denominators 2 and 3 (scale 6) fails both
+    # checks; their witnesses are divided back by the scale as Fractions
+    values = {(0, 1, 0, 2): Fraction(1, 2), (0, 2, 0, 0): Fraction(-2, 3)}
+    monkeypatch.setattr(ModelCurvature, "rvalue",
+                        lambda self, *key: values.get(key, Fraction(0)))
+    model = ModelCurvature(2, {})
+    reps = [sym4_acts_trivially(model), qzero_check(model, 1)]
+    for rep in reps:
+        assert not rep["ok"]
+        assert not list(_floats(rep["witness"])), rep

@@ -118,3 +118,12 @@ def test_space_equality_is_by_half_dim_and_name():
     assert E is not F and E == F and hash(E) == hash(F)
     assert E != SymplecticSpace(2, "h")
     assert E != SymplecticSpace(3)
+
+
+def test_sigma_basis_returns_shared_fractions():
+    # one Fraction per value, so no call builds one
+    space = SymplecticSpace(2)
+    assert space.sigma_basis(0, 2) is space.sigma_basis(1, 3) == Fraction(1)
+    assert space.sigma_basis(2, 0) is space.sigma_basis(3, 1) == Fraction(-1)
+    assert space.sigma_basis(0, 1) is space.sigma_basis(2, 2) == Fraction(0)
+    assert type(space.sigma_basis(0, 1)) is Fraction
