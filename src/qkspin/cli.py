@@ -226,7 +226,7 @@ def cmd_weitzenboeck(args) -> int:
         name = "closed form = oracle"
         if not 1 <= r <= n - 1:
             name += f" (degenerate grade: restricted to columns {rep['alive']})"
-        checks.append(Check(name, rep["ok"], rep["mismatches"] or None))
+        checks.append(Check(name, rep["ok"], rep["witness"]))
     elif not 1 <= r <= n - 1:
         checks.append(Check(
             f"degenerate grade r={r}: matrix shown for reference; only the "
@@ -251,7 +251,7 @@ def cmd_bound(args) -> int:
         raise UsageError("--kappa must be positive (positive scalar curvature)")
     rep = estimate_bound(n, r, kappa)
     checks = [Check("coefficient re-derivation agrees with the closed form",
-                    rep["agree"], value=rep["coefficient"])]
+                    rep["agree"], rep["witness"], value=rep["coefficient"])]
     values = {
         "coefficient": _fmt_fraction(rep["coefficient"]),
         "bound": _fmt_fraction(rep["bound"]),

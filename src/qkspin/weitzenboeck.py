@@ -15,10 +15,14 @@ One exact span solver, `solve_in_span`, serves this 6x6 oracle and the
 Each work item is done once: `projector_family` builds one family per
 (n, r), whose H-side factors are built once per (label, a, b) and E-side
 factors once per (label, i, j), shared by every tangent block and by all
-three oracles; and `solve_in_span` feeds each distinct Kronecker row to
-the echelon once.  A repeated row already lies in the echelon's span,
-which only grows, so skipping it changes neither the solution nor any
-failure.
+three oracles; and `solve_in_span` forms each Kronecker row once per
+distinct pair of an H entry vector and an E entry vector, and feeds each
+distinct row to the echelon once.  Every row of a tangent block is the
+entrywise product of such a pair, and a repeated row already lies in the
+echelon's span, which only grows, so neither step changes the solution
+or any failure.  A recovery that fails raises `RecoveryError` with a
+structured witness; `recover_matches_closed_form` and the suite report it
+as a failing check.
 
 Row and column conventions (0-based):
   rows  (E-label major): [C.C, Sym2H.C, C.Sym2E, Sym2H.Sym2E,
@@ -39,7 +43,7 @@ from .lefschetz import primitive_ops, primitive_space
 from .powers import sym_ops
 from .scalar import Scalar
 from .spinor import SpinorSpace
-from .symplectic import SymplecticSpace, add_into
+from .symplectic import SymplecticSpace
 
 ROW_LABELS = ["C.C", "Sym2H.C", "C.Sym2E", "Sym2H.Sym2E",
               "C.Lambda2E", "Sym2H.Lambda2E"]
@@ -262,7 +266,36 @@ def projector_family(n: int, r: int) -> ProjectorFamily:
 
 
 class RecoveryError(AssertionError):
-    pass
+    """A recovery that failed; `witness` is its structured evidence."""
+
+    def __init__(self, message: str, witness=None):
+        super().__init__(message)
+        self.witness = witness
+
+
+_NO_ENTRIES: dict = {}
+
+
+def _side_vectors(factors: tuple, tuples: dict, vector_ids: dict) -> list:
+    """The distinct entry vectors of one side of a block, as (id, vector).
+
+    The vector at a position (row, col) holds each factor's entry there,
+    int 0 where a factor has none.  `tuples` keys each tuple of factors by
+    identity and keeps a reference to it, so no id is reused while it is in
+    use; `vector_ids` numbers every distinct vector of the side.
+    """
+    key = tuple(map(id, factors))
+    hit = tuples.get(key)
+    if hit is None:
+        positions = dict.fromkeys((row, col) for m in factors
+                                  for col, entries in m.items()
+                                  for row in entries)
+        found: dict = {}
+        for row, col in positions:
+            vec = tuple(m.get(col, _NO_ENTRIES).get(row, 0) for m in factors)
+            found.setdefault(vector_ids.setdefault(vec, len(vector_ids)), vec)
+        hit = tuples[key] = (factors, list(found.items()))
+    return hit[1]
 
 
 def solve_in_span(blocks, where: str) -> list:
@@ -275,34 +308,47 @@ def solve_in_span(blocks, where: str) -> list:
     means some left member is outside the span of the right family, which
     is a hard failure.  Returns X with None on right columns without pivot.
 
-    Each distinct row is fed once; the Kronecker rows of the tangent
-    blocks are mostly repeats.  Skipping a repeat is exact: the echelon's
-    span only grows, so a row fed before still lies in it, and
-    `Echelon.add` would reduce it to zero and leave `rows` and `pivots`
-    as they were.  X, the None columns and every failure are unchanged.
+    The row at entry ((hr, er), (hc, ec)) of a block is u * v, the
+    entrywise product of u, the members' H entries at (hr, hc), and v,
+    their E entries at (er, ec).  So a block's rows are the products of
+    its H side's distinct entry vectors with its E side's, which
+    `_side_vectors` collects once per distinct tuple of factors.  Each
+    (u, v) pair is multiplied once over all blocks, an empty product is
+    skipped, and each distinct row is fed once: exactly the distinct rows
+    of one row per block entry.  Dropping a repeat is exact, since the
+    echelon's span only grows and `Echelon.add` would reduce a row fed
+    before to zero.  The echelon is reduced, so it depends only on that
+    span and not on the feed order: X, the None columns and every failure
+    are as with one row per block entry.
     """
     ech = linalg.Echelon()
     seen: set = set()
+    pairs: set = set()
+    h_tuples: dict = {}
+    e_tuples: dict = {}
+    h_ids: dict = {}
+    e_ids: dict = {}
     for rights, lefts in blocks:
         width, height = len(rights), len(lefts)
-        entries: dict = {}
-        for col, (hm, em) in enumerate(rights + lefts):
-            for hc, hcol in hm.items():
-                for hr, hv in hcol.items():
-                    for ec, ecol in em.items():
-                        for er, ev in ecol.items():
-                            add_into(entries.setdefault((hr, hc, er, ec), {}),
-                                     col, hv * ev)
-        for row in entries.values():
-            key = frozenset(row.items())
-            if key not in seen:
-                seen.add(key)
-                ech.add(row)
+        members = rights + lefts
+        us = _side_vectors(tuple(h for h, _ in members), h_tuples, h_ids)
+        vs = _side_vectors(tuple(e for _, e in members), e_tuples, e_ids)
+        for hid, u in us:
+            for eid, v in vs:
+                if (hid, eid) in pairs:
+                    continue
+                pairs.add((hid, eid))
+                row = {col: x * y for col, (x, y) in enumerate(zip(u, v))
+                       if x and y}
+                key = frozenset(row.items())
+                if row and key not in seen:
+                    seen.add(key)
+                    ech.add(row)
     for piv, row in zip(ech.pivots, ech.rows):
         if piv >= width:
             raise RecoveryError(
                 f"left family not in the span of the right family {where}: "
-                f"residual row {row}")
+                f"residual row {row}", row)
     matrix = [[None] * width for _ in range(height)]
     for piv, row in zip(ech.pivots, ech.rows):
         for k in range(height):
@@ -329,7 +375,8 @@ def recover_w(n: int, r: int) -> dict:
     if alive != expected_alive:
         raise RecoveryError(
             f"unexpected right-family rank at (n={n}, r={r}): "
-            f"pivots {alive}, expected {expected_alive}")
+            f"pivots {alive}, expected {expected_alive}",
+            {"pivots": alive, "expected": expected_alive})
     return {"matrix": matrix, "alive": alive, "rank": len(alive)}
 
 
@@ -345,7 +392,16 @@ def _surviving_columns(n: int, r: int) -> list:
 
 
 def recover_matches_closed_form(n: int, r: int) -> dict:
-    rec = recover_w(n, r)
+    """Compare `recover_w` with `w_full` on the surviving columns.
+
+    A failed recovery is reported, not raised: "ok" is False, "alive" is
+    the closed-form column set and "witness" the `RecoveryError`'s.
+    """
+    try:
+        rec = recover_w(n, r)
+    except RecoveryError as exc:
+        return {"ok": False, "mismatches": [], "witness": exc.witness,
+                "alive": _surviving_columns(n, r)}
     closed = w_full(n, r)
     mism = []
     for k in range(6):
@@ -356,7 +412,8 @@ def recover_matches_closed_form(n: int, r: int) -> dict:
             # recovered value is the coefficient itself
             if got != want:
                 mism.append(((k, j), got, want))
-    return {"ok": not mism, "mismatches": mism, "alive": rec["alive"]}
+    return {"ok": not mism, "mismatches": mism, "witness": mism or None,
+            "alive": rec["alive"]}
 
 
 # the 1x1 identity, standing in for the factor a sub-oracle leaves out
@@ -587,15 +644,21 @@ def estimate_bound(n: int, r: int, kappa: Fraction) -> dict:
     if kappa <= 0:
         raise ValueError("positive scalar curvature required")
     combo = row_combination(n, r, twistor_elimination_vector(n, r))
-    assert combo["atW"][3] == 0 and combo["atW"][5] == 0, \
-        "elimination vector must zero the D-- and T- columns"
+    # the vector must zero the D++ D-- and T-* T- columns
+    kept = {COL_LABELS[j]: combo["atW"][j] for j in (3, 5) if combo["atW"][j]}
     dirac_coeff = combo["operator_coefficients"]["D-+ D+-"]
-    ratio = combo["lhs_kappa4"] / dirac_coeff
+    ratio = combo["lhs_kappa4"] / dirac_coeff if dirac_coeff else None
     closed = Fraction(n + r + 3, n + 2)
+    witness = None
+    if kept:
+        witness = {"columns not eliminated": kept}
+    elif ratio != closed:
+        witness = {"ratio": ratio, "closed form": closed}
     return {
         "coefficient": closed,
         "ratio_rederived": ratio,
-        "agree": ratio == closed,
+        "agree": witness is None,
+        "witness": witness,
         "bound": closed * kappa / 4,
         "kappa": kappa,
     }

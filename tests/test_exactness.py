@@ -16,6 +16,7 @@ from qkspin.curvature import (
 from qkspin.lefschetz import primitive_space
 from qkspin.scalar import Scalar
 from qkspin.verify import run_suite
+from qkspin.weitzenboeck import recover_w, recover_we, recover_wh
 
 
 def _floats(obj, path=()):
@@ -81,6 +82,19 @@ def test_curvature_operators_have_int_entries(n):
     bad = [v for m in mats for col in m.values() for v in col.values()
            if type(v) is not int]
     assert not bad, bad[:5]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_recovered_weitzenboeck_entries_are_fractions(n):
+    # the span solver's entry vectors hold int 0 where a factor has no
+    # entry; no such int, and no float, may reach a recovered entry
+    matrices = [recover_w(n, r)["matrix"] for r in range(n + 1)]
+    matrices += [recover_wh(r) for r in range(n + 1)]
+    matrices += [recover_we(n, r) for r in range(1, n)]
+    bad = [v for m in matrices for row in m for v in row
+           if v is not None and type(v) is not Fraction]
+    assert not bad, bad[:5]
+    assert all(v is not None for m in matrices[n + 1:] for row in m for v in row)
 
 
 def test_no_float_in_sym4_witnesses(monkeypatch):

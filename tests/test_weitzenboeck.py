@@ -1,10 +1,14 @@
 """Closed-form matrices, recovery oracle, operator identities, row vectors."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
-from qkspin import linalg, sparsemat
+from qkspin import linalg, sparsemat, weitzenboeck
+from qkspin.cli import main
+from qkspin.symplectic import add_into
+from qkspin.verify import run_suite
 from qkspin.weitzenboeck import (
     OP_SLOTS,
     ProjectorFamily,
@@ -157,6 +161,169 @@ def test_solve_in_span_rejects_a_repeated_block_outside_the_span():
         solve_in_span(blocks, "in a test")
 
 
+# synthetic blocks whose E factors are 2x2 as well.  Right members DIAG.P,
+# SWAP.P and DIAG.Q; left members (2 DIAG + 5 SWAP).P and 3 DIAG.Q, so
+# X = [[2, 5, 0], [0, 0, 3]].  Block 1's H entry vectors are (1,0,1,2,3) and
+# (0,1,0,5,0), its E entry vectors (1,1,0,1,0) and (0,0,1,0,1); the product
+# of the second H and second E vector vanishes.  Block 2 holds the same
+# entry vectors in other positions and other factor objects.
+_P = {0: {0: F(1)}}
+_Q = {1: {0: F(1)}}
+_M = sparsemat.madd(sparsemat.mscale(_DIAG, F(2)), sparsemat.mscale(_SWAP, F(5)))
+_KRON = ([(_DIAG, _P), (_SWAP, _P), (_DIAG, _Q)],
+         [(_M, _P), (sparsemat.mscale(_DIAG, F(3)), _Q)])
+_S = {1: {0: F(1)}}
+_T = {0: {0: F(1)}, 1: {1: F(1)}}
+_KRON_MOVED = ([(dict(_DIAG), _S), (dict(_SWAP), _S), (dict(_DIAG), _T)],
+               [(dict(_M), _S), (sparsemat.mscale(_DIAG, F(3)), _T)])
+
+
+def _kronecker_rows(blocks) -> set:
+    """The distinct rows of the direct Kronecker loop: one row per matrix
+    entry of every block, H entry times E entry, member by member."""
+    rows = set()
+    for rights, lefts in blocks:
+        entries: dict = {}
+        for col, (hm, em) in enumerate(rights + lefts):
+            for hc, hcol in hm.items():
+                for hr, hv in hcol.items():
+                    for ec, ecol in em.items():
+                        for er, ev in ecol.items():
+                            add_into(entries.setdefault((hr, hc, er, ec), {}),
+                                     col, hv * ev)
+        rows.update(frozenset(row.items()) for row in entries.values())
+    return rows
+
+
+def _record_fed(monkeypatch) -> list:
+    fed = []
+    add = linalg.Echelon.add
+
+    def recording_add(self, row):
+        fed.append(frozenset(row.items()))
+        return add(self, row)
+
+    monkeypatch.setattr(linalg.Echelon, "add", recording_add)
+    return fed
+
+
+def test_solve_in_span_with_two_sided_factors(monkeypatch):
+    fed = _record_fed(monkeypatch)
+    want = [[F(2), F(5), F(0)], [F(0), F(0), F(3)]]
+    assert solve_in_span([_KRON], "in a test") == want
+    rows = [{0: F(1), 3: F(2)}, {2: F(1), 4: F(3)}, {1: F(1), 3: F(5)}]
+    assert len(fed) == 3
+    assert set(fed) == {frozenset(row.items()) for row in rows} == \
+        _kronecker_rows([_KRON])
+    fed.clear()
+    blocks = [_KRON, _KRON_MOVED, _KRON]
+    assert solve_in_span(blocks, "in a test") == want
+    assert len(fed) == 3 and set(fed) == _kronecker_rows(blocks)
+
+
+def test_solve_in_span_rejects_two_sided_members_outside_the_span():
+    # with P and Q exchanged between the left members, they leave the span;
+    # the witness is a residual row with its pivot among the left columns
+    rights, lefts = _KRON
+    swapped = [(lefts[0][0], _Q), (lefts[1][0], _P)]
+    with pytest.raises(RecoveryError, match="not in the span") as exc:
+        solve_in_span([(rights, swapped)], "in a test")
+    assert min(exc.value.witness) >= len(rights)
+
+
+def test_solve_in_span_feeds_the_direct_kronecker_rows(monkeypatch):
+    fed = _record_fed(monkeypatch)
+    solve = weitzenboeck.solve_in_span
+    direct: list = []
+
+    def recording_solve(blocks, where):
+        blocks = list(blocks)
+        direct.append(_kronecker_rows(blocks))
+        return solve(blocks, where)
+
+    monkeypatch.setattr(weitzenboeck, "solve_in_span", recording_solve)
+    runs = [(recover_w, n, r) for n in (1, 2, 3) for r in range(n + 1)]
+    runs += [(recover_wh, r) for r in (1, 2)]
+    runs += [(recover_we, n, r) for n in (2, 3) for r in range(1, n)]
+    for recover, *args in runs:
+        recover(*args)             # builds the factors, which feed echelons
+        fed.clear()
+        direct.clear()
+        recover(*args)
+        assert len(fed) == len(set(fed)), (recover.__name__, args)
+        assert direct == [set(fed)], (recover.__name__, args)
+
+
+def test_recover_w_multiplication_budget(monkeypatch):
+    # a deterministic cost guard: with the factors built, recovering W at
+    # (n, r) = (3, 1) took 2,430 Fraction products, against 15,070 when
+    # every block formed its own Kronecker rows
+    recover_w(3, 1)
+    count = [0]
+    mul = Fraction.__mul__
+
+    def counting(self, other):
+        count[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Fraction, "__mul__", counting)
+    recover_w(3, 1)
+    assert 0 < count[0] <= 2670, count[0]
+
+
+def _left_member_off_span(monkeypatch):
+    # the first left member's H factor becomes a fixed projection, which no
+    # combination of the right family matches on every tangent block
+    left = ProjectorFamily.left_factors
+
+    def off_span(self, a, i, b, j):
+        members = left(self, a, i, b, j)
+        return [({0: {0: F(1)}}, members[0][1])] + members[1:]
+
+    monkeypatch.setattr(ProjectorFamily, "left_factors", off_span)
+
+
+def test_weitzenboeck_suite_reports_a_recovery_error(monkeypatch):
+    passing = [c.name for c in run_suite("weitzenboeck", 2)]
+    _left_member_off_span(monkeypatch)
+    with pytest.raises(RecoveryError) as exc:
+        recover_w(2, 1)
+    checks = run_suite("weitzenboeck", 2)
+    assert [c.name for c in checks] == passing
+    failed = [c for c in checks if not c.ok]
+    assert [c.name for c in failed] == [
+        "recovered matrix equals closed form at r=0 (surviving columns [2, 4])",
+        "recovered matrix equals closed form at r=1 (full 6x6)",
+        "recovered matrix equals closed form at r=2 (surviving columns [0, 1])",
+    ]
+    assert failed[1].witness == exc.value.witness == {6: F(1)}
+
+
+def test_weitzenboeck_oracle_command_reports_a_recovery_error(monkeypatch,
+                                                              capsys):
+    _left_member_off_span(monkeypatch)
+    code = main(["weitzenboeck", "--n", "2", "--r", "1", "--oracle",
+                 "--format", "json"])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert rep["checks"] == [{"name": "closed form = oracle",
+                              "status": "fail", "witness": {"6": "1"}}]
+    assert rep["values"]["W_E"][0] == ["1/2", "-1/4", "1"]
+
+
+def test_sub_oracle_recovery_error_is_a_failing_check(monkeypatch):
+    h_left = ProjectorFamily.h_left
+
+    def off_span(self, label, a, b):
+        return {0: {0: F(1)}} if label == "C" else h_left(self, label, a, b)
+
+    monkeypatch.setattr(ProjectorFamily, "h_left", off_span)
+    checks = {c.name: c for c in run_suite("weitzenboeck", 2)}
+    h_part = checks["H-part sub-oracle at r=1"]
+    assert not h_part.ok and h_part.witness == {2: F(1)}
+    assert checks["E-part sub-oracle at r=1"].ok
+
+
 def test_shared_factors_are_never_modified():
     # every caller of the shared factors runs first; a caller that wrote
     # into one would leave it unequal to a fresh, uncached build
@@ -259,6 +426,20 @@ def test_estimate_bound_values():
         assert rep["coefficient"] == F(n + 3, n + 2)
         assert rep["agree"]
     assert estimate_bound(3, 1, 4)["ratio_rederived"] == F(7, 5)
+    assert estimate_bound(3, 1, 4)["witness"] is None
+
+
+def test_estimate_bound_reports_an_uneliminated_column(monkeypatch):
+    # a vector that leaves the D++ D-- column fails `agree` with a witness,
+    # under python -O as well
+    good = weitzenboeck.twistor_elimination_vector(3, 1)
+    monkeypatch.setattr(weitzenboeck, "twistor_elimination_vector",
+                        lambda n, r: [F(1)] + good[1:])
+    rep = estimate_bound(3, 1, 4)
+    assert not rep["agree"]
+    # row C.C of W adds we[0][1] wh[0][1] = 3/28 and we[0][2] wh[0][1] = -1/2
+    assert rep["witness"] == {"columns not eliminated":
+                              {"(+-,+-)": F(3, 28), "(+-,K)": F(-1, 2)}}
 
 
 def test_estimate_bound_rejects_bad_input():
