@@ -34,7 +34,7 @@ import functools
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
-from math import comb, lcm
+from math import comb
 
 from . import linalg, sparsemat
 from .lefschetz import NotPrimitiveError, primitive_ops, primitive_space
@@ -541,12 +541,9 @@ class ModelCurvature:
         self.rform = rform or {}
         self.r_endos = {(i, j): endo for i in range(self.E.dim)
                         for j in range(self.E.dim) if (endo := self.r_endo(i, j))}
-        self.scale = lcm(*(v.denominator for endo in self.r_endos.values()
-                           for img in endo.values() for v in img.values()))
-        self.scaled_endos = {
-            ij: {k: {t: v.numerator * (self.scale // v.denominator)
-                     for t, v in img.items()} for k, img in endo.items()}
-            for ij, endo in self.r_endos.items()}
+        self.scale = sparsemat.denominator_lcm(*self.r_endos.values())
+        self.scaled_endos = {ij: sparsemat.scaled_int(endo, self.scale)
+                             for ij, endo in self.r_endos.items()}
 
     @functools.cached_property
     def r_derivations(self) -> list:

@@ -117,6 +117,19 @@ class NotPrimitiveError(ValueError):
         self.column = column
 
 
+class PrimitiveDimensionError(AssertionError):
+    """A kernel basis of Lambda on Lambda^q E whose size is not the formula's.
+
+    `witness` is (n, q, built, expected); `verify` reports it as a failing
+    check instead of letting it escape.
+    """
+
+    def __init__(self, n: int, q: int, built: int, expected: int):
+        super().__init__(f"primitive dimension {built} != {expected} "
+                         f"at (n={n}, q={q})")
+        self.witness = (n, q, built, expected)
+
+
 class PrimitiveSpace:
     """ker(Lambda) inside Lambda^q E with an exact coordinate system.
 
@@ -142,9 +155,7 @@ class PrimitiveSpace:
                       for vec in kernel]
         self.dim = len(self.basis)
         if self.dim != primitive_dim(n, q):
-            raise AssertionError(
-                f"primitive dimension {self.dim} != {primitive_dim(n, q)} "
-                f"at (n={n}, q={q})")
+            raise PrimitiveDimensionError(n, q, self.dim, primitive_dim(n, q))
 
     def to_coords(self, m: dict) -> dict:
         """Primitive coordinates of each column of m, over the ambient basis.

@@ -9,9 +9,17 @@ one in-place accumulator; `madd` is written on top of it.
 
 `from_images` is the one operator builder: every matrix that applies an
 elementwise rule to each basis element of its domain goes through it.
+`kron_into` places the Kronecker product of two such matrices as a block
+of a larger one.
+
+`denominator_lcm` and `scaled_int` clear the denominators of rational
+matrices once, so a check whose verdict is unchanged by a nonzero scale
+composes int matrices instead of Fractions.
 """
 
 from __future__ import annotations
+
+from math import lcm
 
 
 def from_images(images, coords) -> dict:
@@ -21,6 +29,24 @@ def from_images(images, coords) -> dict:
     in basis order, and coords maps an element to its codomain coordinates.
     """
     return {k: coords(img) for k, img in enumerate(images) if img}
+
+
+def kron_into(acc: dict, a: dict, b: dict, b_shape: tuple, at: tuple) -> None:
+    """Store the Kronecker product a tensor b as a block of acc.
+
+    b_shape is b's (rows, cols); the entry a[ca][ra] b[cb][rb] goes to
+    column at[1] + ca cols + cb and row at[0] + ra rows + rb.  The block
+    must not overlap an entry already in acc.
+    """
+    b_rows, b_cols = b_shape
+    row0, col0 = at
+    for ca, acol in a.items():
+        for cb, bcol in b.items():
+            out = acc.setdefault(col0 + ca * b_cols + cb, {})
+            for ra, va in acol.items():
+                base = row0 + ra * b_rows
+                for rb, vb in bcol.items():
+                    out[base + rb] = va * vb
 
 
 def compose(a: dict, b: dict) -> dict:
@@ -98,6 +124,19 @@ def integral(m: dict) -> dict:
     an operator that is integral then multiplies in int arithmetic.
     """
     return {col: {row: v.numerator if v.denominator == 1 else v
+                  for row, v in mcol.items()}
+            for col, mcol in m.items()}
+
+
+def denominator_lcm(*mats) -> int:
+    """The lcm of the denominators of every entry of the rational matrices."""
+    return lcm(*(v.denominator for m in mats for col in m.values()
+                 for v in col.values()))
+
+
+def scaled_int(m: dict, scale: int) -> dict:
+    """scale m with int entries; scale must be a multiple of every denominator."""
+    return {col: {row: v.numerator * (scale // v.denominator)
                   for row, v in mcol.items()}
             for col, mcol in m.items()}
 

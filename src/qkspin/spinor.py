@@ -16,6 +16,23 @@ tangent vectors are sparse dicts keyed (h_index, e_index).
 Every coefficient of mu is sqrt2 times a rational, so the space works with
 mu = sqrt2 M and keeps M over the rationals: `clifford_matrix` returns M,
 and the Scalar-valued mu methods multiply by sqrt2 once, at the end.
+
+Where M is built: `clifford_basis_matrix(t)` assembles M(t) for a tangent
+basis vector t = h_a tensor e_i from the cached ladders, one pair of
+Kronecker blocks per grade r, Sym^r H tensor Lambda^(n-r)_prim E:
+`SymOps.mul(r, a)` tensor `PrimitiveOps.contract_sharp(n-r, i)` to grade
+r+1 and `SymOps.contract_sharp(r, a)` tensor `PrimitiveOps.wedge(n-r, i)`
+to grade r-1.  The elementwise `_component` rule behind `mu` and the mu_*
+methods is the reference the tests compare these matrices with.  The
+primitive Gram is the sparse product B^T A J B (`primitive_gram`), with
+the elementwise `extended_sigma_ext` as its reference.
+
+Where the int scaling happens: `scaled_clifford` and `scaled_hermitian_gram`
+clear the denominators of the basis matrices and of the Gram once per
+space, as int copies with their lcm scale.  `two_form_matrix` composes the
+Clifford copies and divides by the squared scale once, and
+`verify.suite_clifford` runs its anticommutation and adjointness checks
+on the copies, with the expected sides scaled to match.
 """
 
 from __future__ import annotations
@@ -28,16 +45,20 @@ from . import linalg, sparsemat
 from .lefschetz import primitive_ops, primitive_space
 from .powers import (
     SymPower,
-    extended_sigma_ext,
     extended_sigma_sym,
+    gram_det,
     gram_perm,
     j_ext,
     j_sym,
     sym_contract_circ,
     sym_insert,
+    sym_ops,
 )
 from .scalar import SQRT2, Scalar
 from .symplectic import SymplecticSpace, add_into, scale, sharp
+
+# the Gram entry of two primitive vectors that do not pair, shared
+_ZERO = Fraction(0)
 
 
 def rank_formula(n: int, r: int) -> int:
@@ -184,16 +205,53 @@ class SpinorSpace:
         return scale(self._clifford(x, psi), SQRT2)
 
     @functools.cache
-    def clifford_basis_matrix(self, t) -> dict:
-        """M of the tangent basis vector t over the flat spinor basis.
+    def _grade_blocks(self) -> list:
+        """(flat index of its first key, dim Lambda^(n-r)_prim E) per grade r."""
+        blocks, start = [], 0
+        for r in range(self.n + 1):
+            edim = primitive_space(self.E, self.n - r).dim
+            blocks.append((start, edim))
+            start += (r + 1) * edim
+        return blocks
 
+    @functools.cache
+    def clifford_basis_matrix(self, t) -> dict:
+        """M of the tangent basis vector t = (a, i) over the flat spinor basis.
+
+        Grade r is Sym^r H tensor Lambda^(n-r)_prim E with the H monomial
+        as the outer index, so each component of M(t) is a Kronecker
+        product of the cached H and E ladders, placed at the grade offsets:
+        h_a mult tensor e_i^sharp contraction from grade r to r+1, and
+        h_a^sharp circ-contraction tensor e_i wedge_circ from r to r-1.
+        Off the ladders a factor is the zero matrix, so no block is placed.
         Built on first use and shared by equal spaces, so callers must not
-        modify it.
+        modify it; `_clifford` is the elementwise reference.
         """
-        x = {t: Fraction(1)}
-        return sparsemat.from_images(
-            (self._clifford(x, {key: Fraction(1)}) for key in self.flat_basis()),
-            self.coords)
+        a, i = t
+        hops, eops = sym_ops(self.H), self.eops
+        grades = self._grade_blocks()
+        out: dict = {}
+        for r, (start, edim) in enumerate(grades):
+            q = self.n - r
+            blocks = ((hops.mul(r, a), eops.contract_sharp(q, i), r + 1),
+                      (hops.contract_sharp(r, a), eops.wedge(q, i), r - 1))
+            for hmat, emat, r2 in blocks:
+                if hmat and emat:
+                    start2, edim2 = grades[r2]
+                    sparsemat.kron_into(out, hmat, emat, (edim2, edim),
+                                        (start2, start))
+        return out
+
+    @functools.cache
+    def scaled_clifford(self) -> tuple[int, dict]:
+        """(s, {t: s M(t)}) over the tangent basis, with int entries.
+
+        s is the lcm of the basis matrices' denominators.  Cached per
+        space; the copies are shared, so callers must not modify them.
+        """
+        mats = {t: self.clifford_basis_matrix(t) for t in self.tangent_basis()}
+        s = sparsemat.denominator_lcm(*mats.values())
+        return s, {t: sparsemat.scaled_int(m, s) for t, m in mats.items()}
 
     def clifford_matrix(self, x: dict) -> dict:
         """M(x) with mu(x) = sqrt2 M(x); rational entries for rational x."""
@@ -238,6 +296,16 @@ class SpinorSpace:
             start += len(block)
         return cols
 
+    @functools.cache
+    def scaled_hermitian_gram(self) -> tuple[int, dict]:
+        """(s, s G) for the Gram G of `hermitian_gram`, with int entries.
+
+        s is the lcm of G's denominators; cached per space and shared.
+        """
+        gram = self.hermitian_gram()
+        s = sparsemat.denominator_lcm(gram)
+        return s, sparsemat.scaled_int(gram, s)
+
     def bigrade_basis(self, p: int, q: int) -> list:
         """Basis keys of Sym^p H tensor Lambda^q_prim E (any bigrade)."""
         if p < 0 or not 0 <= q <= self.n:
@@ -271,21 +339,23 @@ class SpinorSpace:
         The symmetric product is realized inside Lambda^2 TM as the
         two-vector sum_k (h_i tensor de_k^flat) wedge (h_j tensor e_k), and
         mu(X wedge Y) = mu(X) mu(Y) + g(X, Y).  With mu = sqrt2 M each term
-        is 2 sg M(h_i tensor e_kf) M(h_j tensor e_k) + g, built from the
-        cached basis matrices and rational throughout.
+        is 2 sg M(h_i tensor e_kf) M(h_j tensor e_k) + g.  The products are
+        taken in int arithmetic on the scaled copies s M of
+        `scaled_clifford`, and the sum is divided by s^2 once, so the
+        result is rational.
         """
         i, j = pair
+        s, mats = self.scaled_clifford()
         total: dict = {}
         g = Fraction(0)
         for k in range(self.E.dim):
             kf, sg = self.E.flat_basis(k)
-            prod = sparsemat.compose(self.clifford_basis_matrix((i, kf)),
-                                     self.clifford_basis_matrix((j, k)))
+            prod = sparsemat.compose(mats[(i, kf)], mats[(j, k)])
             sparsemat.madd_into(total, sparsemat.mscale(prod, 2 * sg))
             g += self.metric({(i, kf): Fraction(sg)}, {(j, k): Fraction(1)})
         if g:
-            sparsemat.madd_into(total, sparsemat.identity(self.dim, g))
-        return total
+            sparsemat.madd_into(total, sparsemat.identity(self.dim, s * s * g))
+        return sparsemat.mscale(total, Fraction(1, s * s))
 
     def casimir_matrix(self, p: int) -> dict:
         """sum_k der(A_k) der(B_k) over a sigma-dual basis of Sym^2 H."""
@@ -323,11 +393,27 @@ def sym_gram(space: SymplecticSpace, p: int) -> dict:
 
 @functools.cache
 def primitive_gram(space: SymplecticSpace, q: int) -> list:
-    """sigma(b1, J b2) on the primitive basis of Lambda^q, indexed by column."""
+    """sigma(b1, J b2) on the primitive basis of Lambda^q, indexed by column.
+
+    The table is B^T A J B: B is the primitive basis (`PrimitiveSpace.matrix`),
+    J the matrix of `j_ext` on the monomials of Lambda^q, and A sigma on the
+    monomials.  sigma(e_k, e_l) vanishes unless l = k +- n, so each column
+    of A holds one entry, the Gram determinant with the monomial's sigma
+    partner.  The elementwise `extended_sigma_ext(b1, j_ext(b2))` is the
+    reference the tests compare with.
+    """
     prim = primitive_space(space, q)
-    jbasis = [j_ext(space, b) for b in prim.basis]
-    return [[extended_sigma_ext(space, b1, jb) for jb in jbasis]
-            for b1 in prim.basis]
+    amb = prim.ambient
+    jmat = sparsemat.from_images(
+        (j_ext(space, {m: Fraction(1)}) for m in amb.basis), amb.coords)
+    sigma = {}
+    for k, m in enumerate(amb.basis):
+        partner = tuple(sorted((x + space.half_dim) % space.dim for x in m))
+        sigma[k] = {amb.index[partner]: gram_det(space, partner, m)}
+    gram = sparsemat.compose(sparsemat.transpose(prim.matrix), sparsemat.compose(
+        sigma, sparsemat.compose(jmat, prim.matrix)))
+    return [[gram.get(c2, {}).get(c1, _ZERO) for c2 in range(prim.dim)]
+            for c1 in range(prim.dim)]
 
 
 def kraines_eigenvalue(n: int, r: int) -> Fraction:

@@ -15,6 +15,7 @@ from qkspin.curvature import (
 )
 from qkspin.lefschetz import primitive_space
 from qkspin.scalar import Scalar
+from qkspin.spinor import SpinorSpace
 from qkspin.verify import run_suite
 from qkspin.weitzenboeck import recover_w, recover_we, recover_wh
 
@@ -80,6 +81,21 @@ def test_curvature_operators_have_int_entries(n):
     mats += [primitive_space(E, q).matrix for q in range(n + 1)]
     assert model.scale > 1
     bad = [v for m in mats for col in m.values() for v in col.values()
+           if type(v) is not int]
+    assert not bad, bad[:5]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_clifford_suite_copies_have_int_entries(n):
+    # the clifford suite composes the scaled copies of the basis matrices
+    # and of the Gram; an int/int division in the scaling would make them
+    # floats, which the exact checks would still compare equal
+    spin = SpinorSpace(n)
+    s, mats = spin.scaled_clifford()
+    s_gram, gram = spin.scaled_hermitian_gram()
+    assert s >= 1 and s_gram >= 1 and len(mats) == 4 * n
+    copies = list(mats.values()) + [gram]
+    bad = [v for m in copies for col in m.values() for v in col.values()
            if type(v) is not int]
     assert not bad, bad[:5]
 

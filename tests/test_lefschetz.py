@@ -1,12 +1,16 @@
 """sl2 triple, primitive subspaces and the operator relation suites."""
 
+import json
+import sys
 from fractions import Fraction
 
 import pytest
 
-from qkspin import sparsemat
+from qkspin import lefschetz, sparsemat
+from qkspin.cli import main
 from qkspin.lefschetz import (
     L_op,
+    PrimitiveDimensionError,
     PrimitiveOps,
     apply_L,
     apply_Lambda,
@@ -21,6 +25,7 @@ from qkspin.lefschetz import (
 )
 from qkspin.powers import ExtPower, ext_contract, ext_wedge_vec
 from qkspin.symplectic import SymplecticSpace
+from qkspin.verify import run_suite
 
 
 def test_lowest_weight():
@@ -42,6 +47,59 @@ def test_primitive_dimensions():
         E = SymplecticSpace(n)
         for q in range(n + 1):
             assert primitive_space(E, q).dim == primitive_dim(n, q)
+
+
+def _clear_caches():
+    """Empty every functools cache of the package, so the next use rebuilds."""
+    for name, module in list(sys.modules.items()):
+        if name != "qkspin" and not name.startswith("qkspin."):
+            continue
+        for obj in vars(module).values():
+            members = list(vars(obj).values()) if isinstance(obj, type) else []
+            for member in [obj] + members:
+                if hasattr(member, "cache_clear"):
+                    member.cache_clear()
+
+
+def _expect_one_more_primitive_vector(monkeypatch):
+    # the formula claims one primitive 1-vector more than ker(Lambda) holds;
+    # with the caches cleared, every primitive level is rebuilt and checked
+    real = lefschetz.primitive_dim
+    monkeypatch.setattr(lefschetz, "primitive_dim",
+                        lambda n, q: real(n, q) + (q == 1))
+    _clear_caches()
+
+
+def test_wrong_primitive_dimension_raises_with_a_witness(monkeypatch):
+    _expect_one_more_primitive_vector(monkeypatch)
+    with pytest.raises(PrimitiveDimensionError) as exc:
+        primitive_space(SymplecticSpace(2), 1)
+    assert exc.value.witness == (2, 1, 4, 5)
+    assert isinstance(exc.value, AssertionError)
+
+
+def test_verify_reports_a_wrong_primitive_dimension(monkeypatch, capsys):
+    _expect_one_more_primitive_vector(monkeypatch)
+    checks = run_suite("clifford", 2)
+    assert [(c.name, c.ok, c.witness) for c in checks] == [
+        ("spinor ranks match formula (n=2)", False, (2, 1, 4, 5))]
+    checks = run_suite("all", 2)
+    failed = [c for c in checks if not c.ok]
+    assert [c.name for c in failed] == [
+        "spinor ranks match formula (n=2)",
+        "primitive subspace dimensions in the lemmas suite (n=2)",
+        "primitive subspace dimensions in the curvature suite (n=2)",
+        "primitive subspace dimensions in the weitzenboeck suite (n=2)",
+    ]
+    assert all(c.witness == (2, 1, 4, 5) for c in failed)
+    assert [c.name for c in checks if c.ok] == [
+        "Bianchi solution space dimension (n=2)",
+        "solutions of I-III' equal ker(m) as subspaces"]
+    code = main(["verify", "--n", "2", "--suite", "clifford", "--format", "json"])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert rep["checks"] == [{"name": "spinor ranks match formula (n=2)",
+                              "status": "fail", "witness": [2, 1, 4, 5]}]
 
 
 def test_primitive_degree_out_of_range():
