@@ -21,7 +21,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .lefschetz import Check, primitive_dim
+from .lefschetz import Check, PrimitiveDimensionError, primitive_dim
 from .scalar import Scalar
 from .spinor import SpinorSpace, rank_formula
 from .verify import SUITES, run_suite
@@ -161,10 +161,13 @@ def cmd_dims(args) -> int:
     n = args.n
     if not 1 <= n <= 6:
         raise UsageError("dims requires 1 <= n <= 6")
-    constructed = None
+    constructed = witness = None
     if n <= 4:
         spin = SpinorSpace(n)
-        constructed = [spin.grade_dim(r) for r in range(n + 1)]
+        try:
+            constructed = [spin.grade_dim(r) for r in range(n + 1)]
+        except PrimitiveDimensionError as exc:
+            witness = exc.witness
     rows = []
     for r in range(n + 1):
         row = {
@@ -178,11 +181,11 @@ def cmd_dims(args) -> int:
     total = sum(rank_formula(n, r) for r in range(n + 1))
     checks = []
     checks.append(Check(f"total rank equals 4^{n}", total == 4 ** n, value=total))
-    if constructed is not None:
+    if n <= 4:
         checks.append(Check("constructed dimensions match the formula",
                             constructed == [rank_formula(n, r)
                                             for r in range(n + 1)],
-                            value=constructed))
+                            witness, value=constructed))
     values = {"rows": rows, "total": total}
     return emit_report(args, "dims", {"n": n}, checks, values, started)
 
@@ -222,10 +225,15 @@ def cmd_weitzenboeck(args) -> int:
     }
     checks = []
     if args.oracle:
-        rep = recover_matches_closed_form(n, r)
         name = "closed form = oracle"
-        if not 1 <= r <= n - 1:
-            name += f" (degenerate grade: restricted to columns {rep['alive']})"
+        try:
+            rep = recover_matches_closed_form(n, r)
+        except PrimitiveDimensionError as exc:
+            rep = {"ok": False, "witness": exc.witness}
+        else:
+            if not 1 <= r <= n - 1:
+                name += (" (degenerate grade: restricted to columns "
+                         f"{rep['alive']})")
         checks.append(Check(name, rep["ok"], rep["witness"]))
     elif not 1 <= r <= n - 1:
         checks.append(Check(

@@ -26,12 +26,21 @@ int lcm `scale`.  Each check tests "operator = 0", and the operator is
 linear in the form, so it vanishes for scale R exactly when it vanishes
 for R: the verdicts are exact, and a witness is divided back by the scale
 into a Fraction.
+
+Both checks sum S_ij o der(R(e_i, e_j)) over every ordered pair (i, j),
+where the form-independent factor S_ij is symmetric in (i, j).  As der
+and the restriction to a primitive level are linear, the sum equals
+sum_{i <= j} S_ij o der(P_ij) with P_ij = R(e_i, e_j) + R(e_j, e_i) for
+i < j and P_ii = R(e_i, e_i), for any form, symmetric or not.  So each
+check builds one derivation and takes one product per unordered pair,
+and a "not primitive" witness names the pair with i <= j.
 """
 
 from __future__ import annotations
 
 import functools
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 from math import comb
@@ -529,7 +538,10 @@ class ModelCurvature:
     R(e_i, e_j) are derived once, at construction, into `r_endos`: the
     nonzero ones keyed (i, j), in (i, j) order.  `scale` is the lcm of
     their entries' denominators, and `scaled_endos` holds scale R(e_i, e_j)
-    with int entries, for the Sym^4 checks.
+    with int entries.  The Sym^4 checks read `paired_endos`, the nonzero
+    scale P_ij keyed by the unordered pairs i <= j, in that order, where
+    P_ij = R(e_i, e_j) + R(e_j, e_i) for i < j and P_ii = R(e_i, e_i), the
+    `scaled_endos` entry itself.
     """
 
     KINDS = ("H", "E", "hyper")
@@ -544,10 +556,15 @@ class ModelCurvature:
         self.scale = sparsemat.denominator_lcm(*self.r_endos.values())
         self.scaled_endos = {ij: sparsemat.scaled_int(endo, self.scale)
                              for ij, endo in self.r_endos.items()}
+        get = self.scaled_endos.get
+        self.paired_endos = {
+            (i, j): paired for i, j in sym2_basis(self.E.dim)
+            if (paired := sparsemat.madd(get((i, j), {}), get((j, i), {}))
+                if i < j else get((i, i)))}
 
     @functools.cached_property
     def r_derivations(self) -> list:
-        """[q][(i, j)]: der(scale R(e_i, e_j)) on Lambda^q for q = 0..n.
+        """[q][(i, j)]: der(scale P_ij) on Lambda^q for q = 0..n, i <= j.
 
         These levels are read twice, by `sym4_acts_trivially` and
         `qzero_check`, so they are built on first use and held until the
@@ -557,15 +574,19 @@ class ModelCurvature:
         return [self.derivations(q) for q in range(self.n + 1)]
 
     def derivations(self, q: int) -> dict:
-        """{(i, j): der(scale R(e_i, e_j))} on Lambda^q, with int entries."""
+        """{(i, j): der(scale P_ij)} on Lambda^q for i <= j, with int entries."""
         return {ij: derivation_ext_matrix(self.E, endo, q)
-                for ij, endo in self.scaled_endos.items()}
+                for ij, endo in self.paired_endos.items()}
 
     def rvalue(self, i, j, k, l) -> Fraction:
         return self.rform.get(tuple(sorted((i, j, k, l))), _ZERO)
 
     def r_endo(self, i: int, j: int) -> dict:
-        """e_k -> rform(e_i, e_j, e_k, .)^flat, as {in: {out: coeff}}."""
+        """e_k -> rform(e_i, e_j, e_k, .)^flat, as {in: {out: coeff}}.
+
+        l -> flat(l) is a bijection of the basis, so each entry is stored
+        once, never accumulated.
+        """
         endo: dict = {}
         for k in range(self.E.dim):
             img: dict = {}
@@ -573,7 +594,7 @@ class ModelCurvature:
                 v = self.rvalue(i, j, k, l)
                 if v:
                     t, sg = self.E.flat_basis(l)
-                    add_into(img, t, v if sg == 1 else -v)
+                    img[t] = v if sg == 1 else -v
             if img:
                 endo[k] = img
         return endo
@@ -718,15 +739,24 @@ def sym4_extraction(model: ModelCurvature, kind: str,
     h_quad: four H vectors as sparse dicts, e_quad: four E basis indices.
     The symmetrization over S4 divided by 24 sigma_H(h1,h2) sigma_H(h3,h4)
     is independent of the h-choice whenever the prefactor is nonzero.
+
+    Each term pairs R_{h1 (x) e0', h2 (x) e1'} h3 (x) e2' with h4 (x) e3'
+    through g = sigma_H sigma_E.  sigma_H(e_b, h4) is found once per call,
+    only the one e_k with sigma_E(e_k, e3') != 0 is read, and each distinct
+    arrangement (e0', .., e3') of e_quad is summed once, weighted by the
+    number of the 24 permutations that give it.
     """
     h1, h2, h3, h4 = h_quad
     pref = sigma(model.H, h1, h2) * sigma(model.H, h3, h4)
     if not pref:
         raise ValueError("vanishing sigma_H prefactor")
+    sigma_h4 = [(b, s) for b in range(2)
+                if (s := sigma(model.H, {b: Fraction(1)}, h4))]
     total = Fraction(0)
-    for tau in permutations(range(4)):
-        e = [e_quad[t] for t in tau]
-        # < R_{h1 (x) e0', h2 (x) e1'} h3 (x) e2', h4 (x) e3' > with g-pairing
+    for e, weight in Counter(permutations(e_quad)).items():
+        # sigma_E(e_k, e_l) is nonzero only at k = flat(l), where it is the sign
+        k, sigma_e = model.E.flat_basis(e[3])
+        part = Fraction(0)
         for (a1, c1) in h1.items():
             for (a2, c2) in h2.items():
                 endo = model.apply(kind, (a1, e[0]), (a2, e[1]))
@@ -734,12 +764,13 @@ def sym4_extraction(model: ModelCurvature, kind: str,
                     col = endo.get((a3, e[2]))
                     if not col:
                         continue
-                    for (b, k), v in col.items():
-                        for (a4, c4) in h4.items():
-                            g = model.H.sigma_basis(b, a4) * \
-                                model.E.sigma_basis(k, e[3])
-                            if g:
-                                total += c1 * c2 * c3 * c4 * v * g
+                    c123 = c1 * c2 * c3
+                    for b, s in sigma_h4:
+                        v = col.get((b, k))
+                        if v:
+                            part += c123 * v * s
+        if part:
+            total += weight * sigma_e * part
     return total / (24 * pref)
 
 
@@ -804,26 +835,39 @@ def _sym2_derivation(space: SymplecticSpace, i: int, j: int, q: int) -> dict:
     return derivation_ext_matrix(space, sym2_endo(space, i, j), q)
 
 
+def sym4_total(model: ModelCurvature, q: int) -> dict:
+    """2 scale times the endomorphism that the form induces on Lambda^q E.
+
+    The endomorphism is 1/2 sum_{i,j} der(de_i . de_j) der(R(e_i, e_j)).
+    The factor der(de_i . de_j) is symmetric in (i, j), so the sum is
+    1/2 sum_{i <= j} der(de_i . de_j) der(P_ij), one product per unordered
+    pair (see the module docstring).  The factors der(de_i . de_j) depend
+    only on (E, q, i, j), not on the form, and are built once per run
+    (`_sym2_derivation`, a `functools.cache`); the factors der(scale P_ij)
+    come from the model, held for q <= n (`r_derivations`) and built afresh
+    above n.  Both have int entries, so the sum is int arithmetic.
+    """
+    E = model.E
+    d_ps = model.r_derivations[q] if q <= model.n else model.derivations(q)
+    total: dict = {}
+    for (i, j), d_p in d_ps.items():
+        sparsemat.madd_into(
+            total, sparsemat.compose(_sym2_derivation(E, i, j, q), d_p))
+    return total
+
+
 def sym4_acts_trivially(model: ModelCurvature) -> dict:
     """The induced endomorphism of Lambda E vanishes degree by degree.
 
-    In degree q it is 1/2 sum_{i,j} der(de_i . de_j) der(R(e_i, e_j)).  The
-    factors der(de_i . de_j) depend only on (E, q, i, j), not on the form,
-    and are built once per run (`_sym2_derivation`, a `functools.cache`);
-    the factors der(scale R(e_i, e_j)) come from the model, held for
-    q <= n (`r_derivations`) and built afresh above n.  Both have int
-    entries, so the sum is int arithmetic.  It is 2 scale times the
-    operator; the test "operator = 0" is linear in the form, so clearing
-    the denominators with the nonzero int scale changes no verdict, and a
-    witness entry v is divided back exactly, as Fraction(v, 2 scale).
+    Degree q is tested on `sym4_total`, 2 scale times the endomorphism: one
+    product per unordered pair i <= j, as der(R(e_i, e_j)) is composed
+    with the factor der(de_i . de_j), symmetric in (i, j).  The test
+    "operator = 0" is linear in the form, so clearing the denominators
+    with the nonzero int scale changes no verdict, and a witness entry v
+    is divided back exactly, as Fraction(v, 2 scale).
     """
-    E = model.E
-    for q in range(E.dim + 1):
-        d_rs = model.r_derivations[q] if q <= model.n else model.derivations(q)
-        total: dict = {}
-        for (i, j), d_r in d_rs.items():
-            sparsemat.madd_into(
-                total, sparsemat.compose(_sym2_derivation(E, i, j, q), d_r))
+    for q in range(model.E.dim + 1):
+        total = sym4_total(model, q)
         if total:
             col, entries = next(iter(total.items()))
             return {"ok": False,
@@ -845,33 +889,49 @@ def _qzero_operator(space: SymplecticSpace, q: int, i: int, j: int) -> dict:
         sparsemat.compose(ops.wedge_flat(q - 1, i), ops.contract(q, j))))
 
 
-def qzero_check(model: ModelCurvature, r: int) -> dict:
-    """The operator sum de_j^flat wedge_circ de_i_ + (i <-> j) after the
-    4-form action vanishes on the primitive space of degree q = n - r.
+def qzero_total(model: ModelCurvature, q: int) -> tuple:
+    """(scale times the operator sum on primitive level q, None), or
+    (None, witness) when a restriction leaves the primitive space.
 
-    The operator sums depend only on (E, q, i, j), not on the form, and are
-    built once per run (`_qzero_operator`, a `functools.cache`).  The form's
-    derivation der(scale R(e_i, e_j)) (`model.r_derivations`) is restricted
-    to the primitive level as `to_coords` of its product with the kernel
-    basis B.  Every factor has int entries, so the sum is int arithmetic
-    and is scale times the operator; as the test "operator = 0" is linear
-    in the form, the scaling changes no verdict, and a witness entry v is
-    divided back exactly, as Fraction(v, scale).  If the restriction leaves
-    the primitive space (R is not a symmetric 4-form), the witness is
-    ("not primitive", i, j, c) for the first primitive basis column c whose
-    image is not primitive.
+    The operator sum de_j^flat wedge_circ de_i_ + (i <-> j) is symmetric in
+    (i, j), so it is composed with der(P_ij) over the unordered pairs
+    i <= j, one product per pair (see the module docstring).  The operator
+    sums depend only on (E, q, i, j), not on the form, and are built once
+    per run (`_qzero_operator`, a `functools.cache`).  The form's
+    derivation der(scale P_ij) (`model.r_derivations`) is restricted to
+    the primitive level as `to_coords` of its product with the kernel
+    basis B.  Every factor has int entries, so the sum is int arithmetic.
+    If a restriction leaves the primitive space (R is not a symmetric
+    4-form), the witness is ("not primitive", i, j, c) for the first pair
+    i <= j and the first primitive basis column c whose image under
+    der(P_ij) is not primitive.
     """
     E = model.E
-    q = model.n - r
     prim = primitive_space(E, q)
     total: dict = {}
     for (i, j), d_amb in model.r_derivations[q].items():
         try:
             d_prim = prim.to_coords(sparsemat.compose(d_amb, prim.matrix))
         except NotPrimitiveError as exc:
-            return {"ok": False, "witness": ("not primitive", i, j, exc.column)}
+            return None, ("not primitive", i, j, exc.column)
         sparsemat.madd_into(
             total, sparsemat.compose(_qzero_operator(E, q, i, j), d_prim))
+    return total, None
+
+
+def qzero_check(model: ModelCurvature, r: int) -> dict:
+    """The operator sum de_j^flat wedge_circ de_i_ + (i <-> j) after the
+    4-form action vanishes on the primitive space of degree q = n - r.
+
+    It is tested on `qzero_total`, scale times the operator, summed over
+    the unordered pairs i <= j; a "not primitive" witness names the first
+    such pair.  As the test "operator = 0" is linear in the form, the
+    scaling changes no verdict, and a witness entry v is divided back
+    exactly, as Fraction(v, scale).
+    """
+    total, witness = qzero_total(model, model.n - r)
+    if witness:
+        return {"ok": False, "witness": witness}
     if not total:
         return {"ok": True, "witness": None}
     col, entries = next(iter(total.items()))

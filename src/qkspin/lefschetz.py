@@ -235,11 +235,12 @@ class PrimitiveOps:
 
     C(q)[i] is de_i contraction from level q to q-1, W(q)[i] is e_i
     wedge_circ from q to q+1.  Sharp and flat variants are index
-    relabelings with a sign.  The ladder is total: off the ladder, i.e.
-    C(q) unless 1 <= q <= n and W(q) unless 0 <= q < n, the operator is
-    the zero matrix {}, so callers never test the level themselves.  The
-    level is tested before the `functools.cache` lookup, so no off-ladder
-    key is cached; the cached matrices are shared and must not be modified.
+    relabelings with a sign, each sign-flipped copy built once.  The ladder
+    is total: off the ladder, i.e. C(q) unless 1 <= q <= n and W(q) unless
+    0 <= q < n, the operator is the zero matrix {}, so callers never test
+    the level themselves.  The level is tested before the `functools.cache`
+    lookup, so no off-ladder key is cached; the cached matrices, the
+    sharp and flat variants included, are shared and must not be modified.
     """
 
     def __init__(self, space: SymplecticSpace):
@@ -264,15 +265,23 @@ class PrimitiveOps:
         return self.level(q).wedge_circ_matrix(i, self.level(q + 1))
 
     def contract_sharp(self, q: int, vec_index: int) -> dict:
-        """Contraction with e_vec_index^sharp."""
-        j, sg = self.space.sharp_basis(vec_index)
-        m = self.contract(q, j)
-        return m if sg == 1 else sparsemat.mscale(m, Fraction(-1))
+        """Contraction with e_vec_index^sharp; shared, so read-only."""
+        return self._contract_sharp(q, vec_index) if 1 <= q <= self.n else {}
 
     def wedge_flat(self, q: int, cov_index: int) -> dict:
-        """Modified wedge with de_cov_index^flat."""
+        """Modified wedge with de_cov_index^flat; shared, so read-only."""
+        return self._wedge_flat(q, cov_index) if 0 <= q < self.n else {}
+
+    @functools.cache
+    def _contract_sharp(self, q: int, vec_index: int) -> dict:
+        j, sg = self.space.sharp_basis(vec_index)
+        m = self._contract(q, j)
+        return m if sg == 1 else sparsemat.mscale(m, Fraction(-1))
+
+    @functools.cache
+    def _wedge_flat(self, q: int, cov_index: int) -> dict:
         j, sg = self.space.flat_basis(cov_index)
-        m = self.wedge(q, j)
+        m = self._wedge(q, j)
         return m if sg == 1 else sparsemat.mscale(m, Fraction(-1))
 
 

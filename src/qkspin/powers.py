@@ -175,10 +175,12 @@ class SymOps:
     (derivation) contraction with dh_i and contract_circ(r, i) the
     normalized one, both from Sym^r to Sym^(r-1).  Each matrix applies the
     elementwise rule above to every basis monomial.  The flat and sharp
-    variants are index relabelings with a sign.  The ladder is total: off
-    it, i.e. below degree 0 or a contraction at degree 0, the operator is
-    the zero matrix {}, tested before the `functools.cache` lookup, so no
-    such key is cached.
+    variants are index relabelings with a sign, each sign-flipped copy
+    built once.  The ladder is total: off it, i.e. below degree 0 or a
+    contraction at degree 0, the operator is the zero matrix {}, tested
+    before the `functools.cache` lookup, so no such key is cached.  Every
+    matrix, the flat and sharp variants included, is shared and must not
+    be modified.
     """
 
     def __init__(self, space: SymplecticSpace):
@@ -202,13 +204,21 @@ class SymOps:
         return self._matrix(sym_contract_circ, r, i, -1) if r >= 1 else {}
 
     def mul_flat(self, r: int, cov_index: int) -> dict:
-        """Product with dh_cov_index^flat."""
+        """Product with dh_cov_index^flat; shared, so read-only."""
+        return self._mul_flat(r, cov_index) if r >= 0 else {}
+
+    def contract_sharp(self, r: int, vec_index: int) -> dict:
+        """Normalized contraction with h_vec_index^sharp; shared, so read-only."""
+        return self._contract_sharp(r, vec_index) if r >= 1 else {}
+
+    @functools.cache
+    def _mul_flat(self, r: int, cov_index: int) -> dict:
         j, sg = self.space.flat_basis(cov_index)
         m = self.mul(r, j)
         return m if sg == 1 else sparsemat.mscale(m, Fraction(-1))
 
-    def contract_sharp(self, r: int, vec_index: int) -> dict:
-        """Normalized contraction with h_vec_index^sharp."""
+    @functools.cache
+    def _contract_sharp(self, r: int, vec_index: int) -> dict:
         j, sg = self.space.sharp_basis(vec_index)
         m = self.contract_circ(r, j)
         return m if sg == 1 else sparsemat.mscale(m, Fraction(-1))

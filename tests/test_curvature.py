@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from qkspin import curvature
+from qkspin import curvature, sparsemat
 from qkspin.cli import _jsonable
 from qkspin.curvature import (
     BianchiSystem,
@@ -25,6 +25,7 @@ from qkspin.curvature import (
     ker_m_rank,
     mult_m,
     qzero_check,
+    qzero_total,
     random_sym4,
     s2l2_basis,
     s2l2_curv_part,
@@ -35,7 +36,9 @@ from qkspin.curvature import (
     sym2_endo,
     sym4_acts_trivially,
     sym4_extraction,
+    sym4_total,
 )
+from qkspin.lefschetz import primitive_ops, primitive_space
 from qkspin.powers import ExtPower, sort_sign
 from qkspin.symplectic import add_into
 from qkspin.verify import run_suite
@@ -208,6 +211,61 @@ def test_sym4_extraction_round_trip():
         assert sym4_extraction(model, "H", h_quads[0], e_quad) == 0
 
 
+def _extraction_by_permutations(model, kind, h_quad, e_quad):
+    """The loop over all 24 permutations and every H and E index, kept as
+    the reference for `sym4_extraction`."""
+    h1, h2, h3, h4 = h_quad
+    pref = curvature.sigma(model.H, h1, h2) * curvature.sigma(model.H, h3, h4)
+    if not pref:
+        raise ValueError("vanishing sigma_H prefactor")
+    total = Fraction(0)
+    for tau in itertools.permutations(range(4)):
+        e = [e_quad[t] for t in tau]
+        for (a1, c1) in h1.items():
+            for (a2, c2) in h2.items():
+                endo = model.apply(kind, (a1, e[0]), (a2, e[1]))
+                for (a3, c3) in h3.items():
+                    col = endo.get((a3, e[2]))
+                    if not col:
+                        continue
+                    for (b, k), v in col.items():
+                        for (a4, c4) in h4.items():
+                            g = model.H.sigma_basis(b, a4) * \
+                                model.E.sigma_basis(k, e[3])
+                            if g:
+                                total += c1 * c2 * c3 * c4 * v * g
+    return total / (24 * pref)
+
+
+# the two h-choices of the curvature suite
+_SUITE_H_QUADS = [
+    [{0: Fraction(1)}, {1: Fraction(1)}, {0: Fraction(1)}, {1: Fraction(1)}],
+    [{0: Fraction(2), 1: Fraction(1)}, {1: Fraction(3)},
+     {0: Fraction(1), 1: Fraction(-1)}, {0: Fraction(1), 1: Fraction(2)}],
+]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_sym4_extraction_matches_the_permutation_loop(n):
+    model = ModelCurvature(n, random_sym4(n, random.Random(107 + n)))
+    # every ordered e-quad at n = 2; at n = 3 each multiset in two orders
+    # (both functions sum over the orders of e_quad)
+    if n == 2:
+        kinds = ("hyper", "H", "E")
+        e_quads = list(itertools.product(range(2 * n), repeat=4))
+    else:
+        kinds = ("hyper",)
+        e_quads = [order for quad in
+                   itertools.combinations_with_replacement(range(2 * n), 4)
+                   for order in (quad, quad[::-1])]
+    for e_quad in e_quads:
+        for hq in _SUITE_H_QUADS:
+            for kind in kinds:
+                got = sym4_extraction(model, kind, hq, e_quad)
+                assert got == _extraction_by_permutations(model, kind, hq, e_quad)
+                assert type(got) is Fraction
+
+
 def test_sym4_extraction_rejects_degenerate_h():
     model = ModelCurvature(2, {})
     with pytest.raises(ValueError):
@@ -251,10 +309,92 @@ def test_each_derivation_is_built_once_per_model(monkeypatch):
     model = ModelCurvature(n, rform)
     assert sym4_acts_trivially(model)["ok"]
     assert all(qzero_check(model, r)["ok"] for r in range(n + 1))
-    # one build per (i, j, q): the qzero levels q = n - r reuse the ambient ones
-    assert len(built) == len(model.r_endos) * (2 * n + 1)
+    # one build per unordered pair i <= j and level q: the qzero levels
+    # q = n - r reuse the ambient ones; 10 pairs, where 16 ordered ones
+    # took 80 builds
+    assert len(model.paired_endos) == len(model.r_endos) - 6 == 10
+    assert len(built) == len(model.paired_endos) * (2 * n + 1) == 50
     # only the levels read twice, q <= n, are held by the model
     assert len(model.r_derivations) == n + 1
+
+
+# R(e_i, e_j) = a_ij T with a_ij != a_ji and T: e_k -> s(e_k, .)^flat for a
+# symmetric s, so T lies in sp(E) and every der(R(e_i, e_j)) keeps the
+# primitive levels; both Sym^4 sums are then defined pair by pair and nonzero
+_PAIR_WEIGHTS = {(0, 1): Fraction(1), (1, 0): Fraction(2),
+                 (0, 2): Fraction(1, 2), (2, 0): Fraction(-1, 3),
+                 (3, 3): Fraction(1)}
+_SYMMETRIC_S = {(0, 0): Fraction(1), (1, 3): Fraction(1), (3, 1): Fraction(1)}
+
+
+def _rvalue_pair_dependent(self, i, j, k, l):
+    return _PAIR_WEIGHTS.get((i, j), 0) * _SYMMETRIC_S.get((k, l), 0)
+
+
+def _ordered_sym4_total(model, q):
+    """sum over ordered (i, j) of der(de_i . de_j) der(scale R(e_i, e_j))."""
+    E = model.E
+    total: dict = {}
+    for (i, j), endo in model.scaled_endos.items():
+        sparsemat.madd_into(total, sparsemat.compose(
+            derivation_ext_matrix(E, sym2_endo(E, i, j), q),
+            derivation_ext_matrix(E, endo, q)))
+    return total
+
+
+def _ordered_qzero_total(model, q):
+    """sum over ordered (i, j) of (de_j^flat wedge_circ de_i_ + (i <-> j))
+    after der(scale R(e_i, e_j)) restricted to the primitive level q."""
+    E = model.E
+    ops, prim = primitive_ops(E), primitive_space(E, q)
+    total: dict = {}
+    for (i, j), endo in model.scaled_endos.items():
+        op = sparsemat.madd(
+            sparsemat.compose(ops.wedge_flat(q - 1, j), ops.contract(q, i)),
+            sparsemat.compose(ops.wedge_flat(q - 1, i), ops.contract(q, j)))
+        d_prim = prim.to_coords(sparsemat.compose(
+            derivation_ext_matrix(E, endo, q), prim.matrix))
+        sparsemat.madd_into(total, sparsemat.compose(op, d_prim))
+    return total
+
+
+def test_paired_sums_equal_the_ordered_sums(monkeypatch):
+    monkeypatch.setattr(ModelCurvature, "rvalue", _rvalue_pair_dependent)
+    n = 2
+    model = ModelCurvature(n, {})
+    r = model.r_endos
+    assert model.scale == 6
+    assert r[(0, 1)] and r[(1, 0)] and r[(0, 1)] != r[(1, 0)]
+    assert r[(0, 2)] and r[(2, 0)] and r[(0, 2)] != r[(2, 0)]
+    assert sorted(model.paired_endos) == [(0, 1), (0, 2), (3, 3)]
+    sym4 = [sym4_total(model, q) for q in range(2 * n + 1)]
+    assert sym4 == [_ordered_sym4_total(model, q) for q in range(2 * n + 1)]
+    qzero = [qzero_total(model, q) for q in range(n + 1)]
+    assert qzero == [(_ordered_qzero_total(model, q), None)
+                     for q in range(n + 1)]
+    # neither reference is vacuous
+    assert any(sym4) and any(total for total, _ in qzero)
+
+
+def test_curvature_suite_derivation_budget(monkeypatch):
+    # a deterministic cost guard: with the form-independent operator caches
+    # cleared, the n = 2 curvature suite built 1,050 derivations, one per
+    # unordered pair and level, against 1,680 when both Sym^4 checks
+    # composed every ordered pair (i, j)
+    run_suite("curvature", 2)
+    curvature._sym2_derivation.cache_clear()
+    curvature._qzero_operator.cache_clear()
+    count = [0]
+    build = curvature.derivation_ext_matrix
+
+    def counted(space, endo, q):
+        count[0] += 1
+        return build(space, endo, q)
+
+    monkeypatch.setattr(curvature, "derivation_ext_matrix", counted)
+    checks = run_suite("curvature", 2)
+    assert all(c.ok for c in checks)
+    assert 0 < count[0] <= 1100, count[0]
 
 
 def _derivation_by_sort_sign(space, endo, q):

@@ -67,16 +67,18 @@ def test_suites_construct_no_scalar(n, monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_curvature_operators_have_int_entries(n):
-    # every operator the Sym^4 checks compose is stored with int entries,
-    # so no int/int division can turn one of them into a float unseen
+    # every operator the Sym^4 checks compose, the paired endomorphisms
+    # scale P_ij over the unordered pairs i <= j included, is stored with
+    # int entries, so no int/int division can turn one into a float unseen
     model = ModelCurvature(n, random_sym4(n, random.Random(5)))
     E = model.E
-    pairs = [(i, j) for i in range(E.dim) for j in range(E.dim)]
-    mats = [d for level in model.r_derivations for d in level.values()]
+    pairs = [(i, j) for i in range(E.dim) for j in range(i, E.dim)]
+    mats = list(model.scaled_endos.values()) + list(model.paired_endos.values())
+    mats += [d for level in model.r_derivations for d in level.values()]
     mats += [d for q in range(n + 1, E.dim + 1)
              for d in model.derivations(q).values()]
     mats += [_sym2_derivation(E, i, j, q)
-             for q in range(E.dim + 1) for i, j in pairs if i <= j]
+             for q in range(E.dim + 1) for i, j in pairs]
     mats += [_qzero_operator(E, q, i, j) for q in range(n + 1) for i, j in pairs]
     mats += [primitive_space(E, q).matrix for q in range(n + 1)]
     assert model.scale > 1

@@ -102,6 +102,30 @@ def test_verify_reports_a_wrong_primitive_dimension(monkeypatch, capsys):
                               "status": "fail", "witness": [2, 1, 4, 5]}]
 
 
+def test_dims_reports_a_wrong_primitive_dimension(monkeypatch, capsys):
+    _expect_one_more_primitive_vector(monkeypatch)
+    code = main(["dims", "--n", "2", "--format", "json"])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert rep["checks"] == [
+        {"name": "total rank equals 4^2", "status": "pass", "witness": None},
+        {"name": "constructed dimensions match the formula", "status": "fail",
+         "witness": [2, 1, 4, 5]}]
+    assert all("constructed" not in row for row in rep["values"]["rows"])
+
+
+def test_weitzenboeck_oracle_reports_a_wrong_primitive_dimension(
+        monkeypatch, capsys):
+    _expect_one_more_primitive_vector(monkeypatch)
+    for r in (1, 0):
+        code = main(["weitzenboeck", "--n", "2", "--r", str(r), "--oracle",
+                     "--format", "json"])
+        rep = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert rep["checks"] == [{"name": "closed form = oracle",
+                                  "status": "fail", "witness": [2, 1, 4, 5]}]
+
+
 def test_primitive_degree_out_of_range():
     with pytest.raises(ValueError):
         primitive_space(SymplecticSpace(2), 3)
@@ -229,9 +253,11 @@ def test_caches_key_on_space_value():
 
 def test_ladder_is_total():
     # off the primitive ladder every operator is the zero matrix; the level
-    # is tested before the cache lookup, so no off-ladder key is cached
+    # is tested before the cache lookup, so no off-ladder key is cached.
+    # The sign-flipped sharp and flat variants are cached copies too.
     ops = primitive_ops(SymplecticSpace(2))
-    caches = (PrimitiveOps._contract, PrimitiveOps._wedge)
+    caches = (PrimitiveOps._contract, PrimitiveOps._wedge,
+              PrimitiveOps._contract_sharp, PrimitiveOps._wedge_flat)
     before = [c.cache_info() for c in caches]
     for i in range(4):
         assert ops.contract(0, i) == {}
@@ -244,4 +270,13 @@ def test_ladder_is_total():
     for i in range(4):
         assert ops.contract(1, i) is ops.contract(1, i)
         assert ops.wedge(1, i) is ops.wedge(1, i)
+        assert ops.contract_sharp(1, i) is ops.contract_sharp(1, i)
+        assert ops.wedge_flat(1, i) is ops.wedge_flat(1, i)
+        assert ops.contract_sharp(0, i) == {} and ops.wedge_flat(2, i) == {}
     assert all(c.cache_info().hits >= b.hits + 4 for c, b in zip(caches, before))
+    for i in range(4):
+        # e_i^sharp = sg de_j: the flipped copy is sg times the plain one
+        j, sg = ops.space.sharp_basis(i)
+        assert ops.contract_sharp(1, i) == \
+            {c: {k: sg * v for k, v in col.items()}
+             for c, col in ops.contract(1, j).items()}

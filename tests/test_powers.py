@@ -160,6 +160,8 @@ def test_sym_ladder_is_total():
     # tested before the cache lookup, so no off-ladder key is cached
     ops = SymOps(SymplecticSpace(1, name="h"))
     before = SymOps._matrix.cache_info()
+    flipped = (SymOps._mul_flat, SymOps._contract_sharp)
+    flipped_before = [c.cache_info() for c in flipped]
     for i in range(2):
         assert ops.mul(-1, i) == {}
         assert ops.mul_flat(-1, i) == {}
@@ -168,12 +170,20 @@ def test_sym_ladder_is_total():
             assert ops.contract_circ(r, i) == {}
             assert ops.contract_sharp(r, i) == {}
     assert SymOps._matrix.cache_info() == before
+    assert [c.cache_info() for c in flipped] == flipped_before
     for i in range(2):
         assert ops.mul(3, i) is ops.mul(3, i)
         assert ops.contract_circ(3, i) is ops.contract_circ(3, i)
         assert ops.contract(3, i) is ops.contract(3, i)
     after = SymOps._matrix.cache_info()
     assert after.hits == before.hits + 6 and after.misses == before.misses + 6
+    # each sign-flipped copy is built once and shared
+    for i in range(2):
+        assert ops.mul_flat(3, i) is ops.mul_flat(3, i)
+        assert ops.contract_sharp(3, i) is ops.contract_sharp(3, i)
+    assert all(c.cache_info().hits == b.hits + 2 and
+               c.cache_info().misses == b.misses + 2
+               for c, b in zip(flipped, flipped_before))
 
 
 def test_sym_ops_match_the_elementwise_rules():
