@@ -388,7 +388,8 @@ class BianchiSystem:
         return h_part, e_part
 
     def column_components(self, key) -> dict:
-        """All labelled component contributions of one basis element."""
+        """The labelled component contributions of one basis element that
+        equations I-III' read."""
         F, G = key
         fh, fe = self._split_2form(F)
         gh, ge = self._split_2form(G)
@@ -432,15 +433,11 @@ class BianchiSystem:
             # E side: reorder v (x) q into Sym2 (x) Lambda2 before splitting
             e_sym, e_lam = split_sym_ext(*v, *q)
             for kh, ch in h_sym:
-                for ke, ce in e_sym:
-                    put("l2s2H_l2s2E", (kh, ke), c * ch * ce)
                 for ke, ce in e_lam:
                     put("l2s2H_l2l2E_M", (kh, ke), c * ch * ce)
             for kh, ch in h_lam:
                 for ke, ce in e_sym:
                     put("l2l2H_l2s2E_M", (kh, ke), c * ch * ce)
-                for ke, ce in e_lam:
-                    put("l2l2H_l2l2E", (kh, ke), c * ch * ce)
         return out
 
     def equation_rows(self) -> dict:

@@ -10,19 +10,21 @@ between them is the 6x6 Weitzenboeck matrix, the Kronecker product of a
 
 `recover_w` re-derives the matrix entry by entry from the twelve explicit
 operators by exact linear algebra; it must agree with the closed form.
-One exact span solver, `solve_in_span`, serves this 6x6 oracle and the
-2x2 (H-part) and 3x3 (E-part) sub-oracles `recover_wh` and `recover_we`.
-Each work item is done once: `projector_family` builds one family per
-(n, r), whose H-side factors are built once per (label, a, b) and E-side
-factors once per (label, i, j), shared by every tangent block and by all
-three oracles; and `solve_in_span` forms each Kronecker row once per
-distinct pair of an H entry vector and an E entry vector, and feeds each
-distinct row to the echelon once.  Every row of a tangent block is the
-entrywise product of such a pair, and a repeated row already lies in the
-echelon's span, which only grows, so neither step changes the solution
-or any failure.  A recovery that fails raises `RecoveryError` with a
-structured witness; `recover_matches_closed_form` and the suite report it
-as a failing check.
+Every operator is a Kronecker product h(a, b) tensor e(i, j) over a pair
+of tangent slots (a, i), (b, j): its H factor depends only on (a, b) and
+its E factor only on (i, j), so the operator system has the shape of the
+matrix, W_E tensor W_H.  One exact span solver, `solve_in_span`, takes
+it as two sides: the H side holds the members' factors for each (a, b),
+the E side for each (i, j).  It serves this 6x6 oracle and the 2x2
+(H-part) and 3x3 (E-part) sub-oracles `recover_wh` and `recover_we`,
+which pass the 1x1 identity as the side they leave out.
+`projector_family` builds one family per (n, r), whose factors are built
+once and shared by all three oracles.  The solver collects each side's
+distinct entry vectors once and feeds each distinct nonzero product of
+an H and an E vector once: these are exactly the distinct rows of the
+tangent blocks.  A recovery that fails raises `RecoveryError` with a
+structured witness; `recover_matches_closed_form` and the suite report
+it as a failing check.
 
 Row and column conventions (0-based):
   rows  (E-label major): [C.C, Sym2H.C, C.Sym2E, Sym2H.Sym2E,
@@ -39,7 +41,7 @@ import functools
 from fractions import Fraction
 
 from . import linalg, sparsemat
-from .lefschetz import primitive_ops, primitive_space
+from .lefschetz import PrimitiveOps, primitive_ops, primitive_space
 from .powers import sym_ops
 from .scalar import Scalar
 from .spinor import SpinorSpace
@@ -138,14 +140,15 @@ class ProjectorFamily:
     """The six left and six right operators for spinor grade r at dimension n.
 
     H-side maps act on the monomial basis of Sym^r H, E-side maps on the
-    primitive coordinates of Lambda^(n-r) E; the operators on the full
-    space are Kronecker products assembled per pair of tangent slots.  Both
+    primitive coordinates of Lambda^(n-r) E; the operator on the full
+    space at a pair of tangent slots (a, i), (b, j) is the Kronecker
+    product of an H factor at (a, b) and an E factor at (i, j).  Both
     sides compose the ladder matrices of their one owner, `SymOps` for H
     and `PrimitiveOps` for E.
 
     The four factor builders are cached, so each factor is built once and
-    shared by every tangent block; `projector_family` builds one family per
-    (n, r) for every oracle.
+    shared by every pair of tangent slots; `projector_family` builds one
+    family per (n, r) for every oracle.
     """
 
     H_LEFT = ("C", "Sym2H")
@@ -276,79 +279,69 @@ class RecoveryError(AssertionError):
 _NO_ENTRIES: dict = {}
 
 
-def _side_vectors(factors: tuple, tuples: dict, vector_ids: dict) -> list:
-    """The distinct entry vectors of one side of a block, as (id, vector).
+def _entry_vectors(side: list) -> list:
+    """The distinct entry vectors of one side of the system.
 
-    The vector at a position (row, col) holds each factor's entry there,
-    int 0 where a factor has none.  `tuples` keys each tuple of factors by
-    identity and keeps a reference to it, so no id is reused while it is in
-    use; `vector_ids` numbers every distinct vector of the side.
+    For each tuple of factors and each position (row, col) where one of
+    them has an entry, the vector holds every factor's entry there, int 0
+    where a factor has none.
     """
-    key = tuple(map(id, factors))
-    hit = tuples.get(key)
-    if hit is None:
+    vectors: dict = {}
+    for factors in side:
         positions = dict.fromkeys((row, col) for m in factors
                                   for col, entries in m.items()
                                   for row in entries)
-        found: dict = {}
-        for row, col in positions:
-            vec = tuple(m.get(col, _NO_ENTRIES).get(row, 0) for m in factors)
-            found.setdefault(vector_ids.setdefault(vec, len(vector_ids)), vec)
-        hit = tuples[key] = (factors, list(found.items()))
-    return hit[1]
+        vectors.update(dict.fromkeys(
+            tuple(m.get(col, _NO_ENTRIES).get(row, 0) for m in factors)
+            for row, col in positions))
+    return list(vectors)
 
 
-def solve_in_span(blocks, where: str) -> list:
+def solve_in_span(h_side: list, e_side: list, width: int, where: str) -> list:
     """Solve left_k = sum_j X[k][j] right_j by exact elimination.
 
-    Each block is a (rights, lefts) pair of member lists, each member an
-    (H, E) factor pair standing for its Kronecker product.  Every matrix
-    entry of a block gives one row of a joint echelon: right members in the
-    first columns, left members after them.  A pivot among the left columns
-    means some left member is outside the span of the right family, which
-    is a hard failure.  Returns X with None on right columns without pivot.
+    Each member is a Kronecker product of an H and an E factor.  A side is
+    a list with one tuple per side index, holding every member's factor at
+    that index: the `width` right members first, then the left ones.  On
+    block (x, y), for every H index x and every E index y, member k is
+    h_side[x][k] tensor e_side[y][k].  Every matrix entry of a block gives
+    one row of a joint echelon: right members in the first columns, left
+    members after them.  A pivot among the left columns means some left
+    member is outside the span of the right family, which is a hard
+    failure; the witness is the reduced row with the smallest such pivot.
+    Returns X with None on right columns without pivot.
 
-    The row at entry ((hr, er), (hc, ec)) of a block is u * v, the
-    entrywise product of u, the members' H entries at (hr, hc), and v,
-    their E entries at (er, ec).  So a block's rows are the products of
-    its H side's distinct entry vectors with its E side's, which
-    `_side_vectors` collects once per distinct tuple of factors.  Each
-    (u, v) pair is multiplied once over all blocks, an empty product is
-    skipped, and each distinct row is fed once: exactly the distinct rows
-    of one row per block entry.  Dropping a repeat is exact, since the
-    echelon's span only grows and `Echelon.add` would reduce a row fed
-    before to zero.  The echelon is reduced, so it depends only on that
-    span and not on the feed order: X, the None columns and every failure
-    are as with one row per block entry.
+    The row at entry ((hr, er), (hc, ec)) of block (x, y) is u * v, the
+    entrywise product of u, the members' entries at (hr, hc) in h_side[x],
+    and v, their entries at (er, ec) in e_side[y].  The blocks run over
+    every (x, y), so the rows are the products of each distinct entry
+    vector of the H side with each of the E side's, which `_entry_vectors`
+    collects once.  An empty product is skipped and each distinct row is
+    fed once: exactly the distinct rows of one row per block entry.
+    Dropping a repeat is exact, since the echelon's span only grows and
+    `Echelon.add` would reduce a row fed before to zero.  The echelon is
+    reduced, so it depends only on that span and not on the feed order:
+    X, the None columns and the witness are as with one row per block
+    entry.
     """
     ech = linalg.Echelon()
     seen: set = set()
-    pairs: set = set()
-    h_tuples: dict = {}
-    e_tuples: dict = {}
-    h_ids: dict = {}
-    e_ids: dict = {}
-    for rights, lefts in blocks:
-        width, height = len(rights), len(lefts)
-        members = rights + lefts
-        us = _side_vectors(tuple(h for h, _ in members), h_tuples, h_ids)
-        vs = _side_vectors(tuple(e for _, e in members), e_tuples, e_ids)
-        for hid, u in us:
-            for eid, v in vs:
-                if (hid, eid) in pairs:
-                    continue
-                pairs.add((hid, eid))
-                row = {col: x * y for col, (x, y) in enumerate(zip(u, v))
-                       if x and y}
-                key = frozenset(row.items())
-                if row and key not in seen:
-                    seen.add(key)
-                    ech.add(row)
-    for piv, row in zip(ech.pivots, ech.rows):
-        if piv >= width:
-            raise RecoveryError(
-                f"left family not in the span of the right family {where}: "
-                f"residual row {row}", row)
+    vs = _entry_vectors(e_side)
+    for u in _entry_vectors(h_side):
+        for v in vs:
+            row = {col: x * y for col, (x, y) in enumerate(zip(u, v))
+                   if x and y}
+            key = frozenset(row.items())
+            if row and key not in seen:
+                seen.add(key)
+                ech.add(row)
+    off_span = [piv for piv in ech.pivots if piv >= width]
+    if off_span:
+        row = ech.rows[ech.pivots.index(min(off_span))]
+        raise RecoveryError(
+            f"left family not in the span of the right family {where}: "
+            f"residual row {row}", row)
+    height = len(h_side[0]) - width
     matrix = [[None] * width for _ in range(height)]
     for piv, row in zip(ech.pivots, ech.rows):
         for k in range(height):
@@ -365,11 +358,16 @@ def recover_w(n: int, r: int) -> dict:
     columns are recovered.  Inconsistency is a hard failure.
     """
     fam = projector_family(n, r)
-    tangent = [(a, i) for a in range(2) for i in range(fam.E.dim)]
-    matrix = solve_in_span(
-        ((fam.right_factors(a, i, b, j), fam.left_factors(a, i, b, j))
-         for (a, i) in tangent for (b, j) in tangent),
-        f"at (n={n}, r={r})")
+
+    def members(a, i, b, j):
+        return fam.right_factors(a, i, b, j) + fam.left_factors(a, i, b, j)
+
+    # a member's H factor depends on (a, b) only and its E factor on (i, j)
+    h_side = [tuple(h for h, _ in members(a, 0, b, 0))
+              for a in range(2) for b in range(2)]
+    e_side = [tuple(e for _, e in members(0, i, 0, j))
+              for i in range(fam.E.dim) for j in range(fam.E.dim)]
+    matrix = solve_in_span(h_side, e_side, 6, f"at (n={n}, r={r})")
     alive = [j for j in range(6) if matrix[0][j] is not None]
     expected_alive = _surviving_columns(n, r)
     if alive != expected_alive:
@@ -427,21 +425,21 @@ def _zero_dead(matrix: list) -> list:
 def recover_wh(r: int) -> list:
     """2x2 sub-oracle on H tensor H tensor Sym^r H."""
     fam = projector_family(max(r + 1, 2), r)   # any n >= r+1 gives the same H side
-    return _zero_dead(solve_in_span(
-        (([(fam.h_right(lbl, a, b), _ONE) for lbl in fam.H_RIGHT],
-          [(fam.h_left(lbl, a, b), _ONE) for lbl in fam.H_LEFT])
-         for a in range(2) for b in range(2)),
-        f"on the H side at r={r}"))
+    h_side = [tuple(fam.h_right(lbl, a, b) for lbl in fam.H_RIGHT)
+              + tuple(fam.h_left(lbl, a, b) for lbl in fam.H_LEFT)
+              for a in range(2) for b in range(2)]
+    return _zero_dead(solve_in_span(h_side, [(_ONE,) * 4], 2,
+                                    f"on the H side at r={r}"))
 
 
 def recover_we(n: int, r: int) -> list:
     """3x3 sub-oracle on E tensor E tensor Lambda^(n-r)_prim E."""
     fam = projector_family(n, r)
-    return _zero_dead(solve_in_span(
-        (([(_ONE, fam.e_right(lbl, i, j)) for lbl in fam.E_RIGHT],
-          [(_ONE, fam.e_left(lbl, i, j)) for lbl in fam.E_LEFT])
-         for i in range(fam.E.dim) for j in range(fam.E.dim)),
-        f"on the E side at (n={n}, r={r})"))
+    e_side = [tuple(fam.e_right(lbl, i, j) for lbl in fam.E_RIGHT)
+              + tuple(fam.e_left(lbl, i, j) for lbl in fam.E_LEFT)
+              for i in range(fam.E.dim) for j in range(fam.E.dim)]
+    return _zero_dead(solve_in_span([(_ONE,) * 6], e_side, 3,
+                                    f"on the E side at (n={n}, r={r})"))
 
 
 # -- the kernel projection of the twistor summand --------------------------
@@ -465,32 +463,28 @@ def kernel_projection(n: int, r: int) -> dict:
     return cols
 
 
-def multiplication_composite(n: int, r: int) -> dict:
-    """E tensor Lambda^(n-r)_prim -> Lambda^(n-r+1)_prim, e tensor w -> e wedge_circ w."""
+def _stacked_ladder(n: int, r: int, ladder) -> dict:
+    """E tensor Lambda^(n-r)_prim -> the next primitive level, e_t tensor w
+    -> ladder(ops, n - r, t) w, with the E index t major."""
     E = SymplecticSpace(n, name="e")
     ops = primitive_ops(E)
     q = n - r
     pdim = primitive_space(E, q).dim
     cols = {}
     for t in range(E.dim):
-        m = ops.wedge(q, t)
-        for c, col in m.items():
+        for c, col in ladder(ops, q, t).items():
             cols[t * pdim + c] = dict(col)
     return cols
+
+
+def multiplication_composite(n: int, r: int) -> dict:
+    """E tensor Lambda^(n-r)_prim -> Lambda^(n-r+1)_prim, e tensor w -> e wedge_circ w."""
+    return _stacked_ladder(n, r, PrimitiveOps.wedge)
 
 
 def contraction_composite(n: int, r: int) -> dict:
     """E tensor Lambda^(n-r)_prim -> Lambda^(n-r-1)_prim via e^sharp contraction."""
-    E = SymplecticSpace(n, name="e")
-    ops = primitive_ops(E)
-    q = n - r
-    pdim = primitive_space(E, q).dim
-    cols = {}
-    for t in range(E.dim):
-        m = ops.contract_sharp(q, t)
-        for c, col in m.items():
-            cols[t * pdim + c] = dict(col)
-    return cols
+    return _stacked_ladder(n, r, PrimitiveOps.contract_sharp)
 
 
 # -- the two curvature-scalar operator identities ---------------------------

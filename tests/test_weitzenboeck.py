@@ -100,82 +100,128 @@ def test_sub_oracles():
             assert recover_we(n, r) == we_closed(n, r)
 
 
-# synthetic one-block families for the span solver: 2x2 H factors times the
-# 1x1 identity E factor
+# synthetic systems for the span solver.  A side lists one tuple of member
+# factors per side index; the first systems have 2x2 H factors and the 1x1
+# identity as their one E factor
 _ONE = {0: {0: F(1)}}
 _DIAG = {0: {0: F(1)}, 1: {1: F(1)}}           # identity on a 2-dim space
 _SWAP = {0: {1: F(1)}, 1: {0: F(1)}}
 
 
+def _unit(size: int) -> list:
+    """A side with one index, where every one of `size` members is 1x1 identity."""
+    return [(_ONE,) * size]
+
+
+def _copy(factors: tuple) -> tuple:
+    """Equal-valued copies of factors, sharing no dict with them."""
+    return tuple({col: dict(entries) for col, entries in m.items()}
+                 for m in factors)
+
+
 def test_solve_in_span_recovers_a_multiple():
-    blocks = [([(_DIAG, _ONE)], [(sparsemat.mscale(_DIAG, F(3)), _ONE)])]
-    assert solve_in_span(blocks, "in a test") == [[F(3)]]
+    members = (_DIAG, sparsemat.mscale(_DIAG, F(3)))
+    assert solve_in_span([members], _unit(2), 1, "in a test") == [[F(3)]]
+    assert solve_in_span(_unit(2), [members], 1, "in a test") == [[F(3)]]
 
 
 def test_solve_in_span_marks_a_zero_right_member():
-    blocks = [([(_DIAG, _ONE), ({}, _ONE)],
-               [(sparsemat.mscale(_DIAG, F(-2)), _ONE)])]
-    assert solve_in_span(blocks, "in a test") == [[F(-2), None]]
+    members = (_DIAG, {}, sparsemat.mscale(_DIAG, F(-2)))
+    assert solve_in_span([members], _unit(3), 2, "in a test") == \
+        [[F(-2), None]]
 
 
 def test_solve_in_span_rejects_a_left_member_outside_the_span():
-    blocks = [([(_DIAG, _ONE)], [(_SWAP, _ONE)])]
-    with pytest.raises(RecoveryError, match="not in the span.*in a test"):
-        solve_in_span(blocks, "in a test")
+    for h_side, e_side in (([(_DIAG, _SWAP)], _unit(2)),
+                           (_unit(2), [(_DIAG, _SWAP)])):
+        with pytest.raises(RecoveryError, match="not in the span.*in a test"):
+            solve_in_span(h_side, e_side, 1, "in a test")
 
 
 # X = [[2, 5]]: left = 2 DIAG + 5 SWAP; its four Kronecker rows are two
 # distinct rows, each twice
-_MIXED = ([(_DIAG, _ONE), (_SWAP, _ONE)],
-          [(sparsemat.madd(sparsemat.mscale(_DIAG, F(2)),
-                           sparsemat.mscale(_SWAP, F(5))), _ONE)])
-# the same family on a block where the second right member vanishes
-_PART = ([(_DIAG, _ONE), ({}, _ONE)], [(sparsemat.mscale(_DIAG, F(2)), _ONE)])
+_M = sparsemat.madd(sparsemat.mscale(_DIAG, F(2)), sparsemat.mscale(_SWAP, F(5)))
+_MIXED = (_DIAG, _SWAP, _M)
+# the same members at an index where the second right member vanishes
+_PART = (_DIAG, {}, sparsemat.mscale(_DIAG, F(2)))
 
 
 def test_solve_in_span_ignores_a_repeated_block():
-    assert solve_in_span([_PART], "in a test") == [[F(2), None]]
-    assert solve_in_span([_PART, _PART], "in a test") == [[F(2), None]]
-    assert solve_in_span([_MIXED], "in a test") == [[F(2), F(5)]]
-    assert solve_in_span([_MIXED] * 3, "in a test") == [[F(2), F(5)]]
-    assert solve_in_span([_PART, _MIXED, _PART, _MIXED], "in a test") == \
-        solve_in_span([_PART, _MIXED], "in a test") == [[F(2), F(5)]]
+    # a repeated side index repeats every block it sits in
+    def solve(h_side, e_side=_unit(3)):
+        return solve_in_span(h_side, e_side, 2, "in a test")
+
+    assert solve([_PART]) == solve([_PART, _PART]) == [[F(2), None]]
+    assert solve([_MIXED]) == solve([_MIXED] * 3) == [[F(2), F(5)]]
+    assert solve([_MIXED], _unit(3) * 3) == [[F(2), F(5)]]
+    assert solve([_PART, _MIXED, _PART, _MIXED]) == \
+        solve([_PART, _MIXED]) == [[F(2), F(5)]]
 
 
-def test_solve_in_span_feeds_each_distinct_row_once(monkeypatch):
+def _record_fed(monkeypatch) -> list:
     fed = []
     add = linalg.Echelon.add
 
-    def counting_add(self, row):
-        fed.append(dict(row))
+    def recording_add(self, row):
+        fed.append(frozenset(row.items()))
         return add(self, row)
 
-    monkeypatch.setattr(linalg.Echelon, "add", counting_add)
-    solve_in_span([_MIXED] * 3, "in a test")
-    assert fed == [{0: F(1), 2: F(2)}, {1: F(1), 2: F(5)}]
+    monkeypatch.setattr(linalg.Echelon, "add", recording_add)
+    return fed
+
+
+def test_solve_in_span_feeds_each_distinct_row_once(monkeypatch):
+    # repeated indices and equal-valued copies on both sides
+    fed = _record_fed(monkeypatch)
+    solve_in_span([_MIXED, _copy(_MIXED), _MIXED],
+                  _unit(3) + [_copy(_unit(3)[0])], 2, "in a test")
+    assert fed == [frozenset({0: F(1), 2: F(2)}.items()),
+                   frozenset({1: F(1), 2: F(5)}.items())]
 
 
 def test_solve_in_span_rejects_a_repeated_block_outside_the_span():
-    blocks = [([(_DIAG, _ONE)], [(_SWAP, _ONE)])] * 3
     with pytest.raises(RecoveryError, match="not in the span.*in a test"):
-        solve_in_span(blocks, "in a test")
+        solve_in_span([(_DIAG, _SWAP)] * 3, _unit(2), 1, "in a test")
 
 
-# synthetic blocks whose E factors are 2x2 as well.  Right members DIAG.P,
-# SWAP.P and DIAG.Q; left members (2 DIAG + 5 SWAP).P and 3 DIAG.Q, so
-# X = [[2, 5, 0], [0, 0, 3]].  Block 1's H entry vectors are (1,0,1,2,3) and
-# (0,1,0,5,0), its E entry vectors (1,1,0,1,0) and (0,0,1,0,1); the product
-# of the second H and second E vector vanishes.  Block 2 holds the same
-# entry vectors in other positions and other factor objects.
+def test_solve_in_span_witness_does_not_depend_on_the_feed_order():
+    # both left members leave the span, through different residual rows.
+    # Read in insertion order, the first row with a left pivot would be
+    # {2: 1} for this side and {1: 1} for its reverse
+    side = [(_DIAG, {}, _ONE), (_DIAG, _SWAP, {})]
+    witnesses = []
+    for h_side, e_side in ((side, _unit(3)), (side[::-1], _unit(3)),
+                           (_unit(3), side), (_unit(3), side[::-1])):
+        with pytest.raises(RecoveryError) as exc:
+            solve_in_span(h_side, e_side, 1, "in a test")
+        witnesses.append(exc.value.witness)
+    assert witnesses == [{1: F(1)}] * 4
+
+
+# two-sided members.  Right members DIAG.P, SWAP.P and DIAG.Q; left members
+# (2 DIAG + 5 SWAP).P and 3 DIAG.Q, so X = [[2, 5, 0], [0, 0, 3]].  The H
+# entry vectors are (1,0,1,2,3) and (0,1,0,5,0), the E entry vectors
+# (1,1,0,1,0) and (0,0,1,0,1); the product of the second H and second E
+# vector vanishes.  _E_MOVED holds the same E entry vectors in other
+# positions and other factor objects.
 _P = {0: {0: F(1)}}
 _Q = {1: {0: F(1)}}
-_M = sparsemat.madd(sparsemat.mscale(_DIAG, F(2)), sparsemat.mscale(_SWAP, F(5)))
-_KRON = ([(_DIAG, _P), (_SWAP, _P), (_DIAG, _Q)],
-         [(_M, _P), (sparsemat.mscale(_DIAG, F(3)), _Q)])
+_H = (_DIAG, _SWAP, _DIAG, _M, sparsemat.mscale(_DIAG, F(3)))
+_E = (_P, _P, _Q, _P, _Q)
 _S = {1: {0: F(1)}}
 _T = {0: {0: F(1)}, 1: {1: F(1)}}
-_KRON_MOVED = ([(dict(_DIAG), _S), (dict(_SWAP), _S), (dict(_DIAG), _T)],
-               [(dict(_M), _S), (sparsemat.mscale(_DIAG, F(3)), _T)])
+_E_MOVED = (_S, _S, _T, _S, _T)
+
+
+def _blocks(h_side, e_side, width) -> list:
+    """The blocks of a two-sided system, each a (rights, lefts) pair of
+    lists of (H, E) factor pairs, one block per pair of side indices."""
+    blocks = []
+    for h_factors in h_side:
+        for e_factors in e_side:
+            members = list(zip(h_factors, e_factors))
+            blocks.append((members[:width], members[width:]))
+    return blocks
 
 
 def _kronecker_rows(blocks) -> set:
@@ -195,69 +241,71 @@ def _kronecker_rows(blocks) -> set:
     return rows
 
 
-def _record_fed(monkeypatch) -> list:
-    fed = []
-    add = linalg.Echelon.add
-
-    def recording_add(self, row):
-        fed.append(frozenset(row.items()))
-        return add(self, row)
-
-    monkeypatch.setattr(linalg.Echelon, "add", recording_add)
-    return fed
-
-
 def test_solve_in_span_with_two_sided_factors(monkeypatch):
     fed = _record_fed(monkeypatch)
     want = [[F(2), F(5), F(0)], [F(0), F(0), F(3)]]
-    assert solve_in_span([_KRON], "in a test") == want
+    assert solve_in_span([_H], [_E], 3, "in a test") == want
     rows = [{0: F(1), 3: F(2)}, {2: F(1), 4: F(3)}, {1: F(1), 3: F(5)}]
     assert len(fed) == 3
     assert set(fed) == {frozenset(row.items()) for row in rows} == \
-        _kronecker_rows([_KRON])
+        _kronecker_rows(_blocks([_H], [_E], 3))
     fed.clear()
-    blocks = [_KRON, _KRON_MOVED, _KRON]
-    assert solve_in_span(blocks, "in a test") == want
-    assert len(fed) == 3 and set(fed) == _kronecker_rows(blocks)
+    h_side, e_side = [_H, _copy(_H)], [_E, _E_MOVED, _E]
+    assert solve_in_span(h_side, e_side, 3, "in a test") == want
+    assert len(fed) == 3
+    assert set(fed) == _kronecker_rows(_blocks(h_side, e_side, 3))
 
 
 def test_solve_in_span_rejects_two_sided_members_outside_the_span():
     # with P and Q exchanged between the left members, they leave the span;
     # the witness is a residual row with its pivot among the left columns
-    rights, lefts = _KRON
-    swapped = [(lefts[0][0], _Q), (lefts[1][0], _P)]
     with pytest.raises(RecoveryError, match="not in the span") as exc:
-        solve_in_span([(rights, swapped)], "in a test")
-    assert min(exc.value.witness) >= len(rights)
+        solve_in_span([_H], [_E[:3] + (_Q, _P)], 3, "in a test")
+    assert min(exc.value.witness) >= 3
+
+
+def _oracle_blocks(recover, *args) -> list:
+    """The tangent blocks of one recovery, read member by member from its
+    projector family: all (4n)^2 tangent pairs for `recover_w`, the index
+    pairs of one side, with the 1x1 identity as the other, for the
+    sub-oracles."""
+    if recover is recover_wh:
+        (r,) = args
+        fam = projector_family(max(r + 1, 2), r)
+        return [([(fam.h_right(lbl, a, b), _ONE) for lbl in fam.H_RIGHT],
+                 [(fam.h_left(lbl, a, b), _ONE) for lbl in fam.H_LEFT])
+                for a in range(2) for b in range(2)]
+    fam = projector_family(*args)
+    dim = fam.E.dim
+    if recover is recover_we:
+        return [([(_ONE, fam.e_right(lbl, i, j)) for lbl in fam.E_RIGHT],
+                 [(_ONE, fam.e_left(lbl, i, j)) for lbl in fam.E_LEFT])
+                for i in range(dim) for j in range(dim)]
+    tangent = [(a, i) for a in range(2) for i in range(dim)]
+    return [(fam.right_factors(a, i, b, j), fam.left_factors(a, i, b, j))
+            for (a, i) in tangent for (b, j) in tangent]
 
 
 def test_solve_in_span_feeds_the_direct_kronecker_rows(monkeypatch):
     fed = _record_fed(monkeypatch)
-    solve = weitzenboeck.solve_in_span
-    direct: list = []
-
-    def recording_solve(blocks, where):
-        blocks = list(blocks)
-        direct.append(_kronecker_rows(blocks))
-        return solve(blocks, where)
-
-    monkeypatch.setattr(weitzenboeck, "solve_in_span", recording_solve)
     runs = [(recover_w, n, r) for n in (1, 2, 3) for r in range(n + 1)]
-    runs += [(recover_wh, r) for r in (1, 2)]
-    runs += [(recover_we, n, r) for n in (2, 3) for r in range(1, n)]
+    runs += [(recover_w, 4, 2)]
+    runs += [(recover_wh, r) for r in range(3)]
+    runs += [(recover_we, n, r) for n in (1, 2, 3) for r in range(n + 1)]
     for recover, *args in runs:
         recover(*args)             # builds the factors, which feed echelons
         fed.clear()
-        direct.clear()
         recover(*args)
         assert len(fed) == len(set(fed)), (recover.__name__, args)
-        assert direct == [set(fed)], (recover.__name__, args)
+        assert set(fed) == _kronecker_rows(_oracle_blocks(recover, *args)), \
+            (recover.__name__, args)
 
 
 def test_recover_w_multiplication_budget(monkeypatch):
     # a deterministic cost guard: with the factors built, recovering W at
-    # (n, r) = (3, 1) took 2,430 Fraction products, against 15,070 when
-    # every block formed its own Kronecker rows
+    # (n, r) = (3, 1) takes 2,270 Fraction products, against 2,430 when
+    # the solver walked the tangent blocks and 15,070 when every block
+    # formed its own Kronecker rows
     recover_w(3, 1)
     count = [0]
     mul = Fraction.__mul__
