@@ -19,12 +19,16 @@ the E side for each (i, j).  It serves this 6x6 oracle and the 2x2
 (H-part) and 3x3 (E-part) sub-oracles `recover_wh` and `recover_we`,
 which pass the 1x1 identity as the side they leave out.
 `projector_family` builds one family per (n, r), whose factors are built
-once and shared by all three oracles.  The solver collects each side's
-distinct entry vectors once and feeds each distinct nonzero product of
-an H and an E vector once: these are exactly the distinct rows of the
-tangent blocks.  A recovery that fails raises `RecoveryError` with a
-structured witness; `recover_matches_closed_form` and the suite report
-it as a failing check.
+once and shared by all three oracles.  The factors are int matrices: the
+family clears the denominators of each ladder it reads once, and each
+(builder, label) has one int scale, by which the int factor exceeds the
+exact one.  The solver reduces each side's entry vectors, read over the
+distinct factors of a tuple, to a basis and feeds the joint echelon only
+the products of the two bases, which span the rows of the tangent
+blocks; it undoes the members' scales once, on the reduced rows.  A
+recovery that fails raises `RecoveryError` with a structured witness;
+`recover_matches_closed_form` and the suite report it as a failing
+check.
 
 Row and column conventions (0-based):
   rows  (E-label major): [C.C, Sym2H.C, C.Sym2E, Sym2H.Sym2E,
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from math import lcm
 
 from . import linalg, sparsemat
 from .lefschetz import PrimitiveOps, primitive_ops, primitive_space
@@ -146,6 +151,12 @@ class ProjectorFamily:
     sides compose the ladder matrices of their one owner, `SymOps` for H
     and `PrimitiveOps` for E.
 
+    Every factor is an int matrix: the family clears the denominators of
+    each ladder it reads once, over all its indices, and the exact factor
+    is the int one divided by `scale(builder, label)`, one positive int
+    per builder and label.  The rational coefficients of K and Lambda2E
+    fold into their labels' scales.
+
     The four factor builders are cached, so each factor is built once and
     shared by every pair of tangent slots; `projector_family` builds one
     family per (n, r) for every oracle.
@@ -169,6 +180,87 @@ class ProjectorFamily:
         self.hops = sym_ops(self.H)
         self.prim = primitive_space(self.E, self.q)
 
+    # int ladders and scales ------------------------------------------
+
+    @functools.cache
+    def _ladder(self, ops, name: str, level: int) -> tuple[int, list]:
+        """(s, [s L_x]): the ladder matrices L_x = ops.name(level, x) over
+        every index x as int copies, s the lcm of their denominators.
+
+        Cached; the copies are shared, so callers must not modify them.
+        """
+        return _int_copies([getattr(ops, name)(level, x)
+                            for x in range(ops.space.dim)])
+
+    def _ladders(self, builder: str, label: str) -> tuple:
+        """The two int ladders whose product is builder(label, x, y), the
+        first applied last: pr_{-+} = contract_sharp(level + 1) after
+        up(level) and pr_{+-} = up(level - 1) after contract_sharp(level),
+        with up = mul at level r on the H side and wedge at level n - r on
+        the E side."""
+        if builder == "h_right":
+            ops, up, level = self.hops, "mul", self.r
+        else:
+            ops, up, level = self.eops, "wedge", self.q
+        if label == "-+":
+            return (self._ladder(ops, "contract_sharp", level + 1),
+                    self._ladder(ops, up, level))
+        if label == "+-":
+            return (self._ladder(ops, up, level - 1),
+                    self._ladder(ops, "contract_sharp", level))
+        raise ValueError(label)
+
+    @functools.cache
+    def _derivations(self) -> tuple[int, dict]:
+        """(s, {(a, b): s der(h_a h_b)}) on Sym^r H, int copies with the lcm
+        s of their denominators.  Cached and shared, so read-only."""
+        pairs = [(a, b) for a in range(2) for b in range(2)]
+        s, mats = _int_copies([self.spin.derivation_matrix(ab, self.r)
+                               for ab in pairs])
+        return s, dict(zip(pairs, mats))
+
+    @functools.cache
+    def _weights(self, label: str) -> tuple[int, list]:
+        """(s, int weights): the int factor of K or Lambda2E is the sum of
+        its int terms with these weights, and s is its scale.
+
+        With I the int `e_right` factors,
+          K = sigma id - pr_{-+} / (n-r+1) + (r+2) pr_{+-} / ((n+r+3)(r+1))
+        has the terms (sigma id, I_{-+}, I_{+-}), and
+          Lambda2E = pr_{+-}(j, i) - pr_{+-}(i, j) - (n-r)/n sigma id
+        the terms (I_{+-}(j, i) - I_{+-}(i, j), sigma id).  s is the lcm of
+        the denominators of the rational coefficients on the terms, and
+        each weight is s times its coefficient.
+        """
+        n, r = self.n, self.r
+        s_plus = self.scale("e_right", "+-")
+        if label == "K":
+            coeffs = [Fraction(1),
+                      Fraction(-1, (n - r + 1) * self.scale("e_right", "-+")),
+                      Fraction(r + 2, (n + r + 3) * (r + 1) * s_plus)]
+        elif label == "Lambda2E":
+            coeffs = [Fraction(1, s_plus), Fraction(-(n - r), n)]
+        else:
+            raise ValueError(label)
+        s = lcm(*(c.denominator for c in coeffs))
+        return s, [c.numerator * (s // c.denominator) for c in coeffs]
+
+    @functools.cache
+    def scale(self, builder: str, label: str) -> int:
+        """The positive int s with builder(label, x, y) = s times the exact
+        factor at every index pair; builder is "h_right", "h_left",
+        "e_right" or "e_left"."""
+        if label == "C":
+            return 1
+        if label in ("-+", "+-"):
+            (s_first, _), (s_second, _) = self._ladders(builder, label)
+            return s_first * s_second
+        if label == "Sym2H":
+            return self._derivations()[0]
+        if label == "Sym2E":
+            return self.scale("e_right", "+-")
+        return self._weights(label)[0]
+
     # H-side ----------------------------------------------------------
 
     @functools.cache
@@ -177,12 +269,8 @@ class ProjectorFamily:
 
         Cached; the returned matrix is shared, so callers must not modify it.
         """
-        r, ops = self.r, self.hops
-        if label == "-+":
-            return sparsemat.compose(ops.contract_sharp(r + 1, a), ops.mul(r, b))
-        if label == "+-":
-            return sparsemat.compose(ops.mul(r - 1, a), ops.contract_sharp(r, b))
-        raise ValueError(label)
+        (_, first), (_, second) = self._ladders("h_right", label)
+        return sparsemat.compose(first[a], second[b])
 
     @functools.cache
     def h_left(self, label: str, a: int, b: int) -> dict:
@@ -191,10 +279,9 @@ class ProjectorFamily:
         Cached; the returned matrix is shared, so callers must not modify it.
         """
         if label == "C":
-            s = self.H.sigma_basis(a, b)
-            return sparsemat.identity(self.r + 1, s) if s else {}
+            return _sigma_identity(self.H, a, b, self.r + 1, 1)
         if label == "Sym2H":
-            return self.spin.derivation_matrix((a, b), self.r)
+            return self._derivations()[1][a, b]
         raise ValueError(label)
 
     # E-side ----------------------------------------------------------
@@ -207,24 +294,14 @@ class ProjectorFamily:
 
         Cached; the returned matrix is shared, so callers must not modify it.
         """
-        q, n, r = self.q, self.n, self.r
-        ops = self.eops
-        if label == "-+":
-            return sparsemat.compose(ops.contract_sharp(q + 1, i), ops.wedge(q, j))
-        if label == "+-":
-            return sparsemat.compose(ops.wedge(q - 1, i), ops.contract_sharp(q, j))
-        if label == "K":
-            total = {}
-            s = self.E.sigma_basis(i, j)
-            if s:
-                total = sparsemat.identity(self.prim.dim, s)
-            total = sparsemat.madd(total, sparsemat.mscale(
-                self.e_right("-+", i, j), Fraction(-1, n - r + 1)))
-            total = sparsemat.madd(total, sparsemat.mscale(
-                self.e_right("+-", i, j),
-                Fraction(r + 2, (n + r + 3) * (r + 1))))
-            return total
-        raise ValueError(label)
+        if label != "K":
+            (_, first), (_, second) = self._ladders("e_right", label)
+            return sparsemat.compose(first[i], second[j])
+        _, (w_id, w_minus, w_plus) = self._weights("K")
+        total = _sigma_identity(self.E, i, j, self.prim.dim, w_id)
+        sparsemat.madd_into(total, sparsemat.mscale(self.e_right("-+", i, j), w_minus))
+        sparsemat.madd_into(total, sparsemat.mscale(self.e_right("+-", i, j), w_plus))
+        return total
 
     @functools.cache
     def e_left(self, label: str, i: int, j: int) -> dict:
@@ -233,33 +310,52 @@ class ProjectorFamily:
 
         Cached; the returned matrix is shared, so callers must not modify it.
         """
-        n, r = self.n, self.r
         if label == "C":
-            s = self.E.sigma_basis(i, j)
-            return sparsemat.identity(self.prim.dim, s) if s else {}
+            return _sigma_identity(self.E, i, j, self.prim.dim, 1)
         wedge_ji = self.e_right("+-", j, i)
         wedge_ij = self.e_right("+-", i, j)
         if label == "Sym2E":
             return sparsemat.madd(wedge_ji, wedge_ij)
         if label == "Lambda2E":
-            total = sparsemat.msub(wedge_ji, wedge_ij)
-            s = self.E.sigma_basis(i, j)
-            if s:
-                total = sparsemat.madd(total, sparsemat.identity(
-                    self.prim.dim, Fraction(-(n - r), n) * s))
+            _, (w_wedge, w_id) = self._weights("Lambda2E")
+            total = sparsemat.mscale(sparsemat.msub(wedge_ji, wedge_ij), w_wedge)
+            sparsemat.madd_into(total, _sigma_identity(
+                self.E, i, j, self.prim.dim, w_id))
             return total
         raise ValueError(label)
 
     # assembled recovery ------------------------------------------------
 
     def right_factors(self, a, i, b, j) -> list:
-        """The six right operators of block (a,i),(b,j) as (H, E) factor pairs."""
+        """The six right operators of block (a,i),(b,j) as (H, E) int factor
+        pairs; member k is its pair divided by `member_scales()[k]`."""
         return [(self.h_right(hb, a, b), self.e_right(eb, i, j))
                 for eb in self.E_RIGHT for hb in self.H_RIGHT]
 
     def left_factors(self, a, i, b, j) -> list:
         return [(self.h_left(hb, a, b), self.e_left(eb, i, j))
                 for eb in self.E_LEFT for hb in self.H_LEFT]
+
+    def member_scales(self) -> list:
+        """The scale of each member of `right_factors` + `left_factors`: its
+        H scale times its E scale."""
+        return ([self.scale("h_right", hb) * self.scale("e_right", eb)
+                 for eb in self.E_RIGHT for hb in self.H_RIGHT]
+                + [self.scale("h_left", hb) * self.scale("e_left", eb)
+                   for eb in self.E_LEFT for hb in self.H_LEFT])
+
+
+def _int_copies(mats: list) -> tuple[int, list]:
+    """(s, [s m for each m]) with int entries, s the lcm of the denominators
+    of the rational matrices."""
+    s = sparsemat.denominator_lcm(*mats)
+    return s, [sparsemat.scaled_int(m, s) for m in mats]
+
+
+def _sigma_identity(space, x: int, y: int, dim: int, weight: int) -> dict:
+    """weight sigma(x, y) id on a dim-dimensional space, with int entries."""
+    s = space.sigma_basis(x, y)
+    return sparsemat.identity(dim, weight * s.numerator) if s and weight else {}
 
 
 @functools.cache
@@ -297,47 +393,72 @@ def _entry_vectors(side: list) -> list:
     return list(vectors)
 
 
-def solve_in_span(h_side: list, e_side: list, width: int, where: str) -> list:
+def _side_basis(side: list) -> list:
+    """A basis of the span of one side's entry vectors, in member columns.
+
+    Members that hold the same factor object at every index of the side
+    have equal entries throughout, so the vectors are read over one member
+    of each such class (4 on the H side of `recover_w`, 6 on its E side),
+    reduced by an `Echelon`, and each basis row is spread back over the
+    members of its classes.
+    """
+    classes: dict = {}
+    for k in range(len(side[0])):
+        classes.setdefault(tuple(id(factors[k]) for factors in side), []).append(k)
+    members = list(classes.values())
+    ech = linalg.Echelon()
+    for vec in _entry_vectors([tuple(factors[ks[0]] for ks in members)
+                               for factors in side]):
+        ech.add({c: x for c, x in enumerate(vec) if x})
+    return [{k: x for c, x in row.items() for k in members[c]}
+            for row in ech.rows]
+
+
+def solve_in_span(h_side: list, e_side: list, width: int, where: str,
+                  scales: list | None = None) -> list:
     """Solve left_k = sum_j X[k][j] right_j by exact elimination.
 
-    Each member is a Kronecker product of an H and an E factor.  A side is
-    a list with one tuple per side index, holding every member's factor at
-    that index: the `width` right members first, then the left ones.  On
-    block (x, y), for every H index x and every E index y, member k is
-    h_side[x][k] tensor e_side[y][k].  Every matrix entry of a block gives
-    one row of a joint echelon: right members in the first columns, left
+    Each member is a Kronecker product of an H and an E factor, divided by
+    its scale (all 1 if `scales` is None).  A side is a list with one
+    tuple per side index, holding every member's factor at that index:
+    the `width` right members first, then the left ones.  On block (x, y),
+    for every H index x and every E index y, member k is h_side[x][k]
+    tensor e_side[y][k] / scales[k].  Every matrix entry of a block gives
+    one row of the system: right members in the first columns, left
     members after them.  A pivot among the left columns means some left
     member is outside the span of the right family, which is a hard
     failure; the witness is the reduced row with the smallest such pivot.
     Returns X with None on right columns without pivot.
 
     The row at entry ((hr, er), (hc, ec)) of block (x, y) is u * v, the
-    entrywise product of u, the members' entries at (hr, hc) in h_side[x],
-    and v, their entries at (er, ec) in e_side[y].  The blocks run over
-    every (x, y), so the rows are the products of each distinct entry
-    vector of the H side with each of the E side's, which `_entry_vectors`
-    collects once.  An empty product is skipped and each distinct row is
-    fed once: exactly the distinct rows of one row per block entry.
-    Dropping a repeat is exact, since the echelon's span only grows and
-    `Echelon.add` would reduce a row fed before to zero.  The echelon is
-    reduced, so it depends only on that span and not on the feed order:
-    X, the None columns and the witness are as with one row per block
-    entry.
+    entrywise product of u, the factors' entries at (hr, hc) in h_side[x],
+    and v, their entries at (er, ec) in e_side[y]; the blocks run over
+    every (x, y), so the rows are the products of each H entry vector with
+    each E entry vector.  The product is bilinear, so the products of a
+    basis of each side's span (`_side_basis`) span the same rows, and the
+    joint echelon is fed only those: at most rank(H) * rank(E) rows.  The
+    echelon is reduced, so it depends only on that span: X, the None
+    columns and the witness are as with one row per block entry.
+
+    The rows are fed as the factors give them: column k holds c_k times
+    member k's entry, for c = scales.  That scales the columns and keeps
+    the pivots, so the scales are undone once at the end: X[k][j] =
+    X'[k][j] c_j / c_(width+k), and a reduced row w' with pivot p reads
+    w[col] = w'[col] c_p / c_col.
     """
+    c = scales or [1] * len(h_side[0])
     ech = linalg.Echelon()
-    seen: set = set()
-    vs = _entry_vectors(e_side)
-    for u in _entry_vectors(h_side):
-        for v in vs:
-            row = {col: x * y for col, (x, y) in enumerate(zip(u, v))
-                   if x and y}
-            key = frozenset(row.items())
-            if row and key not in seen:
-                seen.add(key)
+    e_basis = _side_basis(e_side)
+    for u in _side_basis(h_side):
+        for v in e_basis:
+            row = {col: x * v[col] for col, x in u.items() if col in v}
+            if row:
                 ech.add(row)
     off_span = [piv for piv in ech.pivots if piv >= width]
     if off_span:
-        row = ech.rows[ech.pivots.index(min(off_span))]
+        piv = min(off_span)
+        row = ech.rows[ech.pivots.index(piv)]
+        row = {col: row[col] * c[piv] / c[col] for col in sorted(row)}
         raise RecoveryError(
             f"left family not in the span of the right family {where}: "
             f"residual row {row}", row)
@@ -345,7 +466,7 @@ def solve_in_span(h_side: list, e_side: list, width: int, where: str) -> list:
     matrix = [[None] * width for _ in range(height)]
     for piv, row in zip(ech.pivots, ech.rows):
         for k in range(height):
-            matrix[k][piv] = row.get(width + k, Fraction(0))
+            matrix[k][piv] = row.get(width + k, Fraction(0)) * c[piv] / c[width + k]
     return matrix
 
 
@@ -367,7 +488,8 @@ def recover_w(n: int, r: int) -> dict:
               for a in range(2) for b in range(2)]
     e_side = [tuple(e for _, e in members(0, i, 0, j))
               for i in range(fam.E.dim) for j in range(fam.E.dim)]
-    matrix = solve_in_span(h_side, e_side, 6, f"at (n={n}, r={r})")
+    matrix = solve_in_span(h_side, e_side, 6, f"at (n={n}, r={r})",
+                           fam.member_scales())
     alive = [j for j in range(6) if matrix[0][j] is not None]
     expected_alive = _surviving_columns(n, r)
     if alive != expected_alive:
@@ -415,7 +537,7 @@ def recover_matches_closed_form(n: int, r: int) -> dict:
 
 
 # the 1x1 identity, standing in for the factor a sub-oracle leaves out
-_ONE = {0: {0: Fraction(1)}}
+_ONE = {0: {0: 1}}
 
 
 def _zero_dead(matrix: list) -> list:
@@ -428,8 +550,10 @@ def recover_wh(r: int) -> list:
     h_side = [tuple(fam.h_right(lbl, a, b) for lbl in fam.H_RIGHT)
               + tuple(fam.h_left(lbl, a, b) for lbl in fam.H_LEFT)
               for a in range(2) for b in range(2)]
+    scales = ([fam.scale("h_right", lbl) for lbl in fam.H_RIGHT]
+              + [fam.scale("h_left", lbl) for lbl in fam.H_LEFT])
     return _zero_dead(solve_in_span(h_side, [(_ONE,) * 4], 2,
-                                    f"on the H side at r={r}"))
+                                    f"on the H side at r={r}", scales))
 
 
 def recover_we(n: int, r: int) -> list:
@@ -438,8 +562,11 @@ def recover_we(n: int, r: int) -> list:
     e_side = [tuple(fam.e_right(lbl, i, j) for lbl in fam.E_RIGHT)
               + tuple(fam.e_left(lbl, i, j) for lbl in fam.E_LEFT)
               for i in range(fam.E.dim) for j in range(fam.E.dim)]
+    scales = ([fam.scale("e_right", lbl) for lbl in fam.E_RIGHT]
+              + [fam.scale("e_left", lbl) for lbl in fam.E_LEFT])
     return _zero_dead(solve_in_span([(_ONE,) * 6], e_side, 3,
-                                    f"on the E side at (n={n}, r={r})"))
+                                    f"on the E side at (n={n}, r={r})",
+                                    scales))
 
 
 # -- the kernel projection of the twistor summand --------------------------
@@ -449,17 +576,20 @@ def kernel_projection(n: int, r: int) -> dict:
 
     Basis keys are t * prim_dim + c for E index t and primitive column c.
     Block (k, t) is sign * K(i, t), with (i, sign) = E.flat_basis(k) and K
-    the family's own right operator `e_right("K", i, t)`.
+    the family's own right operator `e_right("K", i, t)`, an int matrix
+    divided by its scale once here.
     """
     fam = projector_family(n, r)
     E, pdim = fam.E, fam.prim.dim
+    s = fam.scale("e_right", "K")
     cols: dict = {}
     for k in range(E.dim):
         i, sign = E.flat_basis(k)
         for t in range(E.dim):
             for c, col in fam.e_right("K", i, t).items():
                 cols.setdefault(t * pdim + c, {}).update(
-                    (k * pdim + row, sign * v) for row, v in col.items())
+                    (k * pdim + row, Fraction(sign * v, s))
+                    for row, v in col.items())
     return cols
 
 
@@ -503,7 +633,10 @@ def curvature_scalar_identities(n: int, r: int) -> dict:
 
     The inner brackets are the family's left operators
     `h_left("Sym2H", a, b)` and `e_left("Sym2E", i, j)`, so the identities
-    check the same matrices that the recovery oracle feeds in.
+    check the same matrices that the recovery oracle feeds in.  Both sums
+    are taken over int copies, of those factors and of the outer ladders,
+    so each is compared against its eigenvalue times the product of the
+    three scales.
 
     The kappa/4 coefficients arise by multiplying the eigenvalue with the
     model-curvature prefactor -1/(8n(n+2)), the curvature antisymmetrization
@@ -515,27 +648,33 @@ def curvature_scalar_identities(n: int, r: int) -> dict:
 
     # H side operator sum on Sym^r H (dim r + 1)
     hops = fam.hops
+    s_flat, mul_flat = _int_copies([hops.mul_flat(r - 1, a) for a in range(2)])
+    s_con, contract = _int_copies([hops.contract(r, b) for b in range(2)])
     h_total: dict = {}
     for a in range(2):
         for b in range(2):
-            inner = fam.h_left("Sym2H", a, b)
-            outer = sparsemat.compose(hops.mul_flat(r - 1, a), hops.contract(r, b))
-            sparsemat.madd_into(h_total, sparsemat.compose(outer, inner))
+            outer = sparsemat.compose(mul_flat[a], contract[b])
+            sparsemat.madd_into(h_total, sparsemat.compose(
+                outer, fam.h_left("Sym2H", a, b)))
     lam_h = Fraction(-r * (r + 2))
-    h_ok = sparsemat.is_scalar_multiple(h_total, r + 1, lam_h)
+    h_ok = sparsemat.is_scalar_multiple(
+        h_total, r + 1, lam_h * s_flat * s_con * fam.scale("h_left", "Sym2H"))
 
     # E side operator sum on the primitive level q = n - r
-    ops = fam.eops
     q = n - r
-    pdim = fam.prim.dim
+    eops = fam.eops
+    s_flat, wedge_flat = _int_copies([eops.wedge_flat(q - 1, i) for i in range(E.dim)])
+    s_con, contract = _int_copies([eops.contract(q, j) for j in range(E.dim)])
     e_total: dict = {}
     for i in range(E.dim):
         for j in range(E.dim):
-            inner = fam.e_left("Sym2E", i, j)
-            outer = sparsemat.compose(ops.wedge_flat(q - 1, i), ops.contract(q, j))
-            sparsemat.madd_into(e_total, sparsemat.compose(outer, inner))
+            outer = sparsemat.compose(wedge_flat[i], contract[j])
+            sparsemat.madd_into(e_total, sparsemat.compose(
+                outer, fam.e_left("Sym2E", i, j)))
     lam_e = Fraction(-(n - r) * (n + r + 2))
-    e_ok = sparsemat.is_scalar_multiple(e_total, pdim, lam_e)
+    e_ok = sparsemat.is_scalar_multiple(
+        e_total, fam.prim.dim,
+        lam_e * s_flat * s_con * fam.scale("e_left", "Sym2E"))
 
     # sigma traces of the complementary factors
     trace_e = sum((_sigma_flat_flat(E, i, j) * E.sigma_basis(i, j)

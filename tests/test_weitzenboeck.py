@@ -159,24 +159,59 @@ def test_solve_in_span_ignores_a_repeated_block():
 
 
 def _record_fed(monkeypatch) -> list:
+    """Every row fed to an `Echelon`, as (echelon, row) in feed order."""
     fed = []
     add = linalg.Echelon.add
 
     def recording_add(self, row):
-        fed.append(frozenset(row.items()))
+        fed.append((self, frozenset(row.items())))
         return add(self, row)
 
     monkeypatch.setattr(linalg.Echelon, "add", recording_add)
     return fed
 
 
+def _echelons(fed) -> list:
+    """The echelons fed, each with the rows fed to it, in order of first
+    feed: the two side echelons, then the joint one."""
+    rows: dict = {}
+    for ech, row in fed:
+        rows.setdefault(ech, []).append(row)
+    return list(rows.items())
+
+
+def _rref(rows, scales=None) -> dict:
+    """{pivot: row} of the reduced echelon form of rows, read in the
+    members' unscaled columns: column k divided by scales[k]."""
+    ech = linalg.Echelon()
+    for row in rows:
+        ech.add({col: F(v) / (scales[col] if scales else 1) for col, v in row})
+    return dict(zip(ech.pivots, ech.rows))
+
+
+def _check_joint_rows(fed, reference, scales=None) -> list:
+    """The joint echelon's rows, after checking them against the reference.
+
+    Each side echelon is fed each distinct entry vector once; the joint
+    echelon is fed at most rank(H basis) * rank(E basis) rows, and they
+    have the reduced echelon form of the reference rows (in exact columns).
+    """
+    (side_a, rows_a), (side_b, rows_b), (_, joint) = _echelons(fed)
+    assert len(rows_a) == len(set(rows_a)) and len(rows_b) == len(set(rows_b))
+    assert len(joint) <= side_a.rank * side_b.rank
+    assert _rref(joint, scales) == _rref(reference)
+    return joint
+
+
 def test_solve_in_span_feeds_each_distinct_row_once(monkeypatch):
     # repeated indices and equal-valued copies on both sides
     fed = _record_fed(monkeypatch)
-    solve_in_span([_MIXED, _copy(_MIXED), _MIXED],
-                  _unit(3) + [_copy(_unit(3)[0])], 2, "in a test")
-    assert fed == [frozenset({0: F(1), 2: F(2)}.items()),
-                   frozenset({1: F(1), 2: F(5)}.items())]
+    h_side = [_MIXED, _copy(_MIXED), _MIXED]
+    e_side = _unit(3) + [_copy(_unit(3)[0])]
+    solve_in_span(h_side, e_side, 2, "in a test")
+    joint = _check_joint_rows(fed, _kronecker_rows(_blocks(h_side, e_side, 2)))
+    assert joint == [frozenset({0: F(1), 2: F(2)}.items()),
+                     frozenset({1: F(1), 2: F(5)}.items())]
 
 
 def test_solve_in_span_rejects_a_repeated_block_outside_the_span():
@@ -224,19 +259,21 @@ def _blocks(h_side, e_side, width) -> list:
     return blocks
 
 
-def _kronecker_rows(blocks) -> set:
+def _kronecker_rows(blocks, scales=None) -> set:
     """The distinct rows of the direct Kronecker loop: one row per matrix
-    entry of every block, H entry times E entry, member by member."""
+    entry of every block, H entry times E entry, member by member, each
+    member divided by its scale (1 if scales is None)."""
     rows = set()
     for rights, lefts in blocks:
         entries: dict = {}
         for col, (hm, em) in enumerate(rights + lefts):
+            scale = scales[col] if scales else 1
             for hc, hcol in hm.items():
                 for hr, hv in hcol.items():
                     for ec, ecol in em.items():
                         for er, ev in ecol.items():
                             add_into(entries.setdefault((hr, hc, er, ec), {}),
-                                     col, hv * ev)
+                                     col, F(hv * ev, scale))
         rows.update(frozenset(row.items()) for row in entries.values())
     return rows
 
@@ -246,14 +283,50 @@ def test_solve_in_span_with_two_sided_factors(monkeypatch):
     want = [[F(2), F(5), F(0)], [F(0), F(0), F(3)]]
     assert solve_in_span([_H], [_E], 3, "in a test") == want
     rows = [{0: F(1), 3: F(2)}, {2: F(1), 4: F(3)}, {1: F(1), 3: F(5)}]
-    assert len(fed) == 3
-    assert set(fed) == {frozenset(row.items()) for row in rows} == \
-        _kronecker_rows(_blocks([_H], [_E], 3))
+    joint = _check_joint_rows(fed, _kronecker_rows(_blocks([_H], [_E], 3)))
+    assert len(joint) == 3
+    assert set(joint) == {frozenset(row.items()) for row in rows}
     fed.clear()
     h_side, e_side = [_H, _copy(_H)], [_E, _E_MOVED, _E]
     assert solve_in_span(h_side, e_side, 3, "in a test") == want
-    assert len(fed) == 3
-    assert set(fed) == _kronecker_rows(_blocks(h_side, e_side, 3))
+    joint = _check_joint_rows(fed, _kronecker_rows(_blocks(h_side, e_side, 3)))
+    assert len(joint) == 3
+
+
+# member scales other than 1: member k's H factor is _A[k] times the one
+# above and its E factor _B[k] times, so its scale is _A[k] _B[k].  The
+# off-span system has SWAP.Q in place of 3 DIAG.Q and one more left
+# member, 3 SWAP.Q: both leave the span, and the witness row {4: 1, 5: 3}
+# reads {4: 1, 5: 4} in the scaled columns, of scales 15 and 20
+_A = (2, 3, 1, 6, 5, 4)
+_B = (1, 4, 7, 2, 3, 5)
+_OFF_H = _H[:4] + (_SWAP, sparsemat.mscale(_SWAP, F(3)))
+_OFF_E = _E + (_Q,)
+
+
+def _scaled(side: list, weights: tuple) -> list:
+    return [tuple(sparsemat.mscale(m, w) for m, w in zip(factors, weights))
+            for factors in side]
+
+
+def _solution_or_witness(*args):
+    try:
+        return solve_in_span(*args)
+    except RecoveryError as exc:
+        return exc.witness
+
+
+def test_solve_in_span_undoes_member_scales():
+    outcomes = []
+    for h_side, e_side in (([_H], [_E]), ([_OFF_H], [_OFF_E])):
+        scales = [a * b for a, b in zip(_A, _B)][:len(h_side[0])]
+        plain = _solution_or_witness(h_side, e_side, 3, "in a test")
+        scaled = _solution_or_witness(_scaled(h_side, _A), _scaled(e_side, _B),
+                                      3, "in a test", scales)
+        assert scaled == plain
+        outcomes.append(plain)
+    assert outcomes == [[[F(2), F(5), F(0)], [F(0), F(0), F(3)]],
+                        {4: F(1), 5: F(3)}]
 
 
 def test_solve_in_span_rejects_two_sided_members_outside_the_span():
@@ -264,29 +337,36 @@ def test_solve_in_span_rejects_two_sided_members_outside_the_span():
     assert min(exc.value.witness) >= 3
 
 
-def _oracle_blocks(recover, *args) -> list:
+def _oracle_blocks(recover, *args) -> tuple:
     """The tangent blocks of one recovery, read member by member from its
-    projector family: all (4n)^2 tangent pairs for `recover_w`, the index
-    pairs of one side, with the 1x1 identity as the other, for the
-    sub-oracles."""
+    projector family, and the members' scales: all (4n)^2 tangent pairs
+    for `recover_w`, the index pairs of one side, with the 1x1 identity as
+    the other, for the sub-oracles."""
     if recover is recover_wh:
         (r,) = args
         fam = projector_family(max(r + 1, 2), r)
+        scales = ([fam.scale("h_right", lbl) for lbl in fam.H_RIGHT]
+                  + [fam.scale("h_left", lbl) for lbl in fam.H_LEFT])
         return [([(fam.h_right(lbl, a, b), _ONE) for lbl in fam.H_RIGHT],
                  [(fam.h_left(lbl, a, b), _ONE) for lbl in fam.H_LEFT])
-                for a in range(2) for b in range(2)]
+                for a in range(2) for b in range(2)], scales
     fam = projector_family(*args)
     dim = fam.E.dim
     if recover is recover_we:
+        scales = ([fam.scale("e_right", lbl) for lbl in fam.E_RIGHT]
+                  + [fam.scale("e_left", lbl) for lbl in fam.E_LEFT])
         return [([(_ONE, fam.e_right(lbl, i, j)) for lbl in fam.E_RIGHT],
                  [(_ONE, fam.e_left(lbl, i, j)) for lbl in fam.E_LEFT])
-                for i in range(dim) for j in range(dim)]
+                for i in range(dim) for j in range(dim)], scales
     tangent = [(a, i) for a in range(2) for i in range(dim)]
     return [(fam.right_factors(a, i, b, j), fam.left_factors(a, i, b, j))
-            for (a, i) in tangent for (b, j) in tangent]
+            for (a, i) in tangent for (b, j) in tangent], fam.member_scales()
 
 
 def test_solve_in_span_feeds_the_direct_kronecker_rows(monkeypatch):
+    # the joint echelon's rows span the rows of the direct Kronecker loop
+    # over the exact members; at n <= 4 the side bases have rank <= 2 (H)
+    # and <= 3 (E), so it is fed at most 6 rows
     fed = _record_fed(monkeypatch)
     runs = [(recover_w, n, r) for n in (1, 2, 3) for r in range(n + 1)]
     runs += [(recover_w, 4, 2)]
@@ -296,16 +376,18 @@ def test_solve_in_span_feeds_the_direct_kronecker_rows(monkeypatch):
         recover(*args)             # builds the factors, which feed echelons
         fed.clear()
         recover(*args)
-        assert len(fed) == len(set(fed)), (recover.__name__, args)
-        assert set(fed) == _kronecker_rows(_oracle_blocks(recover, *args)), \
-            (recover.__name__, args)
+        blocks, scales = _oracle_blocks(recover, *args)
+        joint = _check_joint_rows(fed, _kronecker_rows(blocks, scales), scales)
+        assert len(joint) <= 6, (recover.__name__, args)
 
 
 def test_recover_w_multiplication_budget(monkeypatch):
     # a deterministic cost guard: with the factors built, recovering W at
-    # (n, r) = (3, 1) takes 2,270 Fraction products, against 2,430 when
-    # the solver walked the tangent blocks and 15,070 when every block
-    # formed its own Kronecker rows
+    # (n, r) = (3, 1) takes 93 Fraction products, against 2,270 when the
+    # joint echelon was fed every distinct product of an H and an E entry
+    # vector over rational factors, 2,430 when the solver walked the
+    # tangent blocks and 15,070 when every block formed its own Kronecker
+    # rows
     recover_w(3, 1)
     count = [0]
     mul = Fraction.__mul__
@@ -392,6 +474,16 @@ def test_shared_factors_are_never_modified():
                     assert builder(fam, label, i, j) is shared
                     assert shared == builder.__wrapped__(fam, label, i, j), \
                         (builder.__name__, label, i, j)
+                    assert all(type(v) is int for col in shared.values()
+                               for v in col.values())
+    # the int ladders and derivations the factors are built from
+    for ops, up, level in ((fam.hops, "mul", fam.r), (fam.eops, "wedge", fam.q)):
+        for args in ((ops, "contract_sharp", level + 1), (ops, up, level),
+                     (ops, up, level - 1), (ops, "contract_sharp", level)):
+            shared = fam._ladder(*args)
+            assert fam._ladder(*args) is shared
+            assert shared == ProjectorFamily._ladder.__wrapped__(fam, *args), args
+    assert fam._derivations() == ProjectorFamily._derivations.__wrapped__(fam)
 
 
 def test_kernel_projection_properties():
