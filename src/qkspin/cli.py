@@ -21,17 +21,11 @@ import sys
 import time
 from fractions import Fraction
 
+# spinor, verify and weitzenboeck are loaded lazily (see the package
+# docstring): each command compiles only the module it reads.
+from . import SUITES, spinor, verify, weitzenboeck
 from .lefschetz import Check, PrimitiveDimensionError, primitive_dim
 from .scalar import Scalar
-from .spinor import SpinorSpace, rank_formula
-from .verify import SUITES, run_suite
-from .weitzenboeck import (
-    estimate_bound,
-    recover_matches_closed_form,
-    we_closed,
-    wh_closed,
-    w_full,
-)
 
 SCHEMA_VERSION = 1
 
@@ -163,7 +157,7 @@ def cmd_dims(args) -> int:
         raise UsageError("dims requires 1 <= n <= 6")
     constructed = witness = None
     if n <= 4:
-        spin = SpinorSpace(n)
+        spin = spinor.SpinorSpace(n)
         try:
             constructed = [spin.grade_dim(r) for r in range(n + 1)]
         except PrimitiveDimensionError as exc:
@@ -172,18 +166,18 @@ def cmd_dims(args) -> int:
     for r in range(n + 1):
         row = {
             "r": r,
-            "rank_formula": rank_formula(n, r),
+            "rank_formula": spinor.rank_formula(n, r),
             "primitive_dim": primitive_dim(n, n - r),
         }
         if constructed is not None:
             row["constructed"] = constructed[r]
         rows.append(row)
-    total = sum(rank_formula(n, r) for r in range(n + 1))
+    total = sum(spinor.rank_formula(n, r) for r in range(n + 1))
     checks = []
     checks.append(Check(f"total rank equals 4^{n}", total == 4 ** n, value=total))
     if n <= 4:
         checks.append(Check("constructed dimensions match the formula",
-                            constructed == [rank_formula(n, r)
+                            constructed == [spinor.rank_formula(n, r)
                                             for r in range(n + 1)],
                             witness, value=constructed))
     values = {"rows": rows, "total": total}
@@ -197,7 +191,7 @@ def cmd_verify(args) -> int:
         raise UsageError("verify requires n >= 1")
     if n > 4:
         raise UsageError("verification suites are limited to n <= 4")
-    checks = run_suite(args.suite, n, args.seed)
+    checks = verify.run_suite(args.suite, n, args.seed)
     return emit_report(args, "verify", {"n": n, "suite": args.suite,
                                         "seed": args.seed},
                        checks, {}, started)
@@ -210,7 +204,7 @@ def cmd_weitzenboeck(args) -> int:
         raise UsageError("weitzenboeck requires n >= 1 and 0 <= r <= n")
     if args.oracle and n > 5:
         raise UsageError("the weitzenboeck oracle is limited to n <= 5")
-    w = w_full(n, r)
+    w = weitzenboeck.w_full(n, r)
     if args.format == "json":
         w_value = w.to_json()
     else:
@@ -219,15 +213,17 @@ def cmd_weitzenboeck(args) -> int:
                          for j, v in enumerate(row)])
                    for k, row in enumerate(w.entries)]
     values = {
-        "W_H": [[_fmt_fraction(v) for v in row] for row in wh_closed(r)],
-        "W_E": [[_fmt_fraction(v) for v in row] for row in we_closed(n, r)],
+        "W_H": [[_fmt_fraction(v) for v in row]
+                for row in weitzenboeck.wh_closed(r)],
+        "W_E": [[_fmt_fraction(v) for v in row]
+                for row in weitzenboeck.we_closed(n, r)],
         "W": w_value,
     }
     checks = []
     if args.oracle:
         name = "closed form = oracle"
         try:
-            rep = recover_matches_closed_form(n, r)
+            rep = weitzenboeck.recover_matches_closed_form(n, r)
         except PrimitiveDimensionError as exc:
             rep = {"ok": False, "witness": exc.witness}
         else:
@@ -257,7 +253,7 @@ def cmd_bound(args) -> int:
         raise UsageError(f"cannot parse --kappa {args.kappa!r}: {exc}")
     if kappa <= 0:
         raise UsageError("--kappa must be positive (positive scalar curvature)")
-    rep = estimate_bound(n, r, kappa)
+    rep = weitzenboeck.estimate_bound(n, r, kappa)
     checks = [Check("coefficient re-derivation agrees with the closed form",
                     rep["agree"], rep["witness"], value=rep["coefficient"])]
     values = {

@@ -219,17 +219,32 @@ def cr_star(elem: dict) -> dict:
 
 def curv_span_rank(N: int) -> int:
     """Rank of the span of all basis generators (alpha.beta)x(gamma.delta)."""
+    return generator_span(N)[0]
+
+
+def generator_span(N: int) -> tuple[int, tuple | None]:
+    """Rank of the span of all basis generators, and the first one outside
+    ker(m).
+
+    Each generator is built once: the loop that feeds it to the echelon also
+    tests m(g) = 0.  The second value is the (a, b, c, d) of the first
+    generator with m(g) != 0, or None when every generator lies in ker(m).
+    """
     basis = {k: idx for idx, k in enumerate(s2l2_basis(N))}
     ech = linalg.Echelon()
+    outside = None
     for a in range(N):
         for b in range(a, N):
             for c in range(N):
                 for d in range(c, N):
                     gen = curv_generator(basis_cov(a), basis_cov(b),
                                          basis_cov(c), basis_cov(d))
-                    if gen:
-                        ech.add({basis[k]: v for k, v in gen.items()})
-    return ech.rank
+                    if not gen:
+                        continue
+                    if outside is None and mult_m(gen):
+                        outside = (a, b, c, d)
+                    ech.add({basis[k]: v for k, v in gen.items()})
+    return ech.rank, outside
 
 
 def m_rows(basis: list) -> list:
@@ -245,21 +260,17 @@ def ker_m_rank(N: int) -> int:
     return len(basis) - linalg.rank(m_rows(basis))
 
 
-def generators_span_ker_m(N: int) -> bool:
-    """ker(m) equals the span of all basis generators, by double inclusion.
+def generators_span_ker_m(N: int) -> dict:
+    """ker(m) against the span of all basis generators, by double inclusion.
 
-    Every basis generator lies in ker(m) (checked quadruple by quadruple),
-    and the two subspaces have equal dimension.
+    The two are equal exactly when every generator lies in ker(m) and the
+    two subspaces have the same dimension.
     """
-    for a in range(N):
-        for b in range(a, N):
-            for c in range(N):
-                for d in range(c, N):
-                    gen = curv_generator(basis_cov(a), basis_cov(b),
-                                         basis_cov(c), basis_cov(d))
-                    if mult_m(gen):
-                        return False
-    return curv_span_rank(N) == ker_m_rank(N)
+    span_rank, outside = generator_span(N)
+    kernel_rank = ker_m_rank(N)
+    return {"N": N, "span_rank": span_rank, "ker_m_rank": kernel_rank,
+            "outside": outside,
+            "equal": outside is None and span_rank == kernel_rank}
 
 
 def split_sym_ext(a, b, c, d) -> tuple[list, list]:

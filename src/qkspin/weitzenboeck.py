@@ -45,11 +45,12 @@ import functools
 from fractions import Fraction
 from math import lcm
 
-from . import linalg, sparsemat
+# spinor is loaded lazily (see the package docstring): only the projector
+# families read it, so the closed forms and the bound do not compile it.
+from . import linalg, sparsemat, spinor
 from .lefschetz import PrimitiveOps, primitive_ops, primitive_space
 from .powers import sym_ops
 from .scalar import Scalar
-from .spinor import SpinorSpace
 from .symplectic import SymplecticSpace
 
 ROW_LABELS = ["C.C", "Sym2H.C", "C.Sym2E", "Sym2H.Sym2E",
@@ -173,7 +174,7 @@ class ProjectorFamily:
         self.n = n
         self.r = r
         self.q = n - r
-        self.spin = SpinorSpace(n)
+        self.spin = spinor.SpinorSpace(n)
         self.H = self.spin.H
         self.E = self.spin.E
         self.eops = primitive_ops(self.E)

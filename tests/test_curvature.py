@@ -560,4 +560,35 @@ def test_bianchi_n2_full():
 
 def test_generator_span_equals_ker_m():
     from qkspin.curvature import generators_span_ker_m
-    assert all(generators_span_ker_m(N) for N in (2, 3, 4))
+    for N, dim in ((2, 1), (3, 6), (4, 20)):
+        assert generators_span_ker_m(N) == {
+            "N": N, "span_rank": dim, "ker_m_rank": dim, "outside": None,
+            "equal": True}
+
+
+def _m_with_one_sign_flipped(elem: dict) -> dict:
+    # m with the (e0^e1)(e2^e3) term entering e0^e1^e2^e3 with the wrong
+    # sign: still rank 1 at N = 4 and zero at N = 2, 3, so ker(m) keeps its
+    # dimension at every N, but at N = 4 it is another subspace
+    out = mult_m(elem)
+    c = elem.get(((0, 1), (2, 3)))
+    if c:
+        add_into(out, (0, 1, 2, 3), -2 * c)
+    return out
+
+
+def test_generator_span_check_sees_a_kernel_of_equal_dimension(monkeypatch):
+    from qkspin.curvature import generators_span_ker_m
+    monkeypatch.setattr(curvature, "mult_m", _m_with_one_sign_flipped)
+    assert [ker_m_rank(N) for N in (2, 3, 4)] == [1, 6, 20]
+    rep = generators_span_ker_m(4)
+    assert (rep["span_rank"], rep["ker_m_rank"]) == (20, 20)
+    assert not rep["equal"]
+    # the first generator with an (e0^e1)(e2^e3) term, in the loop order
+    # a <= b, c <= d: (e0.e2)x(e1.e3) = (e0^e1)(e2^e3) - (e0^e3)(e1^e2)
+    assert rep["outside"] == (0, 2, 1, 3)
+    checks = {c.name: c for c in run_suite("curvature", 1)}
+    assert checks["Curv dimension N^2(N^2-1)/12 at N=2,3,4"].ok
+    span_check = checks["ker(m) matches the generator span"]
+    assert not span_check.ok
+    assert span_check.witness == rep
