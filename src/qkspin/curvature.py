@@ -17,7 +17,11 @@ Conventions for the block decomposition of Sym^2 Lambda^2 (H* tensor E*):
 
 The five Bianchi equations compare projections of the same element arriving
 through different blocks, so these normalizations matter; the subspace
-equality with ker(m) is the oracle that validates them.
+equality with ker(m) is the oracle that validates them.  The equations are
+built as int rows, each scaled by one fixed int per equation (72 for I, II
+and II', 16 for III and III'), which keeps its row space.  The equality is
+checked as row(C) = row(m): every constraint row reduces to zero against
+m's echelon, and the two ranks agree.
 
 The two Sym^4 checks, `sym4_acts_trivially` and `qzero_check`, run in int
 arithmetic.  Every operator they compose is integral except the 4-form's
@@ -249,7 +253,7 @@ def generator_span(N: int) -> tuple[int, tuple | None]:
 
 def m_rows(basis: list) -> list:
     """Sparse rows of m over the given Sym^2 Lambda^2 keys, by Lambda^4 key."""
-    rows = sparsemat.transpose({idx: mult_m({key: Fraction(1)})
+    rows = sparsemat.transpose({idx: mult_m({key: 1})
                                 for idx, key in enumerate(basis)})
     return [rows[t] for t in sorted(rows)]
 
@@ -278,16 +282,16 @@ def split_sym_ext(a, b, c, d) -> tuple[list, list]:
 
     (a.b) tensor (c^d) -> 1/2 [ (a.c)^(b.d) + (b.c)^(a.d) ]
                       (+) 1/2 [ (a^c)^(b^d) + (b^c)^(a^d) ].
-    Returns (sym_terms, ext_terms), each a list of (key, coeff) with keys
-    as ordered pairs of symmetric resp. exterior pair keys.
+    Returns (sym_terms, ext_terms), each a list of (key, sign) with keys
+    as ordered pairs of symmetric resp. exterior pair keys.  The int sign
+    is twice the term's coefficient: the common 1/2 is the caller's.
     """
-    half = Fraction(1, 2)
     sym_terms, ext_terms = [], []
     for x, y in ((a, b), (b, a)):
         e = ekey(skey(x, c), skey(y, d))
         if e:
             sg, key = e
-            sym_terms.append((key, half * sg))
+            sym_terms.append((key, sg))
         e1, e2 = ekey(x, c), ekey(y, d)
         if e1 and e2:
             s1, k1 = e1
@@ -295,7 +299,7 @@ def split_sym_ext(a, b, c, d) -> tuple[list, list]:
             e = ekey(k1, k2)
             if e:
                 sg, key = e
-                ext_terms.append((key, half * sg * s1 * s2))
+                ext_terms.append((key, sg * s1 * s2))
     return sym_terms, ext_terms
 
 
@@ -313,13 +317,14 @@ def _i_matrix(space: SymplecticSpace, part: int) -> list:
     """Column a.b is part `part` of split_sym_ext of (a.b) tensor sigma.
 
     sigma = sum_g 1/2 sg dg ^ dg^sharp; part 0 is the Lambda^2 Sym^2 image,
-    part 1 the Lambda^2 Lambda^2 image.
+    part 1 the Lambda^2 Lambda^2 image.  Each term's weight is sigma's 1/2
+    times the split's 1/2.
     """
     N = space.dim
     sigma_terms = []
     for i in range(N):
         j, sg = space.sharp_basis(i)
-        sigma_terms.append((i, j, Fraction(sg, 2)))
+        sigma_terms.append((i, j, Fraction(sg, 4)))
     cols = []
     for (a, b) in sym2_basis(N):
         col: dict = {}
@@ -360,8 +365,8 @@ class BianchiSystem:
     Lambda^2 H tensor Sym^2 E) and 'M' (the mixed product block).
     """
 
-    # the largest n measured: 15-17 s and 33 MB peak RSS in-process on a
-    # 2-vCPU VM (Python 3.11.7), against about 3 s and 22 MB at n = 4
+    # the largest n measured: 1.3-1.5 s and 34 MB peak RSS in-process on a
+    # 2-vCPU VM (Python 3.11.7), against 0.3-0.6 s and 22 MB at n = 4
     MAX_N = 5
 
     def __init__(self, n: int):
@@ -381,58 +386,47 @@ class BianchiSystem:
         """F = (v1, v2) -> (H-part term, E-part term), each possibly None.
 
         H-part: 1/2 (a.b) tensor (i^j);  E-part: 1/2 (a^b) tensor (i.j).
-        Returns ((sym2H key, ext2E key, coeff) | None,
-                 (ext2H key, sym2E key, coeff) | None).
+        Returns ((sym2H key, ext2E key, sign) | None,
+                 (ext2H key, sym2E key, sign) | None), the int sign twice
+        the part's coefficient.
         """
         (a, i), (b, j) = self.split_v(F[0]), self.split_v(F[1])
-        half = Fraction(1, 2)
-        h_part = None
-        eij = ekey(i, j)
-        if eij:
-            sg, kij = eij
-            h_part = (skey(a, b), kij, half * sg)
-        e_part = None
-        eab = ekey(a, b)
-        if eab:
-            sg, kab = eab
-            e_part = (kab, skey(i, j), half * sg)
+        eij, eab = ekey(i, j), ekey(a, b)
+        h_part = (skey(a, b), eij[1], eij[0]) if eij else None
+        e_part = (eab[1], skey(i, j), eab[0]) if eab else None
         return h_part, e_part
 
     def column_components(self, key) -> dict:
         """The labelled component contributions of one basis element that
-        equations I-III' read."""
+        equations I-III' read, as ints: 8 times the exact value on the H-
+        and E-block labels (two part halves and the block's 1/2), 16 times
+        on the mixed 'M' labels (two part halves and two split halves)."""
         F, G = key
         fh, fe = self._split_2form(F)
         gh, ge = self._split_2form(G)
-        half = Fraction(1, 2)
         out: dict = {}
 
         def put(label, ckey, coeff):
-            if coeff:
-                add_into(out.setdefault(label, {}), ckey, coeff)
+            add_into(out.setdefault(label, {}), ckey, coeff)
 
         # H block: (p1 (x) q1).(p2 (x) q2) -> 1/2 p1p2 (x) q1q2 (+) 1/2 p1^p2 (x) q1^q2
         if fh and gh:
             p1, q1, c1 = fh
             p2, q2, c2 = gh
             c = c1 * c2
-            put("s2s2H_s2l2E", (skey(p1, p2), skey(q1, q2)), half * c)
+            put("s2s2H_s2l2E", (skey(p1, p2), skey(q1, q2)), c)
             e1, e2 = ekey(p1, p2), ekey(q1, q2)
             if e1 and e2:
-                s1, k1 = e1
-                s2, k2 = e2
-                put("l2s2H_l2l2E_H", (k1, k2), half * c * s1 * s2)
+                put("l2s2H_l2l2E_H", (e1[1], e2[1]), c * e1[0] * e2[0])
         # E block
         if fe and ge:
             u1, v1, c1 = fe
             u2, v2, c2 = ge
             c = c1 * c2
-            put("s2l2H_s2s2E", (skey(u1, u2), skey(v1, v2)), half * c)
+            put("s2l2H_s2s2E", (skey(u1, u2), skey(v1, v2)), c)
             e1, e2 = ekey(u1, u2), ekey(v1, v2)
             if e1 and e2:
-                s1, k1 = e1
-                s2, k2 = e2
-                put("l2l2H_l2s2E_E", (k1, k2), half * c * s1 * s2)
+                put("l2l2H_l2s2E_E", (e1[1], e2[1]), c * e1[0] * e2[0])
         # M block: F_H (x) G_E + G_H (x) F_E
         for (hterm, eterm) in ((fh, ge), (gh, fe)):
             if not (hterm and eterm):
@@ -452,46 +446,53 @@ class BianchiSystem:
         return out
 
     def equation_rows(self) -> dict:
-        """Sparse rows of equations I, II, II', III, III' over the basis."""
+        """Sparse int rows of equations I, II, II', III, III' over the basis.
+
+        I, II and II' are 72 times the exact rows: 8 from the components
+        and 3 from each 1/3 map.  III and III' are 16 times, where the H- or
+        E-block term weighs 2 against the mixed term's 1.
+        """
         comp_rows: dict = {}
 
         def accumulate(label, ckey, col_idx, coeff):
-            comp_rows.setdefault(label, {}).setdefault(ckey, {})
-            add_into(comp_rows[label][ckey], col_idx, coeff)
+            add_into(comp_rows.setdefault(label, {}).setdefault(ckey, {}),
+                     col_idx, coeff)
+
+        @functools.cache
+        def thrice(part, key):
+            # 3 part(key): int, as each 1/3 map has thirds for values
+            return {k: w.numerator if (w := 3 * v).denominator == 1 else w
+                    for k, v in part({key: Fraction(1)}).items()}
 
         for idx, key in enumerate(self.basis):
             comps = self.column_components(key)
             # equation I needs the Curv (x) Curv parts of both doubled blocks
             for (hk, ek), c in comps.get("s2s2H_s2l2E", {}).items():
-                curv_h = s2s2_curv_part({hk: Fraction(1)})
-                curv_e = s2l2_curv_part({ek: Fraction(1)})
-                for kh, vh in curv_h.items():
+                curv_e = thrice(s2l2_curv_part, ek)
+                for kh, vh in thrice(s2s2_curv_part, hk).items():
                     for ke, ve in curv_e.items():
                         accumulate("I", (kh, ke), idx, c * vh * ve)
                 # equation II: Sym^4 H (x) Lambda^4 E
-                s4 = s2s2_sym4_part({hk: Fraction(1)})
-                l4 = s2l2_lambda4_part({ek: Fraction(1)})
-                for k4, v4 in s4.items():
+                l4 = thrice(s2l2_lambda4_part, ek)
+                for k4, v4 in thrice(s2s2_sym4_part, hk).items():
                     for ke4, ve4 in l4.items():
                         accumulate("II", (k4, ke4), idx, c * v4 * ve4)
             for (hk, ek), c in comps.get("s2l2H_s2s2E", {}).items():
-                curv_h = s2l2_curv_part({hk: Fraction(1)})
-                curv_e = s2s2_curv_part({ek: Fraction(1)})
-                for kh, vh in curv_h.items():
+                curv_e = thrice(s2s2_curv_part, ek)
+                for kh, vh in thrice(s2l2_curv_part, hk).items():
                     for ke, ve in curv_e.items():
                         accumulate("I", (kh, ke), idx, -c * vh * ve)
                 # equation II': Lambda^4 H (x) Sym^4 E
-                l4 = s2l2_lambda4_part({hk: Fraction(1)})
-                s4 = s2s2_sym4_part({ek: Fraction(1)})
-                for k4, v4 in l4.items():
+                s4 = thrice(s2s2_sym4_part, ek)
+                for k4, v4 in thrice(s2l2_lambda4_part, hk).items():
                     for ke4, ve4 in s4.items():
                         accumulate("IIp", (k4, ke4), idx, c * v4 * ve4)
             for ckey, c in comps.get("l2s2H_l2l2E_H", {}).items():
-                accumulate("III", ckey, idx, c)
+                accumulate("III", ckey, idx, 2 * c)
             for ckey, c in comps.get("l2s2H_l2l2E_M", {}).items():
                 accumulate("III", ckey, idx, -c)
             for ckey, c in comps.get("l2l2H_l2s2E_E", {}).items():
-                accumulate("IIIp", ckey, idx, c)
+                accumulate("IIIp", ckey, idx, 2 * c)
             for ckey, c in comps.get("l2l2H_l2s2E_M", {}).items():
                 accumulate("IIIp", ckey, idx, -c)
         return comp_rows
@@ -505,33 +506,28 @@ class BianchiSystem:
                     rows.append(row)
         return rows
 
-    def ker_m_basis(self) -> list:
-        return linalg.kernel_basis(m_rows(self.basis), len(self.basis))
-
     def solution_equals_ker_m(self) -> dict:
-        """Subspace equality by double inclusion: dim count + containment.
+        """Subspace equality as row spaces: ker C = ker m exactly when
+        row(C) = row(m).
 
-        Containment is one sparse product: column k of constraints @ kernel
-        holds the constraint values of kernel vector k.  The witness is the
-        first (kernel vector, constraint row) pair that fails, smallest
-        kernel index first, then smallest row index.
+        Containment row(C) in row(m) (that is, ker m in ker C): every
+        constraint row reduces to zero against m's echelon.  Equality: the
+        ranks agree as well.  The witness is the first constraint row
+        outside row(m), as (its index, its residue).
         """
+        m_echelon = linalg.Echelon()
+        for row in m_rows(self.basis):
+            m_echelon.add(row)
         constraints = self.constraint_rows()
-        kernel = self.ker_m_basis()
-        sol_dim = len(self.basis) - linalg.rank(constraints)
-        values = sparsemat.compose(
-            sparsemat.transpose(dict(enumerate(constraints))),
-            dict(enumerate(kernel)))
-        contained = not values
-        witness = None
-        if not contained:
-            k = min(values)
-            witness = (kernel[k], constraints[min(values[k])])
+        witness = next(((k, res) for k, row in enumerate(constraints)
+                        if (res := m_echelon.reduce(row))), None)
+        rank_c = linalg.rank(constraints)
+        contained = witness is None
         return {
-            "dim_ker_m": len(kernel),
-            "dim_solutions": sol_dim,
+            "dim_ker_m": len(self.basis) - m_echelon.rank,
+            "dim_solutions": len(self.basis) - rank_c,
             "kernel_satisfies_equations": contained,
-            "equal": contained and sol_dim == len(kernel),
+            "equal": contained and rank_c == m_echelon.rank,
             "witness": witness,
         }
 

@@ -6,6 +6,12 @@ acts as (n-k) id on Lambda^k E.  The primitive space is ker(Lambda); it is
 realized by an explicitly computed kernel basis in free-column-pivot form,
 so the coordinates of a column are its entries on the free columns.
 
+L, Lambda and H = Lambda L - L Lambda are int matrices read off index
+tables, as are the contraction and wedge tables on Lambda^q from which the
+primitive ladder is built.  The elementwise rules `apply_L`,
+`apply_Lambda`, `ext_contract` and `wedge_circ` stay as the references the
+tests compare these tables with.
+
 Two independent projector constructions (kernel/image splitting and the
 sl2 eigenvalue polynomial in L Lambda) are kept side by side; the test
 suite checks they produce identical matrices.  Like every operator in the
@@ -26,7 +32,14 @@ from fractions import Fraction
 from math import comb
 
 from . import linalg, sparsemat
-from .powers import ExtPower, ext_contract, ext_product, ext_wedge_vec, sym_ops
+from .powers import (
+    ExtPower,
+    ext_contract,
+    ext_product,
+    ext_wedge_vec,
+    sort_sign,
+    sym_ops,
+)
 from .symplectic import (
     SymplecticSpace,
     add_into,
@@ -63,29 +76,69 @@ def apply_Lambda(space: SymplecticSpace, elem: dict) -> dict:
     return out
 
 
-def _ext_matrix(space: SymplecticSpace, fn, degree_in: int, degree_out: int) -> dict:
-    """Column-major matrix of an exterior operator Lambda^degree_in -> Lambda^degree_out."""
-    return sparsemat.from_images(
-        (fn({mono: Fraction(1)}) for mono in ExtPower(space, degree_in).basis),
-        ExtPower(space, degree_out).coords)
-
-
+@functools.cache
 def L_op(space: SymplecticSpace, q: int) -> dict:
-    """Matrix of L: Lambda^(q-2) -> Lambda^q."""
-    return _ext_matrix(space, lambda x: apply_L(space, x), q - 2, q)
+    """Matrix of L: Lambda^(q-2) -> Lambda^q, int; shared, so read-only.
+
+    L wedges with the bivector sum_i c_i e_i ^ e_(i+n), whose coefficients
+    c_i = 1/2 + 1/2 are `canonical_bivector`'s, integral.
+    """
+    bivector = [(pair, c.numerator) for pair, c in canonical_bivector(space).items()]
+    target = ExtPower(space, q).index
+    out = {}
+    for col, mono in enumerate(ExtPower(space, q - 2).basis):
+        image = {}
+        for pair, c in bivector:
+            merged = sort_sign(pair + mono)
+            if merged:
+                image[target[merged[1]]] = merged[0] * c
+        if image:
+            out[col] = image
+    return out
 
 
 def Lambda_op(space: SymplecticSpace, q: int) -> dict:
-    """Matrix of Lambda: Lambda^q -> Lambda^(q-2)."""
-    return _ext_matrix(space, lambda x: apply_Lambda(space, x), q, q - 2)
+    """Matrix of Lambda: Lambda^q -> Lambda^(q-2), int.
+
+    Lambda e_mono = sum (-1)^(p+r+1) e_(mono without i, i+n), over the
+    i < n with both i and i+n in mono, at positions p < r.
+    """
+    n = space.half_dim
+    target = ExtPower(space, q - 2).index
+    out = {}
+    for col, mono in enumerate(ExtPower(space, q).basis):
+        position = {idx: p for p, idx in enumerate(mono)}
+        image = {}
+        for i in range(n):
+            if i in position and i + n in position:
+                rest = tuple(x for x in mono if x != i and x != i + n)
+                image[target[rest]] = 1 if (position[i] + position[i + n]) % 2 else -1
+        if image:
+            out[col] = image
+    return out
 
 
 def H_op(space: SymplecticSpace, q: int) -> dict:
     """Matrix of [Lambda, L] on Lambda^q; equals (n - q) id."""
-    def fn(x):
-        return sub(apply_Lambda(space, apply_L(space, x)),
-                   apply_L(space, apply_Lambda(space, x)))
-    return _ext_matrix(space, fn, q, q)
+    return sparsemat.msub(
+        sparsemat.compose(Lambda_op(space, q + 2), L_op(space, q + 2)),
+        sparsemat.compose(L_op(space, q), Lambda_op(space, q)))
+
+
+@functools.cache
+def contract_tables(space: SymplecticSpace, q: int) -> list:
+    """C_j: Lambda^q -> Lambda^(q-1), contraction with de_j, for each j.
+
+    C_j e_mono = (-1)^p e_(mono without j), p the position of j in mono;
+    int entries.  The wedge e_i ^ on Lambda^(q-1) is the transpose of C_i.
+    Shared, so read-only.
+    """
+    target = ExtPower(space, q - 1).index
+    tables = [{} for _ in range(space.dim)]
+    for col, mono in enumerate(ExtPower(space, q).basis):
+        for p, j in enumerate(mono):
+            tables[j][col] = {target[mono[:p] + mono[p + 1:]]: -1 if p % 2 else 1}
+    return tables
 
 
 def wedge_circ(space: SymplecticSpace, vec: dict, elem: dict) -> dict:
@@ -148,6 +201,7 @@ class PrimitiveSpace:
         free_cols, kernel = linalg.kernel_basis_with_free(
             [rows[t] for t in sorted(rows)], self.ambient.dim)
         self.free_cols = free_cols
+        self.coord_of = {free: c for c, free in enumerate(free_cols)}
         # B is +-1 in free-column form: int entries keep products with it
         # (the 4-form's derivations in `qzero_check`) in int arithmetic
         self.matrix = sparsemat.integral(dict(enumerate(kernel)))
@@ -160,11 +214,12 @@ class PrimitiveSpace:
     def to_coords(self, m: dict) -> dict:
         """Primitive coordinates of each column of m, over the ambient basis.
 
-        Read off the free columns and checked by B coords = m; the first
-        column outside ker(Lambda) raises `NotPrimitiveError`, naming it.
+        Read off the free columns, through the map from each free column to
+        its coordinate, and checked by B coords = m; the first column outside
+        ker(Lambda) raises `NotPrimitiveError`, naming it.
         """
-        coords = {col: {c: v for c, free in enumerate(self.free_cols)
-                        if (v := mcol.get(free))}
+        coord_of = self.coord_of
+        coords = {col: {coord_of[r]: v for r, v in mcol.items() if r in coord_of}
                   for col, mcol in m.items()}
         recon = sparsemat.compose(self.matrix, coords)
         for col in sorted(m):
@@ -208,17 +263,34 @@ class PrimitiveSpace:
     # sparse operator matrices over primitive coordinates ------------
 
     def contract_matrix(self, cov_index: int, target: "PrimitiveSpace") -> dict:
-        """Matrix of (de_cov_index contraction): self -> target (degree q-1)."""
-        cov = {cov_index: Fraction(1)}
-        return target.to_coords(sparsemat.from_images(
-            (ext_contract(cov, elem) for elem in self.basis), target.ambient.coords))
+        """Matrix of (de_cov_index contraction): self -> target (degree q-1).
+
+        The coordinates of C_j B, C_j the contraction table; int entries.
+        """
+        table = contract_tables(self.space, self.q)[cov_index]
+        return target.to_coords(sparsemat.compose(table, self.matrix))
 
     def wedge_circ_matrix(self, vec_index: int, target: "PrimitiveSpace") -> dict:
-        """Matrix of (e_vec_index wedge_circ): self -> target (degree q+1)."""
-        vec = {vec_index: Fraction(1)}
-        return target.to_coords(sparsemat.from_images(
-            (wedge_circ(self.space, vec, elem) for elem in self.basis),
-            target.ambient.coords))
+        """Matrix of (e_vec_index wedge_circ): self -> target (degree q+1).
+
+        e_i wedge_circ = e_i ^ - s/(n-q+1) L C_j on level q, (j, s) the
+        index and sign of e_i^sharp.  The int matrix (n-q+1) W_i B - s L C_j B,
+        W_i the wedge table, is read in coordinates and divided once; an
+        entry that divides exactly stays an int.
+        """
+        space, q = self.space, self.q
+        scale = space.half_dim - q + 1
+        j, sg = space.sharp_basis(vec_index)
+        wedge = sparsemat.transpose(contract_tables(space, q + 1)[vec_index])
+        correction = sparsemat.compose(
+            L_op(space, q + 1),
+            sparsemat.compose(contract_tables(space, q)[j], self.matrix))
+        coords = target.to_coords(sparsemat.madd(
+            sparsemat.mscale(sparsemat.compose(wedge, self.matrix), scale),
+            sparsemat.mscale(correction, -sg)))
+        return {col: {r: v // scale if v % scale == 0 else Fraction(v, scale)
+                      for r, v in ccol.items()}
+                for col, ccol in coords.items()}
 
 
 @functools.cache
@@ -276,13 +348,13 @@ class PrimitiveOps:
     def _contract_sharp(self, q: int, vec_index: int) -> dict:
         j, sg = self.space.sharp_basis(vec_index)
         m = self._contract(q, j)
-        return m if sg == 1 else sparsemat.mscale(m, Fraction(-1))
+        return m if sg == 1 else sparsemat.mscale(m, -1)
 
     @functools.cache
     def _wedge_flat(self, q: int, cov_index: int) -> dict:
         j, sg = self.space.flat_basis(cov_index)
         m = self._wedge(q, j)
-        return m if sg == 1 else sparsemat.mscale(m, Fraction(-1))
+        return m if sg == 1 else sparsemat.mscale(m, -1)
 
 
 @functools.cache

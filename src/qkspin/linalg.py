@@ -8,6 +8,14 @@ is fixed by (row order, smallest column), so every result is deterministic.
 An `int` pivot is promoted to `Fraction` before dividing, so integer input
 gives exact rational results rather than floats.  `Echelon` is the only
 elimination routine: rank, kernels and `invert` all feed it rows.
+
+`Echelon` keeps a map from each pivot column to its row, and `reduce`
+subtracts only at the pivot columns present in the incoming row.  That is
+the whole reduction because the form is reduced: each row is zero on every
+other row's pivot column, so subtracting it adds no pivot column and leaves
+the row's other pivot entries as they were.  A map from each non-pivot
+column to the rows holding it lets `add` back-substitute a new pivot into
+only those rows.
 """
 
 from __future__ import annotations
@@ -36,8 +44,10 @@ class Echelon:
     """Incrementally maintained reduced row echelon form."""
 
     def __init__(self):
-        self.rows = []     # reduced rows, each with leading coefficient 1
-        self.pivots = []   # pivot column of each row
+        self.rows = []        # reduced rows, each with leading coefficient 1
+        self.pivots = []      # pivot column of each row
+        self.pivot_row = {}   # pivot column -> index of its row
+        self.col_rows = {}    # non-pivot column -> indices of the rows holding it
 
     @property
     def rank(self) -> int:
@@ -45,26 +55,33 @@ class Echelon:
 
     def reduce(self, row: dict) -> dict:
         """Return row reduced against the current echelon (not inserted)."""
-        for piv, r in zip(self.pivots, self.rows):
-            val = row.get(piv)
-            if val:
-                row = row_sub(row, val, r)
+        rows, pivot_row = self.rows, self.pivot_row
+        for piv in [c for c in row if c in pivot_row]:
+            row = row_sub(row, row[piv], rows[pivot_row[piv]])
         return row
 
     def add(self, row: dict) -> bool:
         """Insert a row; returns True if it increased the rank."""
-        row = self.reduce(dict(row))
+        row = self.reduce(row)
         if not row:
             return False
         piv = min(row)
         inv_val = _exact(row[piv])
         row = {c: v / inv_val for c, v in row.items()}
-        # back-substitute into existing rows to keep the form reduced
-        for k, r in enumerate(self.rows):
-            val = r.get(piv)
-            if val:
-                self.rows[k] = row_sub(r, val, row)
-        self.rows.append(row)
+        # back-substitute into the rows holding piv, to keep the form reduced
+        rows, col_rows = self.rows, self.col_rows
+        for k in col_rows.pop(piv, ()):
+            rows[k] = new = row_sub(rows[k], rows[k][piv], row)
+            for col in row:
+                if col in new:
+                    col_rows.setdefault(col, set()).add(k)
+                elif col != piv:
+                    col_rows[col].discard(k)
+        for col in row:
+            if col != piv:
+                col_rows.setdefault(col, set()).add(len(rows))
+        self.pivot_row[piv] = len(rows)
+        rows.append(row)
         self.pivots.append(piv)
         return True
 
@@ -91,19 +108,15 @@ def kernel_basis_with_free(rows, ncols: int) -> tuple[list[int], list[dict]]:
     ech = Echelon()
     for row in rows:
         ech.add(row)
-    pivot_set = set(ech.pivots)
-    free_cols = []
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = {free: _one_like(ech)}
-        for piv, r in zip(ech.pivots, ech.rows):
-            val = r.get(free)
-            if val:
-                vec[piv] = -val
-        free_cols.append(free)
-        basis.append(vec)
+    # -(entry of each pivot row on a free column), gathered by free column
+    off_pivot: dict = {}
+    for piv, r in zip(ech.pivots, ech.rows):
+        for col, val in r.items():
+            if col != piv:
+                off_pivot.setdefault(col, {})[piv] = -val
+    one = _one_like(ech)
+    free_cols = [free for free in range(ncols) if free not in ech.pivot_row]
+    basis = [{free: one, **off_pivot.get(free, {})} for free in free_cols]
     return free_cols, basis
 
 

@@ -458,7 +458,7 @@ def solve_in_span(h_side: list, e_side: list, width: int, where: str,
     off_span = [piv for piv in ech.pivots if piv >= width]
     if off_span:
         piv = min(off_span)
-        row = ech.rows[ech.pivots.index(piv)]
+        row = ech.rows[ech.pivot_row[piv]]
         row = {col: row[col] * c[piv] / c[col] for col in sorted(row)}
         raise RecoveryError(
             f"left family not in the span of the right family {where}: "

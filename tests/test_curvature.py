@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from qkspin import curvature, sparsemat
+from qkspin import curvature, linalg, sparsemat
 from qkspin.cli import _jsonable
 from qkspin.curvature import (
     BianchiSystem,
@@ -540,16 +540,43 @@ def test_ricci_coefficient_names_the_first_pair_off_the_metric(monkeypatch):
 
 
 def test_bianchi_containment_witness(monkeypatch):
+    # an all-ones row lies outside row(m): the witness is its index and its
+    # residue against m's echelon, rebuilt here from mult_m alone
     system = BianchiSystem(1)
     rows = system.constraint_rows()
-    kernel = system.ker_m_basis()
     extra = {col: Fraction(1) for col in range(len(system.basis))}
     monkeypatch.setattr(system, "constraint_rows", lambda: rows + [extra])
     rep = system.solution_equals_ker_m()
-    first = next((vec, row) for vec in kernel for row in rows + [extra]
-                 if sum((v * vec.get(c, 0) for c, v in row.items()), Fraction(0)))
+    # the rows of m have disjoint supports: the row of a Lambda^4 key t holds
+    # the sign s_c of each basis element c with m(c) = s_c t, so reducing at
+    # its pivot p, the smallest such c, subtracts s_c / s_p from entry c
+    supports: dict = {}
+    for col, key in enumerate(system.basis):
+        for t, sg in mult_m({key: 1}).items():
+            supports.setdefault(t, {})[col] = sg
+    residue = dict(extra)
+    for support in supports.values():
+        pivot_sign = support[min(support)]
+        for col, sg in support.items():
+            residue[col] -= Fraction(sg, pivot_sign)
+    residue = {col: v for col, v in residue.items() if v}
     assert not rep["kernel_satisfies_equations"] and not rep["equal"]
-    assert rep["witness"] == first
+    assert rep["witness"] == (len(rows), residue)
+
+
+def test_bianchi_rank_side(monkeypatch):
+    # constraint rows dropped until rank C < rank m: every row left lies in
+    # row(m), so only the ranks tell the two subspaces apart
+    system = BianchiSystem(2)
+    rows = system.constraint_rows()
+    rank_m = linalg.rank(curvature.m_rows(system.basis))
+    while linalg.rank(rows) >= rank_m:
+        rows = rows[:-1]
+    monkeypatch.setattr(system, "constraint_rows", lambda: rows)
+    rep = system.solution_equals_ker_m()
+    assert rep["kernel_satisfies_equations"] and rep["witness"] is None
+    assert not rep["equal"]
+    assert rep["dim_solutions"] != rep["dim_ker_m"] == 336
 
 
 def test_bianchi_n2_full():

@@ -24,7 +24,7 @@ from qkspin.lefschetz import (
     wedge_circ,
 )
 from qkspin.powers import ExtPower, ext_contract, ext_wedge_vec
-from qkspin.symplectic import SymplecticSpace
+from qkspin.symplectic import SymplecticSpace, sub
 from qkspin.verify import run_suite
 
 
@@ -280,3 +280,41 @@ def test_ladder_is_total():
         assert ops.contract_sharp(1, i) == \
             {c: {k: sg * v for k, v in col.items()}
              for c, col in ops.contract(1, j).items()}
+
+
+def test_operator_tables_equal_the_elementwise_rules():
+    # every table-built operator against the matrix of its elementwise rule,
+    # for every degree and index at n <= 4
+    from qkspin.lefschetz import H_op, Lambda_op
+    one = Fraction(1)
+    for n in (1, 2, 3, 4):
+        E = SymplecticSpace(n)
+
+        def rule_matrix(rule, q_in, q_out):
+            return sparsemat.from_images(
+                (rule({mono: one}) for mono in ExtPower(E, q_in).basis),
+                ExtPower(E, q_out).coords)
+
+        def commutator(x):
+            return sub(apply_Lambda(E, apply_L(E, x)), apply_L(E, apply_Lambda(E, x)))
+
+        for q in range(2 * n + 1):
+            assert L_op(E, q) == rule_matrix(lambda x: apply_L(E, x), q - 2, q)
+            assert Lambda_op(E, q) == rule_matrix(
+                lambda x: apply_Lambda(E, x), q, q - 2)
+            assert H_op(E, q) == rule_matrix(commutator, q, q)
+        for q in range(n + 1):
+            prim = primitive_space(E, q)
+            for i in range(E.dim):
+                if q >= 1:
+                    lower = primitive_space(E, q - 1)
+                    assert prim.contract_matrix(i, lower) == lower.to_coords(
+                        sparsemat.from_images(
+                            (ext_contract({i: one}, b) for b in prim.basis),
+                            lower.ambient.coords))
+                if q < n:
+                    upper = primitive_space(E, q + 1)
+                    assert prim.wedge_circ_matrix(i, upper) == upper.to_coords(
+                        sparsemat.from_images(
+                            (wedge_circ(E, {i: one}, b) for b in prim.basis),
+                            upper.ambient.coords))
