@@ -39,34 +39,15 @@ def _fmt_fraction(x) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-def _decimal(x, sig: int = 12) -> str:
+def _decimal(x) -> str:
     """Display-only rendering to 12 significant digits; never compared."""
+    from decimal import ROUND_HALF_UP, Context, Decimal
     f = Fraction(x)
     if f == 0:
         return "0"
-    sign = "-" if f < 0 else ""
-    f = abs(f)
-    exp = 0
-    while f >= 10:
-        f /= 10
-        exp += 1
-    while f < 1:
-        f *= 10
-        exp -= 1
-    scaled = f * 10 ** (sig - 1)
-    digits = str((scaled.numerator + scaled.denominator // 2)
-                 // scaled.denominator)
-    if len(digits) > sig:          # rounding overflowed into a new digit
-        digits, exp = digits[:sig], exp + 1
-    point = exp + 1
-    if 0 < point <= sig:
-        body = digits[:point] + "." + digits[point:]
-    elif point <= 0:
-        body = "0." + "0" * (-point) + digits
-    else:
-        body = digits + "0" * (point - sig)
-    body = body.rstrip("0").rstrip(".") if "." in body else body
-    return sign + body
+    ctx = Context(prec=12, rounding=ROUND_HALF_UP)
+    d = ctx.divide(Decimal(f.numerator), Decimal(f.denominator))
+    return format(d.normalize(ctx), "f")
 
 
 def _jsonable(value):

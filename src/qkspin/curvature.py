@@ -365,8 +365,8 @@ class BianchiSystem:
     Lambda^2 H tensor Sym^2 E) and 'M' (the mixed product block).
     """
 
-    # the largest n measured: 1.3-1.5 s and 34 MB peak RSS in-process on a
-    # 2-vCPU VM (Python 3.11.7), against 0.3-0.6 s and 22 MB at n = 4
+    # the largest n measured: solution_equals_ker_m takes 0.5 s and 33 MB
+    # peak RSS in-process on a 2-vCPU VM (Python 3.11.7)
     MAX_N = 5
 
     def __init__(self, n: int):
@@ -377,7 +377,6 @@ class BianchiSystem:
         self.N = 2 * n
         self.V = 4 * n
         self.basis = s2l2_basis(self.V)
-        self.index = {k: i for i, k in enumerate(self.basis)}
 
     def split_v(self, v: int) -> tuple[int, int]:
         return divmod(v, self.N)
@@ -557,9 +556,7 @@ class ModelCurvature:
         self.rform = rform or {}
         self.r_endos = {(i, j): endo for i in range(self.E.dim)
                         for j in range(self.E.dim) if (endo := self.r_endo(i, j))}
-        self.scale = sparsemat.denominator_lcm(*self.r_endos.values())
-        self.scaled_endos = {ij: sparsemat.scaled_int(endo, self.scale)
-                             for ij, endo in self.r_endos.items()}
+        self.scale, self.scaled_endos = sparsemat.int_copies(self.r_endos)
         get = self.scaled_endos.get
         self.paired_endos = {
             (i, j): paired for i, j in sym2_basis(self.E.dim)

@@ -7,7 +7,8 @@ sparse dicts {column: value} and `invert` takes and returns column-major
 is fixed by (row order, smallest column), so every result is deterministic.
 An `int` pivot is promoted to `Fraction` before dividing, so integer input
 gives exact rational results rather than floats.  `Echelon` is the only
-elimination routine: rank, kernels and `invert` all feed it rows.
+elimination routine: `rank`, `kernel_basis_with_free` and `invert` all
+feed it rows.
 
 `Echelon` keeps a map from each pivot column to its row, and `reduce`
 subtracts only at the pivot columns present in the incoming row.  That is
@@ -93,18 +94,14 @@ def rank(rows) -> int:
     return ech.rank
 
 
-def kernel_basis(rows, ncols: int) -> list[dict]:
-    """Basis of {x : A x = 0} for A given by sparse rows over columns 0..ncols-1.
+def kernel_basis_with_free(rows, ncols: int) -> tuple[list[int], list[dict]]:
+    """(free columns, basis of {x : A x = 0}) for A given by sparse rows over
+    columns 0..ncols-1.
 
     Each basis vector carries value 1 on its own free column and 0 on all
     other free columns, so coordinates with respect to this basis can be
     read off directly.
     """
-    return kernel_basis_with_free(rows, ncols)[1]
-
-
-def kernel_basis_with_free(rows, ncols: int) -> tuple[list[int], list[dict]]:
-    """kernel_basis plus the free column owned by each basis vector."""
     ech = Echelon()
     for row in rows:
         ech.add(row)

@@ -12,9 +12,9 @@ elementwise rule to each basis element of its domain goes through it.
 `kron_into` places the Kronecker product of two such matrices as a block
 of a larger one.
 
-`denominator_lcm` and `scaled_int` clear the denominators of rational
-matrices once, so a check whose verdict is unchanged by a nonzero scale
-composes int matrices instead of Fractions.
+`int_copies` clears the denominators of a family of rational matrices
+once, so a check whose verdict is unchanged by a nonzero scale composes
+int matrices instead of Fractions.
 """
 
 from __future__ import annotations
@@ -128,17 +128,25 @@ def integral(m: dict) -> dict:
             for col, mcol in m.items()}
 
 
-def denominator_lcm(*mats) -> int:
-    """The lcm of the denominators of every entry of the rational matrices."""
-    return lcm(*(v.denominator for m in mats for col in m.values()
-                 for v in col.values()))
+def int_copies(family) -> tuple[int, list | dict]:
+    """(s, s times each matrix of the family, with int entries).
 
+    s is the lcm of the denominators of every entry of the family, 1 for a
+    family of int matrices or an empty one.  The family is a list or a
+    dict of matrices, and the copies come back in the same kind.
+    """
+    mats = family.values() if isinstance(family, dict) else family
+    s = lcm(*(v.denominator for m in mats for col in m.values()
+              for v in col.values()))
 
-def scaled_int(m: dict, scale: int) -> dict:
-    """scale m with int entries; scale must be a multiple of every denominator."""
-    return {col: {row: v.numerator * (scale // v.denominator)
-                  for row, v in mcol.items()}
-            for col, mcol in m.items()}
+    def scaled(m):
+        return {col: {row: v.numerator * (s // v.denominator)
+                      for row, v in mcol.items()}
+                for col, mcol in m.items()}
+
+    if isinstance(family, dict):
+        return s, {key: scaled(m) for key, m in family.items()}
+    return s, [scaled(m) for m in family]
 
 
 def identity(dim: int, one=1) -> dict:

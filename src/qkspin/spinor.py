@@ -249,9 +249,8 @@ class SpinorSpace:
         s is the lcm of the basis matrices' denominators.  Cached per
         space; the copies are shared, so callers must not modify them.
         """
-        mats = {t: self.clifford_basis_matrix(t) for t in self.tangent_basis()}
-        s = sparsemat.denominator_lcm(*mats.values())
-        return s, {t: sparsemat.scaled_int(m, s) for t, m in mats.items()}
+        return sparsemat.int_copies({t: self.clifford_basis_matrix(t)
+                                     for t in self.tangent_basis()})
 
     def clifford_matrix(self, x: dict) -> dict:
         """M(x) with mu(x) = sqrt2 M(x); rational entries for rational x."""
@@ -302,9 +301,8 @@ class SpinorSpace:
 
         s is the lcm of G's denominators; cached per space and shared.
         """
-        gram = self.hermitian_gram()
-        s = sparsemat.denominator_lcm(gram)
-        return s, sparsemat.scaled_int(gram, s)
+        s, (gram,) = sparsemat.int_copies([self.hermitian_gram()])
+        return s, gram
 
     def bigrade_basis(self, p: int, q: int) -> list:
         """Basis keys of Sym^p H tensor Lambda^q_prim E (any bigrade)."""

@@ -20,15 +20,15 @@ the E side for each (i, j).  It serves this 6x6 oracle and the 2x2
 which pass the 1x1 identity as the side they leave out.
 `projector_family` builds one family per (n, r), whose factors are built
 once and shared by all three oracles.  The factors are int matrices: the
-family clears the denominators of each ladder it reads once, and each
-(builder, label) has one int scale, by which the int factor exceeds the
-exact one.  The solver reduces each side's entry vectors, read over the
-distinct factors of a tuple, to a basis and feeds the joint echelon only
-the products of the two bases, which span the rows of the tangent
-blocks; it undoes the members' scales once, on the reduced rows.  A
-recovery that fails raises `RecoveryError` with a structured witness;
-`recover_matches_closed_form` and the suite report it as a failing
-check.
+ladders are cleared of their denominators once per process, and each label
+has one table of factors over its side's index pairs, built together with
+its one int scale, by which every int factor exceeds the exact one.  The
+solver reduces each side's entry vectors, read over the distinct factors
+of a tuple, to a basis and feeds the joint echelon only the products of
+the two bases, which span the rows of the tangent blocks; it undoes the
+members' scales once, on the reduced rows.  A recovery that fails raises
+`RecoveryError` with a structured witness; `recover_matches_closed_form`
+and the suite report it as a failing check.
 
 Row and column conventions (0-based):
   rows  (E-label major): [C.C, Sym2H.C, C.Sym2E, Sym2H.Sym2E,
@@ -152,15 +152,13 @@ class ProjectorFamily:
     sides compose the ladder matrices of their one owner, `SymOps` for H
     and `PrimitiveOps` for E.
 
-    Every factor is an int matrix: the family clears the denominators of
-    each ladder it reads once, over all its indices, and the exact factor
-    is the int one divided by `scale(builder, label)`, one positive int
-    per builder and label.  The rational coefficients of K and Lambda2E
-    fold into their labels' scales.
-
-    The four factor builders are cached, so each factor is built once and
-    shared by every pair of tangent slots; `projector_family` builds one
-    family per (n, r) for every oracle.
+    `table(side, label)` builds a label's factors at every index pair of
+    its side together with their one scale: s and {(x, y): s times the
+    exact factor}, with int entries.  The int ladders come from the
+    module's `_int_ladder`, and the rational coefficients of K and
+    Lambda2E fold into their labels' scales.  Tables are cached, so each
+    factor is built once and shared by every pair of tangent slots;
+    `projector_family` builds one family per (n, r) for every oracle.
     """
 
     H_LEFT = ("C", "Sym2H")
@@ -181,148 +179,67 @@ class ProjectorFamily:
         self.hops = sym_ops(self.H)
         self.prim = primitive_space(self.E, self.q)
 
-    # int ladders and scales ------------------------------------------
-
     @functools.cache
-    def _ladder(self, ops, name: str, level: int) -> tuple[int, list]:
-        """(s, [s L_x]): the ladder matrices L_x = ops.name(level, x) over
-        every index x as int copies, s the lcm of their denominators.
+    def table(self, side: str, label: str) -> tuple[int, dict]:
+        """(s, {(x, y): s times the factor of label at (x, y)}) over every
+        index pair of side "h" or "e", with int entries:
 
-        Cached; the copies are shared, so callers must not modify them.
+          C        = sigma(x, y) id;
+          -+       = x^sharp_circ (y up .) and +- = x up (y^sharp_circ .),
+                     up = mul at level r on H and wedge_circ at level n - r
+                     on E;
+          Sym2H    = the derivation action of h_x h_y;
+          Sym2E    = +-(y, x) + +-(x, y);
+          K        = sigma id - -+ / (n-r+1) + (r+2) +- / ((n+r+3)(r+1));
+          Lambda2E = +-(y, x) - +-(x, y) - (n-r)/n sigma id.
+
+        Cached; the tables are shared, so callers must not modify them.
         """
-        return _int_copies([getattr(ops, name)(level, x)
-                            for x in range(ops.space.dim)])
-
-    def _ladders(self, builder: str, label: str) -> tuple:
-        """The two int ladders whose product is builder(label, x, y), the
-        first applied last: pr_{-+} = contract_sharp(level + 1) after
-        up(level) and pr_{+-} = up(level - 1) after contract_sharp(level),
-        with up = mul at level r on the H side and wedge at level n - r on
-        the E side."""
-        if builder == "h_right":
-            ops, up, level = self.hops, "mul", self.r
-        else:
-            ops, up, level = self.eops, "wedge", self.q
-        if label == "-+":
-            return (self._ladder(ops, "contract_sharp", level + 1),
-                    self._ladder(ops, up, level))
-        if label == "+-":
-            return (self._ladder(ops, up, level - 1),
-                    self._ladder(ops, "contract_sharp", level))
-        raise ValueError(label)
-
-    @functools.cache
-    def _derivations(self) -> tuple[int, dict]:
-        """(s, {(a, b): s der(h_a h_b)}) on Sym^r H, int copies with the lcm
-        s of their denominators.  Cached and shared, so read-only."""
-        pairs = [(a, b) for a in range(2) for b in range(2)]
-        s, mats = _int_copies([self.spin.derivation_matrix(ab, self.r)
-                               for ab in pairs])
-        return s, dict(zip(pairs, mats))
-
-    @functools.cache
-    def _weights(self, label: str) -> tuple[int, list]:
-        """(s, int weights): the int factor of K or Lambda2E is the sum of
-        its int terms with these weights, and s is its scale.
-
-        With I the int `e_right` factors,
-          K = sigma id - pr_{-+} / (n-r+1) + (r+2) pr_{+-} / ((n+r+3)(r+1))
-        has the terms (sigma id, I_{-+}, I_{+-}), and
-          Lambda2E = pr_{+-}(j, i) - pr_{+-}(i, j) - (n-r)/n sigma id
-        the terms (I_{+-}(j, i) - I_{+-}(i, j), sigma id).  s is the lcm of
-        the denominators of the rational coefficients on the terms, and
-        each weight is s times its coefficient.
-        """
-        n, r = self.n, self.r
-        s_plus = self.scale("e_right", "+-")
-        if label == "K":
-            coeffs = [Fraction(1),
-                      Fraction(-1, (n - r + 1) * self.scale("e_right", "-+")),
-                      Fraction(r + 2, (n + r + 3) * (r + 1) * s_plus)]
-        elif label == "Lambda2E":
-            coeffs = [Fraction(1, s_plus), Fraction(-(n - r), n)]
-        else:
-            raise ValueError(label)
-        s = lcm(*(c.denominator for c in coeffs))
-        return s, [c.numerator * (s // c.denominator) for c in coeffs]
-
-    @functools.cache
-    def scale(self, builder: str, label: str) -> int:
-        """The positive int s with builder(label, x, y) = s times the exact
-        factor at every index pair; builder is "h_right", "h_left",
-        "e_right" or "e_left"."""
+        space, dim = (self.H, self.r + 1) if side == "h" else (self.E, self.prim.dim)
+        pairs = [(x, y) for x in range(space.dim) for y in range(space.dim)]
         if label == "C":
-            return 1
+            return 1, {(x, y): _sigma_identity(space, x, y, dim, 1)
+                       for x, y in pairs}
         if label in ("-+", "+-"):
-            (s_first, _), (s_second, _) = self._ladders(builder, label)
-            return s_first * s_second
+            ops, up, level = ((self.hops, "mul", self.r) if side == "h"
+                              else (self.eops, "wedge", self.q))
+            if label == "-+":
+                first = _int_ladder(ops, "contract_sharp", level + 1)
+                second = _int_ladder(ops, up, level)
+            else:
+                first = _int_ladder(ops, up, level - 1)
+                second = _int_ladder(ops, "contract_sharp", level)
+            return first[0] * second[0], {
+                (x, y): sparsemat.compose(first[1][x], second[1][y])
+                for x, y in pairs}
         if label == "Sym2H":
-            return self._derivations()[0]
+            return sparsemat.int_copies({ab: self.spin.derivation_matrix(ab, self.r)
+                                         for ab in pairs})
+        n, r = self.n, self.r
+        s_plus, plus = self.table("e", "+-")
         if label == "Sym2E":
-            return self.scale("e_right", "+-")
-        return self._weights(label)[0]
-
-    # H-side ----------------------------------------------------------
-
-    @functools.cache
-    def h_right(self, label: str, a: int, b: int) -> dict:
-        """pr_{-+} = h_a^sharp_circ (h_b . s); pr_{+-} = h_a . (h_b^sharp_circ s).
-
-        Cached; the returned matrix is shared, so callers must not modify it.
-        """
-        (_, first), (_, second) = self._ladders("h_right", label)
-        return sparsemat.compose(first[a], second[b])
-
-    @functools.cache
-    def h_left(self, label: str, a: int, b: int) -> dict:
-        """C = sigma(h_a, h_b) id; Sym2H = the derivation action of h_a h_b.
-
-        Cached; the returned matrix is shared, so callers must not modify it.
-        """
-        if label == "C":
-            return _sigma_identity(self.H, a, b, self.r + 1, 1)
-        if label == "Sym2H":
-            return self._derivations()[1][a, b]
-        raise ValueError(label)
-
-    # E-side ----------------------------------------------------------
-
-    @functools.cache
-    def e_right(self, label: str, i: int, j: int) -> dict:
-        """pr_{-+} = e_i^sharp_circ (e_j wedge_circ .), pr_{+-} = e_i wedge_circ
-        (e_j^sharp_circ .), and K = sigma(e_i, e_j) id plus fixed multiples
-        of the two.
-
-        Cached; the returned matrix is shared, so callers must not modify it.
-        """
-        if label != "K":
-            (_, first), (_, second) = self._ladders("e_right", label)
-            return sparsemat.compose(first[i], second[j])
-        _, (w_id, w_minus, w_plus) = self._weights("K")
-        total = _sigma_identity(self.E, i, j, self.prim.dim, w_id)
-        sparsemat.madd_into(total, sparsemat.mscale(self.e_right("-+", i, j), w_minus))
-        sparsemat.madd_into(total, sparsemat.mscale(self.e_right("+-", i, j), w_plus))
-        return total
-
-    @functools.cache
-    def e_left(self, label: str, i: int, j: int) -> dict:
-        """C = sigma(e_i, e_j) id; Sym2E and Lambda2E = the symmetric and
-        trace-free antisymmetric parts of e_j wedge_circ e_i^sharp_circ.
-
-        Cached; the returned matrix is shared, so callers must not modify it.
-        """
-        if label == "C":
-            return _sigma_identity(self.E, i, j, self.prim.dim, 1)
-        wedge_ji = self.e_right("+-", j, i)
-        wedge_ij = self.e_right("+-", i, j)
-        if label == "Sym2E":
-            return sparsemat.madd(wedge_ji, wedge_ij)
+            return s_plus, {(i, j): sparsemat.madd(plus[j, i], plus[i, j])
+                            for i, j in pairs}
+        if label == "K":
+            s_minus, minus = self.table("e", "-+")
+            s, (w_id, w_minus, w_plus) = _int_weights([
+                Fraction(1), Fraction(-1, (n - r + 1) * s_minus),
+                Fraction(r + 2, (n + r + 3) * (r + 1) * s_plus)])
+            out = {}
+            for i, j in pairs:
+                out[i, j] = total = _sigma_identity(space, i, j, dim, w_id)
+                sparsemat.madd_into(total, sparsemat.mscale(minus[i, j], w_minus))
+                sparsemat.madd_into(total, sparsemat.mscale(plus[i, j], w_plus))
+            return s, out
         if label == "Lambda2E":
-            _, (w_wedge, w_id) = self._weights("Lambda2E")
-            total = sparsemat.mscale(sparsemat.msub(wedge_ji, wedge_ij), w_wedge)
-            sparsemat.madd_into(total, _sigma_identity(
-                self.E, i, j, self.prim.dim, w_id))
-            return total
+            s, (w_wedge, w_id) = _int_weights([Fraction(1, s_plus),
+                                               Fraction(-(n - r), n)])
+            out = {}
+            for i, j in pairs:
+                out[i, j] = total = sparsemat.mscale(
+                    sparsemat.msub(plus[j, i], plus[i, j]), w_wedge)
+                sparsemat.madd_into(total, _sigma_identity(space, i, j, dim, w_id))
+            return s, out
         raise ValueError(label)
 
     # assembled recovery ------------------------------------------------
@@ -330,27 +247,41 @@ class ProjectorFamily:
     def right_factors(self, a, i, b, j) -> list:
         """The six right operators of block (a,i),(b,j) as (H, E) int factor
         pairs; member k is its pair divided by `member_scales()[k]`."""
-        return [(self.h_right(hb, a, b), self.e_right(eb, i, j))
-                for eb in self.E_RIGHT for hb in self.H_RIGHT]
+        return self._factors(self.H_RIGHT, self.E_RIGHT, (a, b), (i, j))
 
     def left_factors(self, a, i, b, j) -> list:
-        return [(self.h_left(hb, a, b), self.e_left(eb, i, j))
-                for eb in self.E_LEFT for hb in self.H_LEFT]
+        return self._factors(self.H_LEFT, self.E_LEFT, (a, b), (i, j))
+
+    def _factors(self, h_labels, e_labels, ab, ij) -> list:
+        return [(self.table("h", hb)[1][ab], self.table("e", eb)[1][ij])
+                for eb in e_labels for hb in h_labels]
 
     def member_scales(self) -> list:
         """The scale of each member of `right_factors` + `left_factors`: its
         H scale times its E scale."""
-        return ([self.scale("h_right", hb) * self.scale("e_right", eb)
-                 for eb in self.E_RIGHT for hb in self.H_RIGHT]
-                + [self.scale("h_left", hb) * self.scale("e_left", eb)
-                   for eb in self.E_LEFT for hb in self.H_LEFT])
+        return [self.table("h", hb)[0] * self.table("e", eb)[0]
+                for h_labels, e_labels in ((self.H_RIGHT, self.E_RIGHT),
+                                           (self.H_LEFT, self.E_LEFT))
+                for eb in e_labels for hb in h_labels]
 
 
-def _int_copies(mats: list) -> tuple[int, list]:
-    """(s, [s m for each m]) with int entries, s the lcm of the denominators
-    of the rational matrices."""
-    s = sparsemat.denominator_lcm(*mats)
-    return s, [sparsemat.scaled_int(m, s) for m in mats]
+@functools.cache
+def _int_ladder(ops, name: str, level: int) -> tuple[int, list]:
+    """(s, [s L_x]): the ladder matrices L_x = ops.name(level, x) over every
+    index x as int copies, s the lcm of their denominators.
+
+    Cached, and shared by every family and by the curvature-scalar
+    identities, so callers must not modify the copies.
+    """
+    return sparsemat.int_copies([getattr(ops, name)(level, x)
+                                 for x in range(ops.space.dim)])
+
+
+def _int_weights(coeffs: list) -> tuple[int, list]:
+    """(s, [s c for c in coeffs]) with int entries, s the lcm of the
+    denominators of the rational coefficients."""
+    s = lcm(*(c.denominator for c in coeffs))
+    return s, [c.numerator * (s // c.denominator) for c in coeffs]
 
 
 def _sigma_identity(space, x: int, y: int, dim: int, weight: int) -> dict:
@@ -545,14 +476,18 @@ def _zero_dead(matrix: list) -> list:
     return [[Fraction(0) if v is None else v for v in row] for row in matrix]
 
 
+def _sub_oracle_side(fam, side: str, labels: tuple) -> tuple[list, list]:
+    """The side of a sub-oracle, one tuple of the labels' factors per index
+    pair, and the labels' scales."""
+    tables = [fam.table(side, label) for label in labels]
+    return ([tuple(t[pair] for _, t in tables) for pair in tables[0][1]],
+            [s for s, _ in tables])
+
+
 def recover_wh(r: int) -> list:
     """2x2 sub-oracle on H tensor H tensor Sym^r H."""
     fam = projector_family(max(r + 1, 2), r)   # any n >= r+1 gives the same H side
-    h_side = [tuple(fam.h_right(lbl, a, b) for lbl in fam.H_RIGHT)
-              + tuple(fam.h_left(lbl, a, b) for lbl in fam.H_LEFT)
-              for a in range(2) for b in range(2)]
-    scales = ([fam.scale("h_right", lbl) for lbl in fam.H_RIGHT]
-              + [fam.scale("h_left", lbl) for lbl in fam.H_LEFT])
+    h_side, scales = _sub_oracle_side(fam, "h", fam.H_RIGHT + fam.H_LEFT)
     return _zero_dead(solve_in_span(h_side, [(_ONE,) * 4], 2,
                                     f"on the H side at r={r}", scales))
 
@@ -560,11 +495,7 @@ def recover_wh(r: int) -> list:
 def recover_we(n: int, r: int) -> list:
     """3x3 sub-oracle on E tensor E tensor Lambda^(n-r)_prim E."""
     fam = projector_family(n, r)
-    e_side = [tuple(fam.e_right(lbl, i, j) for lbl in fam.E_RIGHT)
-              + tuple(fam.e_left(lbl, i, j) for lbl in fam.E_LEFT)
-              for i in range(fam.E.dim) for j in range(fam.E.dim)]
-    scales = ([fam.scale("e_right", lbl) for lbl in fam.E_RIGHT]
-              + [fam.scale("e_left", lbl) for lbl in fam.E_LEFT])
+    e_side, scales = _sub_oracle_side(fam, "e", fam.E_RIGHT + fam.E_LEFT)
     return _zero_dead(solve_in_span([(_ONE,) * 6], e_side, 3,
                                     f"on the E side at (n={n}, r={r})",
                                     scales))
@@ -577,17 +508,17 @@ def kernel_projection(n: int, r: int) -> dict:
 
     Basis keys are t * prim_dim + c for E index t and primitive column c.
     Block (k, t) is sign * K(i, t), with (i, sign) = E.flat_basis(k) and K
-    the family's own right operator `e_right("K", i, t)`, an int matrix
-    divided by its scale once here.
+    the family's own right operator, read off its K table as an int matrix
+    and divided by the table's scale once here.
     """
     fam = projector_family(n, r)
     E, pdim = fam.E, fam.prim.dim
-    s = fam.scale("e_right", "K")
+    s, k_table = fam.table("e", "K")
     cols: dict = {}
     for k in range(E.dim):
         i, sign = E.flat_basis(k)
         for t in range(E.dim):
-            for c, col in fam.e_right("K", i, t).items():
+            for c, col in k_table[i, t].items():
                 cols.setdefault(t * pdim + c, {}).update(
                     (k * pdim + row, Fraction(sign * v, s))
                     for row, v in col.items())
@@ -632,12 +563,12 @@ def curvature_scalar_identities(n: int, r: int) -> dict:
              e_j wedge_circ e_i^sharp_) = -(n-r)(n+r+2) id on the primitive
              space of degree n-r.
 
-    The inner brackets are the family's left operators
-    `h_left("Sym2H", a, b)` and `e_left("Sym2E", i, j)`, so the identities
+    The inner brackets are the family's left operators, read off its
+    `table("h", "Sym2H")` and `table("e", "Sym2E")`, so the identities
     check the same matrices that the recovery oracle feeds in.  Both sums
-    are taken over int copies, of those factors and of the outer ladders,
-    so each is compared against its eigenvalue times the product of the
-    three scales.
+    are taken over int copies, of those factors and of the outer ladders
+    (`_int_ladder`, shared with the families), so each is compared against
+    its eigenvalue times the product of the three scales.
 
     The kappa/4 coefficients arise by multiplying the eigenvalue with the
     model-curvature prefactor -1/(8n(n+2)), the curvature antisymmetrization
@@ -648,34 +579,31 @@ def curvature_scalar_identities(n: int, r: int) -> dict:
     H, E = fam.H, fam.E
 
     # H side operator sum on Sym^r H (dim r + 1)
-    hops = fam.hops
-    s_flat, mul_flat = _int_copies([hops.mul_flat(r - 1, a) for a in range(2)])
-    s_con, contract = _int_copies([hops.contract(r, b) for b in range(2)])
+    s_flat, mul_flat = _int_ladder(fam.hops, "mul_flat", r - 1)
+    s_con, contract = _int_ladder(fam.hops, "contract", r)
+    s_sym, sym2h = fam.table("h", "Sym2H")
     h_total: dict = {}
     for a in range(2):
         for b in range(2):
             outer = sparsemat.compose(mul_flat[a], contract[b])
-            sparsemat.madd_into(h_total, sparsemat.compose(
-                outer, fam.h_left("Sym2H", a, b)))
+            sparsemat.madd_into(h_total, sparsemat.compose(outer, sym2h[a, b]))
     lam_h = Fraction(-r * (r + 2))
     h_ok = sparsemat.is_scalar_multiple(
-        h_total, r + 1, lam_h * s_flat * s_con * fam.scale("h_left", "Sym2H"))
+        h_total, r + 1, lam_h * s_flat * s_con * s_sym)
 
     # E side operator sum on the primitive level q = n - r
     q = n - r
-    eops = fam.eops
-    s_flat, wedge_flat = _int_copies([eops.wedge_flat(q - 1, i) for i in range(E.dim)])
-    s_con, contract = _int_copies([eops.contract(q, j) for j in range(E.dim)])
+    s_flat, wedge_flat = _int_ladder(fam.eops, "wedge_flat", q - 1)
+    s_con, contract = _int_ladder(fam.eops, "contract", q)
+    s_sym, sym2e = fam.table("e", "Sym2E")
     e_total: dict = {}
     for i in range(E.dim):
         for j in range(E.dim):
             outer = sparsemat.compose(wedge_flat[i], contract[j])
-            sparsemat.madd_into(e_total, sparsemat.compose(
-                outer, fam.e_left("Sym2E", i, j)))
+            sparsemat.madd_into(e_total, sparsemat.compose(outer, sym2e[i, j]))
     lam_e = Fraction(-(n - r) * (n + r + 2))
     e_ok = sparsemat.is_scalar_multiple(
-        e_total, fam.prim.dim,
-        lam_e * s_flat * s_con * fam.scale("e_left", "Sym2E"))
+        e_total, fam.prim.dim, lam_e * s_flat * s_con * s_sym)
 
     # sigma traces of the complementary factors
     trace_e = sum((_sigma_flat_flat(E, i, j) * E.sigma_basis(i, j)

@@ -3,11 +3,12 @@
 import importlib.util
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from qkspin.cli import main
+from qkspin.cli import _decimal, main
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -140,6 +141,21 @@ def test_bound_values(capsys):
     code, out, _ = run(capsys, "bound", "--n", "5", "--kappa", "28/5",
                        "--format", "json")
     assert json.loads(out)["values"]["bound"] == "8/5"
+
+
+@pytest.mark.parametrize("value, text", [
+    (Fraction(0), "0"),
+    (Fraction(8, 5), "1.6"),
+    (Fraction(1, 3), "0.333333333333"),
+    (Fraction(-2, 3), "-0.666666666667"),
+    (Fraction(1999999999999, 2000000000000), "1"),
+    (Fraction(10 ** 20, 3), "33333333333300000000"),
+    (Fraction(1, 10 ** 15), "0.000000000000001"),
+    (Fraction(123456789012345), "123456789012000"),
+])
+def test_decimal_rendering(value, text):
+    # 12 significant digits, ties away from zero, no exponent, no trailing 0
+    assert _decimal(value) == text
 
 
 def test_bound_rejects_nonpositive_kappa(capsys):

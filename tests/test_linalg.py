@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qkspin import sparsemat
-from qkspin.linalg import Echelon, invert, kernel_basis
+from qkspin.linalg import Echelon, invert, kernel_basis_with_free
 from qkspin.scalar import SQRT2, Scalar
 
 
@@ -26,7 +26,7 @@ def test_integer_input_divides_exactly():
     ech = Echelon()
     ech.add({0: 2, 1: 3})
     assert ech.rows == [{0: 1, 1: Fraction(3, 2)}]
-    kern = kernel_basis([{0: 2, 1: 3}], 2)
+    kern = kernel_basis_with_free([{0: 2, 1: 3}], 2)[1]
     assert kern == [{1: 1, 0: Fraction(-3, 2)}]
 
     # rows (3, 1, 0), (1, 2, 5), (0, 7, 4)
@@ -38,7 +38,8 @@ def test_integer_input_divides_exactly():
     for row in rows:
         big.add(row)
     # float == Fraction compares by value, so the types are checked directly
-    for result in (inv, ech.rows, kern, inv3, big.rows, kernel_basis(rows[:2], 3)):
+    for result in (inv, ech.rows, kern, inv3, big.rows,
+                   kernel_basis_with_free(rows[:2], 3)[1]):
         assert not any(isinstance(v, float) for v in _values(result))
 
 

@@ -120,3 +120,20 @@ def test_row_sub_starts_from_first_term(one):
     out = row_sub({0: one, 1: two}, two, {1: one, 2: one})
     assert out == {0: one, 2: -two}
     assert all(type(v) is type(one) for v in out.values())
+
+
+def test_int_copies_clear_the_whole_family_and_keep_its_kind():
+    a = {0: {0: Fraction(1, 2), 2: Fraction(3)}, 1: {1: Fraction(-2, 3)}}
+    b = {2: {0: Fraction(5, 4)}}
+    s, copies = sparsemat.int_copies([a, b])
+    assert s == 12
+    assert copies == [{0: {0: 6, 2: 36}, 1: {1: -8}}, {2: {0: 15}}]
+    s_dict, by_key = sparsemat.int_copies({"a": a, "b": b})
+    assert s_dict == 12 and by_key == dict(zip("ab", copies))
+    for m in copies:
+        assert all(type(v) is int for v in _entries(m))
+    # int matrices, and an empty family, need no scale
+    ints = {0: {1: 3, 2: -1}}
+    assert sparsemat.int_copies([ints, {}]) == (1, [ints, {}])
+    assert sparsemat.int_copies([]) == (1, [])
+    assert sparsemat.int_copies({}) == (1, {})

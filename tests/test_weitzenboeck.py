@@ -345,19 +345,21 @@ def _oracle_blocks(recover, *args) -> tuple:
     if recover is recover_wh:
         (r,) = args
         fam = projector_family(max(r + 1, 2), r)
-        scales = ([fam.scale("h_right", lbl) for lbl in fam.H_RIGHT]
-                  + [fam.scale("h_left", lbl) for lbl in fam.H_LEFT])
-        return [([(fam.h_right(lbl, a, b), _ONE) for lbl in fam.H_RIGHT],
-                 [(fam.h_left(lbl, a, b), _ONE) for lbl in fam.H_LEFT])
-                for a in range(2) for b in range(2)], scales
+        right = [fam.table("h", lbl) for lbl in fam.H_RIGHT]
+        left = [fam.table("h", lbl) for lbl in fam.H_LEFT]
+        return [([(t[a, b], _ONE) for _, t in right],
+                 [(t[a, b], _ONE) for _, t in left])
+                for a in range(2) for b in range(2)], \
+            [s for s, _ in right + left]
     fam = projector_family(*args)
     dim = fam.E.dim
     if recover is recover_we:
-        scales = ([fam.scale("e_right", lbl) for lbl in fam.E_RIGHT]
-                  + [fam.scale("e_left", lbl) for lbl in fam.E_LEFT])
-        return [([(_ONE, fam.e_right(lbl, i, j)) for lbl in fam.E_RIGHT],
-                 [(_ONE, fam.e_left(lbl, i, j)) for lbl in fam.E_LEFT])
-                for i in range(dim) for j in range(dim)], scales
+        right = [fam.table("e", lbl) for lbl in fam.E_RIGHT]
+        left = [fam.table("e", lbl) for lbl in fam.E_LEFT]
+        return [([(_ONE, t[i, j]) for _, t in right],
+                 [(_ONE, t[i, j]) for _, t in left])
+                for i in range(dim) for j in range(dim)], \
+            [s for s, _ in right + left]
     tangent = [(a, i) for a in range(2) for i in range(dim)]
     return [(fam.right_factors(a, i, b, j), fam.left_factors(a, i, b, j))
             for (a, i) in tangent for (b, j) in tangent], fam.member_scales()
@@ -442,12 +444,16 @@ def test_weitzenboeck_oracle_command_reports_a_recovery_error(monkeypatch,
 
 
 def test_sub_oracle_recovery_error_is_a_failing_check(monkeypatch):
-    h_left = ProjectorFamily.h_left
+    # the H side's C factor becomes a fixed projection at every pair
+    table = ProjectorFamily.table
 
-    def off_span(self, label, a, b):
-        return {0: {0: F(1)}} if label == "C" else h_left(self, label, a, b)
+    def off_span(self, side, label):
+        s, factors = table(self, side, label)
+        if (side, label) == ("h", "C"):
+            return s, {pair: {0: {0: F(1)}} for pair in factors}
+        return s, factors
 
-    monkeypatch.setattr(ProjectorFamily, "h_left", off_span)
+    monkeypatch.setattr(ProjectorFamily, "table", off_span)
     checks = {c.name: c for c in run_suite("weitzenboeck", 2)}
     h_part = checks["H-part sub-oracle at r=1"]
     assert not h_part.ok and h_part.witness == {2: F(1)}
@@ -462,28 +468,39 @@ def test_shared_factors_are_never_modified():
     curvature_scalar_identities(3, 1)
     fam = projector_family(3, 1)
     assert fam is projector_family(3, 1)
-    builders = [(ProjectorFamily.h_right, fam.H_RIGHT, 2),
-                (ProjectorFamily.h_left, fam.H_LEFT, 2),
-                (ProjectorFamily.e_right, fam.E_RIGHT, fam.E.dim),
-                (ProjectorFamily.e_left, fam.E_LEFT, fam.E.dim)]
-    for builder, labels, dim in builders:
+    for side, labels in (("h", fam.H_RIGHT + fam.H_LEFT),
+                         ("e", fam.E_RIGHT + fam.E_LEFT)):
         for label in labels:
-            for i in range(dim):
-                for j in range(dim):
-                    shared = builder(fam, label, i, j)
-                    assert builder(fam, label, i, j) is shared
-                    assert shared == builder.__wrapped__(fam, label, i, j), \
-                        (builder.__name__, label, i, j)
-                    assert all(type(v) is int for col in shared.values()
-                               for v in col.values())
-    # the int ladders and derivations the factors are built from
+            shared = fam.table(side, label)
+            assert fam.table(side, label) is shared
+            assert shared == ProjectorFamily.table.__wrapped__(fam, side, label), \
+                (side, label)
+            assert all(type(v) is int for m in shared[1].values()
+                       for col in m.values() for v in col.values())
+    # the int ladders the factors are built from
+    ladder = weitzenboeck._int_ladder
     for ops, up, level in ((fam.hops, "mul", fam.r), (fam.eops, "wedge", fam.q)):
         for args in ((ops, "contract_sharp", level + 1), (ops, up, level),
                      (ops, up, level - 1), (ops, "contract_sharp", level)):
-            shared = fam._ladder(*args)
-            assert fam._ladder(*args) is shared
-            assert shared == ProjectorFamily._ladder.__wrapped__(fam, *args), args
-    assert fam._derivations() == ProjectorFamily._derivations.__wrapped__(fam)
+            shared = ladder(*args)
+            assert ladder(*args) is shared
+            assert shared == ladder.__wrapped__(*args), args
+
+
+def test_int_ladders_are_cleared_once_per_process():
+    # once the suite's recoveries and identities have run at n, a second
+    # family at that n and the identities read only cached int ladders
+    n = 3
+    for r in range(n + 1):
+        recover_w(n, r)
+        curvature_scalar_identities(n, r)
+    misses = weitzenboeck._int_ladder.cache_info().misses
+    for r in range(n + 1):
+        fam = ProjectorFamily(n, r)
+        assert fam is not projector_family(n, r)
+        fam.member_scales()
+        curvature_scalar_identities(n, r)
+    assert weitzenboeck._int_ladder.cache_info().misses == misses
 
 
 def test_kernel_projection_properties():
@@ -504,7 +521,7 @@ def test_kernel_projection_fixes_joint_kernel():
             for row, v in colv.items():
                 rows.setdefault((id(m), row), {})[col] = v
     dim = 2 * n * 4  # E dim times primitive dim at (2,1)
-    kernel = linalg.kernel_basis(list(rows.values()), dim)
+    kernel = linalg.kernel_basis_with_free(list(rows.values()), dim)[1]
     for vec in kernel:
         assert sparsemat.apply_cols(P, vec) == vec
 
