@@ -47,7 +47,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
-from math import comb
+from math import comb, lcm
 
 from . import linalg, sparsemat
 from .lefschetz import NotPrimitiveError, primitive_ops, primitive_space
@@ -533,18 +533,39 @@ class BianchiSystem:
 
 # -- model curvature tensors ---------------------------------------------
 
+@functools.cache
+def _rform_index(space: SymplecticSpace) -> list:
+    """Where a 4-form's entries sit in its endomorphisms R(e_i, e_j).
+
+    [((i, j), [(k, [(flat(l), sign, key) for each l]) for each k]) for each
+    ordered i, j], all in ascending order, with (flat(l), sign) =
+    `flat_basis(l)` and key the sorted (i, j, k, l) under which a symmetric
+    4-form stores its value.  The table depends only on the space, so the
+    keys are sorted once per run, not once per form.
+    """
+    labels = range(space.dim)
+    flats = [space.flat_basis(l) for l in labels]
+    return [((i, j), [(k, [(t, sign, tuple(sorted((i, j, k, l))))
+                           for l, (t, sign) in zip(labels, flats)])
+                      for k in labels])
+            for i in labels for j in labels]
+
+
 class ModelCurvature:
     """The End(H tensor E)-valued 2-forms R^H, R^E, R^hyper on basis pairs.
 
     R^hyper is parametrized by a symmetric 4-form on E, stored as a dict
     from sorted index 4-multisets to Fractions.  Its endomorphisms
-    R(e_i, e_j) are derived once, at construction, into `r_endos`: the
-    nonzero ones keyed (i, j), in (i, j) order.  `scale` is the lcm of
-    their entries' denominators, and `scaled_endos` holds scale R(e_i, e_j)
-    with int entries.  The Sym^4 checks read `paired_endos`, the nonzero
-    scale P_ij keyed by the unordered pairs i <= j, in that order, where
-    P_ij = R(e_i, e_j) + R(e_j, e_i) for i < j and P_ii = R(e_i, e_i), the
-    `scaled_endos` entry itself.
+    R(e_i, e_j): e_k -> rform(e_i, e_j, e_k, .)^flat are read off the form
+    through `_rform_index`, once, at construction.  `scale` is the lcm of
+    the denominators of the form's values, and `scaled_endos` holds the
+    nonzero scale R(e_i, e_j) with int entries, keyed (i, j) in (i, j)
+    order, each key's int value computed once.  The Sym^4 checks read
+    `paired_endos`, the nonzero scale P_ij keyed by the unordered pairs
+    i <= j, in that order, where P_ij = R(e_i, e_j) + R(e_j, e_i) for
+    i < j and P_ii = R(e_i, e_i), the `scaled_endos` entry itself.  The
+    Fraction endomorphisms `r_endos`, which only `tensors` reads, are built
+    on first use.
     """
 
     KINDS = ("H", "E", "hyper")
@@ -554,14 +575,43 @@ class ModelCurvature:
         self.H = SymplecticSpace(1, name="h")
         self.E = SymplecticSpace(n, name="e")
         self.rform = rform or {}
-        self.r_endos = {(i, j): endo for i in range(self.E.dim)
-                        for j in range(self.E.dim) if (endo := self.r_endo(i, j))}
-        self.scale, self.scaled_endos = sparsemat.int_copies(self.r_endos)
+        self.scale = lcm(*(v.denominator for v in self.rform.values()))
+        self.scaled_endos = self._endos({
+            key: v.numerator * (self.scale // v.denominator)
+            for key, v in self.rform.items() if v})
         get = self.scaled_endos.get
         self.paired_endos = {
             (i, j): paired for i, j in sym2_basis(self.E.dim)
             if (paired := sparsemat.madd(get((i, j), {}), get((j, i), {}))
                 if i < j else get((i, i)))}
+
+    @functools.cached_property
+    def r_endos(self) -> dict:
+        """The nonzero R(e_i, e_j) keyed (i, j), with the form's own values.
+
+        Built on first use and shared, so callers must not modify it.
+        """
+        return self._endos(self.rform)
+
+    def _endos(self, values: dict) -> dict:
+        """{(i, j): {k: {flat(l): sign values[key]}}} over `_rform_index`,
+        the nonzero ones only.
+
+        l -> flat(l) is a bijection of the basis, so each entry is stored
+        once, never accumulated.
+        """
+        get = values.get
+        out = {}
+        for ij, rows in _rform_index(self.E):
+            endo = {}
+            for k, entries in rows:
+                img = {t: v if sign == 1 else -v
+                       for t, sign, key in entries if (v := get(key))}
+                if img:
+                    endo[k] = img
+            if endo:
+                out[ij] = endo
+        return out
 
     @functools.cached_property
     def r_derivations(self) -> list:
@@ -581,24 +631,6 @@ class ModelCurvature:
 
     def rvalue(self, i, j, k, l) -> Fraction:
         return self.rform.get(tuple(sorted((i, j, k, l))), _ZERO)
-
-    def r_endo(self, i: int, j: int) -> dict:
-        """e_k -> rform(e_i, e_j, e_k, .)^flat, as {in: {out: coeff}}.
-
-        l -> flat(l) is a bijection of the basis, so each entry is stored
-        once, never accumulated.
-        """
-        endo: dict = {}
-        for k in range(self.E.dim):
-            img: dict = {}
-            for l in range(self.E.dim):
-                v = self.rvalue(i, j, k, l)
-                if v:
-                    t, sg = self.E.flat_basis(l)
-                    img[t] = v if sg == 1 else -v
-            if img:
-                endo[k] = img
-        return endo
 
     @functools.cached_property
     def tensors(self) -> dict:
@@ -779,39 +811,63 @@ def sym4_extraction(model: ModelCurvature, kind: str,
 
 @functools.cache
 def _derivation_table(space: SymplecticSpace, q: int) -> list:
-    """(column, source, target, sign, row) for each label of each Lambda^q
-    monomial and each label that may replace it, sorted by (column, row).
+    """(column, monomial, below, above) for each Lambda^q monomial, in
+    column order.
 
-    Replacing source by target in the monomial of `column` gives sign times
-    the monomial of `row`.  The table depends only on (space, q), so the
-    sorting signs are found once per run, not once per endomorphism.
+    below and above list (row, source, target, sign) for each label of the
+    monomial and each other label that may replace it, with rows below
+    resp. above the column, in ascending row order: replacing source by
+    target in the monomial gives sign times the monomial of `row`.  Each
+    such row arises from one replacement only, as it names the label
+    removed and the one added.  A label replacing itself gives the column
+    back, so the diagonal entry is summed over the monomial's own labels.
+    The table depends only on (space, q), so the sorting signs are found
+    once per run, not once per endomorphism.
     """
     amb = ExtPower(space, q)
     table = []
     for column, mono in enumerate(amb.basis):
+        off = []
         for pos, source in enumerate(mono):
             rest = mono[:pos] + mono[pos + 1:]
             for target in range(space.dim):
-                res = sort_sign(rest[:pos] + (target,) + rest[pos:])
-                if res:
+                if target != source and (res := sort_sign(
+                        rest[:pos] + (target,) + rest[pos:])):
                     sign, key = res
-                    table.append((column, source, target, sign, amb.index[key]))
-    table.sort(key=lambda entry: (entry[0], entry[4]))
+                    off.append((amb.index[key], source, target, sign))
+        off.sort()
+        table.append((column, mono, [e for e in off if e[0] < column],
+                      [e for e in off if e[0] > column]))
     return table
 
 
 def derivation_ext_matrix(space: SymplecticSpace, endo: dict, q: int) -> dict:
     """Derivation extension of an E-endomorphism to Lambda^q, column-major.
 
-    Read off `_derivation_table`, so columns, and the rows of each column,
-    come out in ascending order; entries keep the type of endo's entries.
+    Read off `_derivation_table` column by column: each off-diagonal entry
+    is stored as it is read, and the diagonal one is summed once, so
+    columns, and the rows of each column, come out in ascending order;
+    entries keep the type of endo's entries.
     """
-    cols: dict = {}
-    for column, source, target, sign, row in _derivation_table(space, q):
-        img = endo.get(source)
-        if img and (v := img.get(target)):
-            add_into(cols.setdefault(column, {}), row, v if sign == 1 else -v)
-    return {column: col for column, col in cols.items() if col}
+    get = endo.get
+    cols = {}
+    for column, mono, below, above in _derivation_table(space, q):
+        col = {}
+        for row, source, target, sign in below:
+            if (img := get(source)) and (v := img.get(target)):
+                col[row] = v if sign == 1 else -v
+        diag = None
+        for label in mono:
+            if (img := get(label)) and (v := img.get(label)):
+                diag = v if diag is None else diag + v
+        if diag:
+            col[column] = diag
+        for row, source, target, sign in above:
+            if (img := get(source)) and (v := img.get(target)):
+                col[row] = v if sign == 1 else -v
+        if col:
+            cols[column] = col
+    return cols
 
 
 def sym2_endo(space: SymplecticSpace, i: int, j: int) -> dict:
@@ -852,8 +908,7 @@ def sym4_total(model: ModelCurvature, q: int) -> dict:
     d_ps = model.r_derivations[q] if q <= model.n else model.derivations(q)
     total: dict = {}
     for (i, j), d_p in d_ps.items():
-        sparsemat.madd_into(
-            total, sparsemat.compose(_sym2_derivation(E, i, j, q), d_p))
+        sparsemat.compose_into(total, _sym2_derivation(E, i, j, q), d_p)
     return total
 
 
@@ -915,8 +970,7 @@ def qzero_total(model: ModelCurvature, q: int) -> tuple:
             d_prim = prim.to_coords(sparsemat.compose(d_amb, prim.matrix))
         except NotPrimitiveError as exc:
             return None, ("not primitive", i, j, exc.column)
-        sparsemat.madd_into(
-            total, sparsemat.compose(_qzero_operator(E, q, i, j), d_prim))
+        sparsemat.compose_into(total, _qzero_operator(E, q, i, j), d_prim)
     return total, None
 
 

@@ -197,7 +197,8 @@ class PrimitiveSpace:
         self.space = space
         self.q = q
         self.ambient = ExtPower(space, q)
-        rows = sparsemat.transpose(Lambda_op(space, q))
+        self.lambda_op = Lambda_op(space, q)
+        rows = sparsemat.transpose(self.lambda_op)
         free_cols, kernel = linalg.kernel_basis_with_free(
             [rows[t] for t in sorted(rows)], self.ambient.dim)
         self.free_cols = free_cols
@@ -215,17 +216,18 @@ class PrimitiveSpace:
         """Primitive coordinates of each column of m, over the ambient basis.
 
         Read off the free columns, through the map from each free column to
-        its coordinate, and checked by B coords = m; the first column outside
-        ker(Lambda) raises `NotPrimitiveError`, naming it.
+        its coordinate.  Membership is tested as Lambda m = 0, on the Lambda
+        matrix of `__init__`: ker(Lambda) = im(B), so a column passes exactly
+        when B coords gives it back.  The first column outside ker(Lambda)
+        raises `NotPrimitiveError`, naming it.
         """
-        coord_of = self.coord_of
-        coords = {col: {coord_of[r]: v for r, v in mcol.items() if r in coord_of}
-                  for col, mcol in m.items()}
-        recon = sparsemat.compose(self.matrix, coords)
+        lam = self.lambda_op
         for col in sorted(m):
-            if recon.get(col, {}) != m[col]:
+            if sparsemat.apply_cols(lam, m[col]):
                 raise NotPrimitiveError(col)
-        return coords
+        coord_of = self.coord_of
+        return {col: {coord_of[r]: v for r, v in mcol.items() if r in coord_of}
+                for col, mcol in m.items()}
 
     # two independent projector constructions ------------------------
 

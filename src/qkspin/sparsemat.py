@@ -4,8 +4,11 @@ Every sparse sum here starts an entry from its first term: the routines
 read `old = acc.get(key)` and store `term if old is None else old + term`,
 dropping the entry (and an emptied column) when the sum cancels.  No int
 `0` enters a field sum, so an entry keeps the type of its terms and its
-first addition never takes `Fraction`'s reflected path.  `madd_into` is the
-one in-place accumulator; `madd` is written on top of it.
+first addition never takes `Fraction`'s reflected path.  There are two
+in-place accumulators, each with its copying form written on top of it:
+`madd_into` adds a matrix, optionally weighted (`madd`), and `compose_into`
+adds a product (`compose`), entry by entry, without building the product
+first.
 
 `from_images` is the one operator builder: every matrix that applies an
 elementwise rule to each basis element of its domain goes through it.
@@ -51,35 +54,54 @@ def kron_into(acc: dict, a: dict, b: dict, b_shape: tuple, at: tuple) -> None:
 
 def compose(a: dict, b: dict) -> dict:
     """Matrix product a @ b (apply b first)."""
-    out = {}
+    out: dict = {}
+    compose_into(out, a, b)
+    return out
+
+
+def compose_into(acc: dict, a: dict, b: dict) -> None:
+    """Add the product a @ b into acc in place; a and b are not modified.
+
+    acc's columns keep their order: a column the product adds comes last,
+    and one whose sum cancels is dropped once its product column is done.
+    """
     for col, bcol in b.items():
-        acc = {}
+        out = acc.setdefault(col, {})
         for mid, v in bcol.items():
             acol = a.get(mid)
             if not acol:
                 continue
             for row, w in acol.items():
-                old = acc.get(row)
+                old = out.get(row)
                 new = w * v if old is None else old + w * v
                 if new:
-                    acc[row] = new
+                    out[row] = new
                 else:
-                    acc.pop(row, None)
-        if acc:
-            out[col] = acc
-    return out
+                    out.pop(row, None)
+        if not out:
+            del acc[col]
 
 
-def madd_into(acc: dict, m: dict) -> None:
-    """Add m into acc in place; m is not modified."""
+def madd_into(acc: dict, m: dict, factor=1) -> None:
+    """Add factor times m into acc in place; m is not modified.
+
+    A factor other than 1 multiplies each entry as it is added, so a
+    weighted sum takes no scaled copy of its terms.
+    """
+    if not factor:
+        return
+    weighted = factor != 1
     for col, mcol in m.items():
         out = acc.get(col)
         if out is None:
-            out = {row: v for row, v in mcol.items() if v}
+            out = ({row: factor * v for row, v in mcol.items() if v} if weighted
+                   else {row: v for row, v in mcol.items() if v})
             if out:
                 acc[col] = out
             continue
         for row, v in mcol.items():
+            if weighted:
+                v = factor * v
             old = out.get(row)
             new = v if old is None else old + v
             if new:
@@ -105,7 +127,9 @@ def mscale(m: dict, factor) -> dict:
 
 
 def msub(a: dict, b: dict) -> dict:
-    return madd(a, mscale(b, -1))
+    out = madd(a)
+    madd_into(out, b, -1)
+    return out
 
 
 def transpose(m: dict) -> dict:

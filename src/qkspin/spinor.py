@@ -349,7 +349,7 @@ class SpinorSpace:
         for k in range(self.E.dim):
             kf, sg = self.E.flat_basis(k)
             prod = sparsemat.compose(mats[(i, kf)], mats[(j, k)])
-            sparsemat.madd_into(total, sparsemat.mscale(prod, 2 * sg))
+            sparsemat.madd_into(total, prod, 2 * sg)
             g += self.metric({(i, kf): Fraction(sg)}, {(j, k): Fraction(1)})
         if g:
             sparsemat.madd_into(total, sparsemat.identity(self.dim, s * s * g))
@@ -362,7 +362,7 @@ class SpinorSpace:
             da = self.derivation_matrix(a, p)
             for b, coeff in bs:
                 db = sparsemat.mscale(self.derivation_matrix(b, p), coeff)
-                sparsemat.madd_into(total, sparsemat.compose(da, db))
+                sparsemat.compose_into(total, da, db)
         return total
 
 

@@ -320,14 +320,16 @@ def run_suite(name: str, n: int, seed: int = 0) -> list[Check]:
     A primitive level of the wrong dimension leaves a suite nothing sound
     to check after it, so the suite stops there with one failing check
     whose witness is (n, q, built, expected); the clifford suite reports
-    it under its rank check.
+    it under its rank check.  Above `BianchiSystem.MAX_N` "all" cannot run
+    the bianchi suite, and reports that as a failing check, so a run that
+    left a suite out never passes.
     """
     if name == "all":
         checks = []
         for s in SUITES[:-1]:
             if s == "bianchi" and n > BianchiSystem.MAX_N:
                 checks.append(Check(
-                    f"bianchi suite skipped (n > {BianchiSystem.MAX_N})", True,
+                    f"bianchi suite not run (n > {BianchiSystem.MAX_N})", False,
                     value="resource guard"))
                 continue
             checks.extend(run_suite(s, n, seed))

@@ -225,21 +225,15 @@ class ProjectorFamily:
             s, (w_id, w_minus, w_plus) = _int_weights([
                 Fraction(1), Fraction(-1, (n - r + 1) * s_minus),
                 Fraction(r + 2, (n + r + 3) * (r + 1) * s_plus)])
-            out = {}
-            for i, j in pairs:
-                out[i, j] = total = _sigma_identity(space, i, j, dim, w_id)
-                sparsemat.madd_into(total, sparsemat.mscale(minus[i, j], w_minus))
-                sparsemat.madd_into(total, sparsemat.mscale(plus[i, j], w_plus))
-            return s, out
+            return s, {(i, j): _weighted_sum((
+                (_sigma_identity(space, i, j, dim, w_id), 1),
+                (minus[i, j], w_minus), (plus[i, j], w_plus))) for i, j in pairs}
         if label == "Lambda2E":
             s, (w_wedge, w_id) = _int_weights([Fraction(1, s_plus),
                                                Fraction(-(n - r), n)])
-            out = {}
-            for i, j in pairs:
-                out[i, j] = total = sparsemat.mscale(
-                    sparsemat.msub(plus[j, i], plus[i, j]), w_wedge)
-                sparsemat.madd_into(total, _sigma_identity(space, i, j, dim, w_id))
-            return s, out
+            return s, {(i, j): _weighted_sum((
+                (plus[j, i], w_wedge), (plus[i, j], -w_wedge),
+                (_sigma_identity(space, i, j, dim, w_id), 1))) for i, j in pairs}
         raise ValueError(label)
 
     # assembled recovery ------------------------------------------------
@@ -282,6 +276,15 @@ def _int_weights(coeffs: list) -> tuple[int, list]:
     denominators of the rational coefficients."""
     s = lcm(*(c.denominator for c in coeffs))
     return s, [c.numerator * (s // c.denominator) for c in coeffs]
+
+
+def _weighted_sum(terms) -> dict:
+    """The sum of weight m over the (m, weight) terms, added in order in
+    one pass over their entries, with no scaled copy."""
+    total: dict = {}
+    for m, weight in terms:
+        sparsemat.madd_into(total, m, weight)
+    return total
 
 
 def _sigma_identity(space, x: int, y: int, dim: int, weight: int) -> dict:
@@ -586,7 +589,7 @@ def curvature_scalar_identities(n: int, r: int) -> dict:
     for a in range(2):
         for b in range(2):
             outer = sparsemat.compose(mul_flat[a], contract[b])
-            sparsemat.madd_into(h_total, sparsemat.compose(outer, sym2h[a, b]))
+            sparsemat.compose_into(h_total, outer, sym2h[a, b])
     lam_h = Fraction(-r * (r + 2))
     h_ok = sparsemat.is_scalar_multiple(
         h_total, r + 1, lam_h * s_flat * s_con * s_sym)
@@ -600,7 +603,7 @@ def curvature_scalar_identities(n: int, r: int) -> dict:
     for i in range(E.dim):
         for j in range(E.dim):
             outer = sparsemat.compose(wedge_flat[i], contract[j])
-            sparsemat.madd_into(e_total, sparsemat.compose(outer, sym2e[i, j]))
+            sparsemat.compose_into(e_total, outer, sym2e[i, j])
     lam_e = Fraction(-(n - r) * (n + r + 2))
     e_ok = sparsemat.is_scalar_multiple(
         e_total, fam.prim.dim, lam_e * s_flat * s_con * s_sym)

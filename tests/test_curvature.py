@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from qkspin import curvature, linalg, sparsemat
+from qkspin import curvature, linalg, sparsemat, verify
 from qkspin.cli import _jsonable
 from qkspin.curvature import (
     BianchiSystem,
@@ -327,8 +327,8 @@ _PAIR_WEIGHTS = {(0, 1): Fraction(1), (1, 0): Fraction(2),
 _SYMMETRIC_S = {(0, 0): Fraction(1), (1, 3): Fraction(1), (3, 1): Fraction(1)}
 
 
-def _rvalue_pair_dependent(self, i, j, k, l):
-    return _PAIR_WEIGHTS.get((i, j), 0) * _SYMMETRIC_S.get((k, l), 0)
+_PAIR_DEPENDENT = {(i, j, k, l): w * s for (i, j), w in _PAIR_WEIGHTS.items()
+                   for (k, l), s in _SYMMETRIC_S.items()}
 
 
 def _ordered_sym4_total(model, q):
@@ -358,10 +358,9 @@ def _ordered_qzero_total(model, q):
     return total
 
 
-def test_paired_sums_equal_the_ordered_sums(monkeypatch):
-    monkeypatch.setattr(ModelCurvature, "rvalue", _rvalue_pair_dependent)
+def test_paired_sums_equal_the_ordered_sums(ordered_rform):
     n = 2
-    model = ModelCurvature(n, {})
+    model = ModelCurvature(n, _PAIR_DEPENDENT)
     r = model.r_endos
     assert model.scale == 6
     assert r[(0, 1)] and r[(1, 0)] and r[(0, 1)] != r[(1, 0)]
@@ -433,6 +432,60 @@ def test_derivation_table_matches_the_sort_sign_loop(n):
             assert all(list(col) == sorted(col) for col in got.values())
 
 
+def _endos_by_rvalue_scan(model):
+    """The per-entry rvalue scan and the int-copies pass, kept as the
+    reference for the index table: (r_endos, scale, scaled_endos,
+    paired_endos)."""
+    E = model.E
+    r_endos = {}
+    for i in range(E.dim):
+        for j in range(E.dim):
+            endo = {}
+            for k in range(E.dim):
+                img = {}
+                for l in range(E.dim):
+                    v = model.rvalue(i, j, k, l)
+                    if v:
+                        t, sg = E.flat_basis(l)
+                        img[t] = v if sg == 1 else -v
+                if img:
+                    endo[k] = img
+            if endo:
+                r_endos[i, j] = endo
+    scale, scaled = sparsemat.int_copies(r_endos)
+    paired = {(i, j): p for i in range(E.dim) for j in range(i, E.dim)
+              if (p := sparsemat.madd(scaled.get((i, j), {}), scaled.get((j, i), {}))
+                  if i < j else scaled.get((i, i)))}
+    return r_endos, scale, scaled, paired
+
+
+def _layout(endos):
+    """Every key of a family of endomorphisms, in order."""
+    return [(ij, [(k, list(img)) for k, img in endo.items()])
+            for ij, endo in endos.items()]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_index_table_model_matches_the_rvalue_scan(n):
+    rng = random.Random(107 + n)
+    forms = [random_sym4(n, rng) for _ in range(2)]
+    forms.append(alpha_fourth(n, {i: Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                                  for i in range(2 * n)}))
+    scales = []
+    for rform in forms:
+        model = ModelCurvature(n, rform)
+        r_endos, scale, scaled, paired = _endos_by_rvalue_scan(model)
+        assert model.scale == scale
+        scales.append(scale)
+        for got, want in ((model.r_endos, r_endos), (model.scaled_endos, scaled),
+                          (model.paired_endos, paired)):
+            assert got == want and _layout(got) == _layout(want)
+        assert all(type(v) is Fraction for endo in model.r_endos.values()
+                   for img in endo.values() for v in img.values())
+    # the int copies are not vacuous
+    assert max(scales) > 1
+
+
 def test_each_model_tensor_is_built_once_per_model(monkeypatch):
     built = []
     tensor = ModelCurvature._tensor
@@ -454,21 +507,22 @@ def test_each_model_tensor_is_built_once_per_model(monkeypatch):
     assert len(built) == len(set(built)) == 3 * len(model.tangent_basis()) ** 2
 
 
-def _rvalue_not_symmetric(self, i, j, k, l):
-    return Fraction(1) if (i, j, k, l) == (0, 1, 0, 2) else Fraction(0)
+# read under the `ordered_rform` fixture: R(e_0, e_1, e_0, e_2) = 1 alone
+_NOT_SYMMETRIC = {(0, 1, 0, 2): Fraction(1)}
 
 
-def test_non_symmetric_form_fails_with_witness(monkeypatch):
+def test_non_symmetric_form_fails_with_witness(ordered_rform):
     n = 2
     rform = random_sym4(n, random.Random(89))
-    # warm the operator caches on a symmetric form and keep them: they hold
-    # only form-independent operators, so they cannot hide the failure below
-    model = ModelCurvature(n, rform)
+    # warm the operator caches on a symmetric form, its values listed under
+    # every ordering, and keep them: they hold only form-independent
+    # operators, so they cannot hide the failure below
+    model = ModelCurvature(n, {perm: v for key, v in rform.items()
+                               for perm in itertools.permutations(key)})
     assert sym4_acts_trivially(model)["ok"]
     assert all(qzero_check(model, r)["ok"] for r in range(n + 1))
-    monkeypatch.setattr(ModelCurvature, "rvalue", _rvalue_not_symmetric)
-    # the model derives its endomorphisms through rvalue once, when built
-    model = ModelCurvature(n, rform)
+    # the model reads its endomorphisms through the index once, when built
+    model = ModelCurvature(n, _NOT_SYMMETRIC)
     # R(e_0, e_1) is e_0 -> e_0; with 1/2 de_0 . de_1 it sends e_0 to -1/2 e_3
     assert sym4_acts_trivially(model) == \
         {"ok": False, "witness": (1, (0, {3: Fraction(-1, 2)}))}
@@ -483,15 +537,10 @@ def test_non_symmetric_form_fails_with_witness(monkeypatch):
 _HALVES_AND_THIRDS = {(0, 1, 0, 2): Fraction(1, 2), (0, 2, 0, 0): Fraction(-2, 3)}
 
 
-def _rvalue_halves_and_thirds(self, i, j, k, l):
-    return _HALVES_AND_THIRDS.get((i, j, k, l), Fraction(0))
-
-
-def test_witnesses_divide_the_scale_back_exactly(monkeypatch):
+def test_witnesses_divide_the_scale_back_exactly(ordered_rform):
     # the expected witnesses are those of the same checks computed over
     # Fractions on the unscaled form
-    monkeypatch.setattr(ModelCurvature, "rvalue", _rvalue_halves_and_thirds)
-    model = ModelCurvature(2, {})
+    model = ModelCurvature(2, _HALVES_AND_THIRDS)
     assert model.scale == 6
     sym4 = sym4_acts_trivially(model)
     assert sym4 == {"ok": False, "witness": (
@@ -503,7 +552,7 @@ def test_witnesses_divide_the_scale_back_exactly(monkeypatch):
     # the JSON text, not value equality, so that no float can pass
     assert json.dumps(_jsonable(sym4["witness"]), sort_keys=True) == \
         '[1, [0, {"2": "-1/3", "3": "-1/4"}]]'
-    model = ModelCurvature(3, {})
+    model = ModelCurvature(3, _HALVES_AND_THIRDS)
     assert model.scale == 6
     assert sym4_acts_trivially(model) == \
         {"ok": False, "witness": (2, (0, {13: Fraction(-1, 4)}))}
@@ -511,8 +560,11 @@ def test_witnesses_divide_the_scale_back_exactly(monkeypatch):
         ("not primitive", 0, 1, 0), ("not primitive", 0, 1, 1), None, None]
 
 
-def test_curvature_suite_carries_the_structured_witness(monkeypatch):
-    monkeypatch.setattr(ModelCurvature, "rvalue", _rvalue_not_symmetric)
+def test_curvature_suite_carries_the_structured_witness(monkeypatch,
+                                                         ordered_rform):
+    # every form the suite draws is the non-symmetric one
+    monkeypatch.setattr(verify, "random_sym4", lambda n, rng: _NOT_SYMMETRIC)
+    monkeypatch.setattr(verify, "alpha_fourth", lambda n, alpha: _NOT_SYMMETRIC)
     checks = run_suite("curvature", 2)
     # R^hyper_{X,Y} is no longer antisymmetric, so its Ricci form leaves the
     # metric's line: at ((0, 1), (1, 0)) the metric vanishes, Ric does not
@@ -529,14 +581,25 @@ def test_curvature_suite_carries_the_structured_witness(monkeypatch):
         '["lambda-E", 0, [1, [0, {"3": "-1/2"}]]]'
 
 
-def test_ricci_coefficient_names_the_first_pair_off_the_metric(monkeypatch):
-    monkeypatch.setattr(ModelCurvature, "rvalue", _rvalue_not_symmetric)
-    model = ModelCurvature(2, {})
+def test_ricci_coefficient_names_the_first_pair_off_the_metric(ordered_rform):
+    model = ModelCurvature(2, _NOT_SYMMETRIC)
     assert model.ricci_coefficient("H") == (-3, None)
     assert model.ricci_coefficient("hyper") == (None, ("hyper", (0, 1), (1, 0)))
     rep = einstein_report(model)
     assert rep["ricci_hyper"] is None
     assert rep["ricci_witness"] == ("hyper", (0, 1), (1, 0))
+
+
+def test_all_fails_where_the_bianchi_suite_cannot_run(monkeypatch):
+    # above MAX_N "all" leaves the bianchi suite out, and must not pass
+    monkeypatch.setattr(BianchiSystem, "MAX_N", 1)
+    checks = run_suite("all", 2)
+    guard = [c for c in checks if c.name.startswith("bianchi suite")]
+    assert len(guard) == 1 and not guard[0].ok
+    assert guard[0].name == "bianchi suite not run (n > 1)"
+    assert not any("Bianchi" in c.name for c in checks)
+    # every other check ran and passed
+    assert all(c.ok for c in checks if c is not guard[0])
 
 
 def test_bianchi_containment_witness(monkeypatch):

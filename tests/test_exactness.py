@@ -115,13 +115,11 @@ def test_recovered_weitzenboeck_entries_are_fractions(n):
     assert all(v is not None for m in matrices[n + 1:] for row in m for v in row)
 
 
-def test_no_float_in_sym4_witnesses(monkeypatch):
+def test_no_float_in_sym4_witnesses(ordered_rform):
     # a non-symmetric form with denominators 2 and 3 (scale 6) fails both
     # checks; their witnesses are divided back by the scale as Fractions
     values = {(0, 1, 0, 2): Fraction(1, 2), (0, 2, 0, 0): Fraction(-2, 3)}
-    monkeypatch.setattr(ModelCurvature, "rvalue",
-                        lambda self, *key: values.get(key, Fraction(0)))
-    model = ModelCurvature(2, {})
+    model = ModelCurvature(2, values)
     reps = [sym4_acts_trivially(model), qzero_check(model, 1)]
     for rep in reps:
         assert not rep["ok"]

@@ -1,6 +1,7 @@
 """sl2 triple, primitive subspaces and the operator relation suites."""
 
 import json
+import random
 import sys
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from qkspin import lefschetz, sparsemat
 from qkspin.cli import main
 from qkspin.lefschetz import (
     L_op,
+    NotPrimitiveError,
     PrimitiveDimensionError,
     PrimitiveOps,
     apply_L,
@@ -24,7 +26,7 @@ from qkspin.lefschetz import (
     wedge_circ,
 )
 from qkspin.powers import ExtPower, ext_contract, ext_wedge_vec
-from qkspin.symplectic import SymplecticSpace, sub
+from qkspin.symplectic import SymplecticSpace, add_into, sub
 from qkspin.verify import run_suite
 
 
@@ -173,6 +175,54 @@ def test_to_coords_rejects_the_image_of_L():
     with pytest.raises(ValueError, match="column 0 ") as info:
         primitive_space(E, 2).to_coords(L_op(E, 2))
     assert info.value.column == 0
+
+
+def _coords_by_reconstruction(prim, m):
+    """The B coords = m membership test, kept as the reference for the
+    Lambda m = 0 one in `to_coords`."""
+    coords = {col: {prim.coord_of[r]: v for r, v in mcol.items()
+                    if r in prim.coord_of} for col, mcol in m.items()}
+    recon = sparsemat.compose(prim.matrix, coords)
+    for col in sorted(m):
+        if recon.get(col, {}) != m[col]:
+            raise NotPrimitiveError(col)
+    return coords
+
+
+def _outcome(to_coords, m):
+    try:
+        return to_coords(m)
+    except NotPrimitiveError as exc:
+        return ("raised", exc.column)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_to_coords_raises_where_the_reconstruction_differs(n):
+    # columns mixing primitive ones (int combinations of the kernel basis)
+    # with non-primitive ones (a primitive column plus an ambient basis
+    # vector outside ker(Lambda)), in shuffled column order
+    rng = random.Random(113 + n)
+    E = SymplecticSpace(n)
+    raised = set()
+    for q in range(n + 1):
+        prim = primitive_space(E, q)
+        outside = [k for k in range(prim.ambient.dim)
+                   if k in prim.lambda_op]
+        for _ in range(30):
+            m = {}
+            for col in rng.sample(range(8), rng.randint(1, 8)):
+                combo = {k: rng.randint(-2, 2) for k in range(prim.dim)}
+                vec = sparsemat.apply_cols(prim.matrix, combo)
+                if outside and rng.random() < 0.3:
+                    add_into(vec, rng.choice(outside), 1)
+                if vec:
+                    m[col] = vec
+            got = _outcome(prim.to_coords, m)
+            assert got == _outcome(lambda m: _coords_by_reconstruction(prim, m), m)
+            if isinstance(got, tuple):
+                raised.add(q)
+    # the non-primitive case is reached at every level that has one
+    assert raised == {q for q in range(n + 1) if q >= 2}
 
 
 def test_projector_constructions_agree():

@@ -1,5 +1,6 @@
 """Sparse accumulators: entries start from their first term and keep their type."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -137,3 +138,57 @@ def test_int_copies_clear_the_whole_family_and_keep_its_kind():
     assert sparsemat.int_copies([ints, {}]) == (1, [ints, {}])
     assert sparsemat.int_copies([]) == (1, [])
     assert sparsemat.int_copies({}) == (1, {})
+
+
+@pytest.mark.parametrize("one", ONES, ids=lambda o: type(o).__name__)
+def test_weighted_madd_into_equals_adding_the_scaled_copy(one):
+    two = one + one
+    acc = {0: {0: two, 1: one}, 2: {1: two}}
+    m = {0: {0: -one, 2: one}, 1: {0: one}, 2: {1: -one}}
+    want = sparsemat.madd(acc, sparsemat.mscale(m, two))
+    sparsemat.madd_into(acc, m, two)
+    # the weighted column 2 cancels and is dropped, column 1 comes last
+    assert acc == want == {0: {1: one, 2: two}, 1: {0: two}}
+    assert list(acc) == list(want)
+    assert all(type(v) is type(one) for v in _entries(acc))
+    sparsemat.madd_into(acc, m, 0)
+    assert acc == want
+
+
+def _compose_by_copy(acc, a, b):
+    """The product built first and then added, kept as the reference for
+    `compose_into`."""
+    sparsemat.madd_into(acc, sparsemat.compose(a, b))
+
+
+def _random_matrix(rng, shape, one, density=0.5):
+    rows, cols = shape
+    return {c: col for c in range(cols)
+            if (col := {r: rng.randint(-2, 2) * one for r in range(rows)
+                        if rng.random() < density and rng.randint(-2, 2)})}
+
+
+@pytest.mark.parametrize("one", [1, Fraction(1, 3)], ids=["int", "Fraction"])
+def test_compose_into_equals_adding_the_product(one):
+    # acc column 0 is cancelled by the product and emptied; column 1 gains
+    # a row; column 2 is new and comes last
+    a = {0: {0: one, 1: one}, 1: {0: one}}
+    b = {0: {0: -one}, 1: {1: one + one}, 2: {0: one, 1: -one}}
+    acc = {0: {0: one * one, 1: one * one}, 1: {2: one}}
+    want = {c: dict(col) for c, col in acc.items()}
+    _compose_by_copy(want, a, b)
+    sparsemat.compose_into(acc, a, b)
+    assert acc == want and list(acc) == list(want) == [1, 2]
+    assert list(acc[1]) == [2, 0]
+    assert all(type(v) is type(one) for v in _entries(acc))
+    # random sums of products, with small entries so partial sums cancel
+    rng = random.Random(11)
+    for _ in range(200):
+        acc, want = {}, {}
+        for _ in range(rng.randint(1, 4)):
+            a = _random_matrix(rng, (4, 3), one)
+            b = _random_matrix(rng, (3, 5), one)
+            sparsemat.compose_into(acc, a, b)
+            _compose_by_copy(want, a, b)
+            assert acc == want and list(acc) == list(want)
+        assert all(type(v) is type(one) for v in _entries(acc))
