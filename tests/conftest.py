@@ -15,10 +15,11 @@ def ordered_rform(monkeypatch):
     the real table's layout and replaces only its keys.
     """
     def ordered_index(space):
+        labels = range(space.dim)
+        flats = [space.flat_basis(l) for l in labels]
         return [((i, j), [(k, [(t, sign, (i, j, k, l))
-                               for l, (t, sign) in enumerate(
-                                   space.flat_basis(x) for x in range(space.dim))])
-                          for k in range(space.dim)])
-                for i in range(space.dim) for j in range(space.dim)]
+                               for l, (t, sign) in enumerate(flats)])
+                          for k in labels])
+                for i in labels for j in labels]
 
     monkeypatch.setattr(curvature, "_rform_index", ordered_index)
