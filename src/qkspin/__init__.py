@@ -10,6 +10,8 @@ floating point.  The main entry points:
     multiplication, twisted Hermitian form and Casimir action;
   * `curvature`: the space of algebraic curvature tensors, the Bianchi
     equations on H tensor E, the model tensors and their Ricci traces;
+  * `sym4`: the Sym^4 lemma on a model tensor, checked on Lambda E and on
+    each primitive level;
   * `weitzenboeck`: the closed-form 2x2 / 3x3 / 6x6 matrices, the twelve
     projectors, the brute-force recovery oracle and the eigenvalue bound;
   * `verify.run_suite` / the `qkspin` command line for batch verification.
@@ -20,6 +22,9 @@ from the start, and its source is compiled and run on the first attribute
 access, so a command compiles only the modules it uses.  The names of
 `__all__` other than `Scalar` are read from their modules on each access
 (a module `__getattr__`, PEP 562), which loads the module the first time.
+`verify` reads `curvature` through the module when a suite calls it, so
+only its curvature and bianchi suites compile that module; the two Sym^4
+checks it calls sit in the small `sym4`, which it imports directly.
 """
 
 import sys

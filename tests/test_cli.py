@@ -78,8 +78,9 @@ def test_verify_bianchi_reports_dimension(capsys):
 
 
 def test_verify_rejects_big_bianchi(capsys):
-    code, _, err = run(capsys, "verify", "--n", "5", "--suite", "bianchi")
+    code, _, err = run(capsys, "verify", "--n", "6", "--suite", "bianchi")
     assert code == 2
+    assert "n <= 5" in err
 
 
 def test_weitzenboeck_rejects_big_oracle(capsys):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from qkspin import curvature, linalg, sparsemat, verify
+from qkspin import curvature, linalg, sparsemat, sym4
 from qkspin.cli import _jsonable
 from qkspin.curvature import (
     BianchiSystem,
@@ -293,19 +293,31 @@ def test_qzero_identity():
             assert qzero_check(model, r)["ok"]
 
 
-def test_each_derivation_is_built_once_per_model(monkeypatch):
-    n = 2
-    rform = random_sym4(n, random.Random(97))
-    # warm the form-independent der(de_i . de_j) cache on another model
-    assert sym4_acts_trivially(ModelCurvature(n, rform))["ok"]
+def count_derivations(monkeypatch) -> list:
+    """The level q of every derivation built from now on.
+
+    `derivation_ext_matrix` is patched wherever a caller looks it up:
+    `curvature` (a model's der(P_ij)) and `sym4` (the form-independent
+    der(de_i . de_j)), so that no build leaves the count.
+    """
     built = []
-    build = curvature.derivation_ext_matrix
+    build = sym4.derivation_ext_matrix
 
     def counted(space, endo, q):
         built.append(q)
         return build(space, endo, q)
 
-    monkeypatch.setattr(curvature, "derivation_ext_matrix", counted)
+    for module in (curvature, sym4):
+        monkeypatch.setattr(module, "derivation_ext_matrix", counted)
+    return built
+
+
+def test_each_derivation_is_built_once_per_model(monkeypatch):
+    n = 2
+    rform = random_sym4(n, random.Random(97))
+    # warm the form-independent der(de_i . de_j) cache on another model
+    assert sym4_acts_trivially(ModelCurvature(n, rform))["ok"]
+    built = count_derivations(monkeypatch)
     model = ModelCurvature(n, rform)
     assert sym4_acts_trivially(model)["ok"]
     assert all(qzero_check(model, r)["ok"] for r in range(n + 1))
@@ -381,19 +393,12 @@ def test_curvature_suite_derivation_budget(monkeypatch):
     # unordered pair and level, against 1,680 when both Sym^4 checks
     # composed every ordered pair (i, j)
     run_suite("curvature", 2)
-    curvature._sym2_derivation.cache_clear()
-    curvature._qzero_operator.cache_clear()
-    count = [0]
-    build = curvature.derivation_ext_matrix
-
-    def counted(space, endo, q):
-        count[0] += 1
-        return build(space, endo, q)
-
-    monkeypatch.setattr(curvature, "derivation_ext_matrix", counted)
+    sym4._sym2_derivation.cache_clear()
+    sym4._qzero_operator.cache_clear()
+    built = count_derivations(monkeypatch)
     checks = run_suite("curvature", 2)
     assert all(c.ok for c in checks)
-    assert 0 < count[0] <= 1100, count[0]
+    assert 0 < len(built) <= 1100, len(built)
 
 
 def _derivation_by_sort_sign(space, endo, q):
@@ -563,8 +568,9 @@ def test_witnesses_divide_the_scale_back_exactly(ordered_rform):
 def test_curvature_suite_carries_the_structured_witness(monkeypatch,
                                                          ordered_rform):
     # every form the suite draws is the non-symmetric one
-    monkeypatch.setattr(verify, "random_sym4", lambda n, rng: _NOT_SYMMETRIC)
-    monkeypatch.setattr(verify, "alpha_fourth", lambda n, alpha: _NOT_SYMMETRIC)
+    monkeypatch.setattr(curvature, "random_sym4", lambda n, rng: _NOT_SYMMETRIC)
+    monkeypatch.setattr(curvature, "alpha_fourth",
+                        lambda n, alpha: _NOT_SYMMETRIC)
     checks = run_suite("curvature", 2)
     # R^hyper_{X,Y} is no longer antisymmetric, so its Ricci form leaves the
     # metric's line: at ((0, 1), (1, 0)) the metric vanishes, Ric does not

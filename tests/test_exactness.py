@@ -7,8 +7,6 @@ import pytest
 
 from qkspin.curvature import (
     ModelCurvature,
-    _qzero_operator,
-    _sym2_derivation,
     qzero_check,
     random_sym4,
     sym4_acts_trivially,
@@ -16,6 +14,7 @@ from qkspin.curvature import (
 from qkspin.lefschetz import primitive_space
 from qkspin.scalar import Scalar
 from qkspin.spinor import SpinorSpace
+from qkspin.sym4 import _qzero_operator, _sym2_derivation
 from qkspin.verify import run_suite
 from qkspin.weitzenboeck import recover_w, recover_we, recover_wh
 

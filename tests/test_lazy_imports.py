@@ -42,9 +42,11 @@ def executed_after(code: str) -> list:
     (["bound", "--n", "2", "--kappa", "16"], ["weitzenboeck"]),
     (["weitzenboeck", "--n", "2", "--r", "1", "--oracle"],
      ["spinor", "weitzenboeck"]),
-    (["verify", "--n", "2", "--suite", "lemmas"], ["curvature", "verify"]),
-    (["verify", "--n", "2", "--suite", "clifford"],
-     ["curvature", "spinor", "verify"]),
+    (["verify", "--n", "2", "--suite", "lemmas"], ["verify"]),
+    (["verify", "--n", "2", "--suite", "clifford"], ["spinor", "verify"]),
+    (["verify", "--n", "2", "--suite", "weitzenboeck"],
+     ["spinor", "verify", "weitzenboeck"]),
+    (["verify", "--n", "2", "--suite", "curvature"], ["curvature", "verify"]),
     (["verify", "--n", "1", "--suite", "all"], list(LAZY)),
 ])
 def test_a_command_executes_only_the_modules_it_uses(argv, modules):
