@@ -44,10 +44,10 @@ def executed_after(code: str) -> list:
      ["spinor", "weitzenboeck"]),
     (["verify", "--n", "2", "--suite", "lemmas"], ["verify"]),
     (["verify", "--n", "2", "--suite", "clifford"], ["spinor", "verify"]),
+    (["verify", "--n", "1", "--suite", "all"], list(LAZY)),
     (["verify", "--n", "2", "--suite", "weitzenboeck"],
      ["spinor", "verify", "weitzenboeck"]),
     (["verify", "--n", "2", "--suite", "curvature"], ["curvature", "verify"]),
-    (["verify", "--n", "1", "--suite", "all"], list(LAZY)),
 ])
 def test_a_command_executes_only_the_modules_it_uses(argv, modules):
     code = f"""
