@@ -48,7 +48,7 @@ from .sym4 import (  # noqa: F401  (the Sym^4 checks, reachable from here)
     sym4_acts_trivially,
     sym4_total,
 )
-from .symplectic import SymplecticSpace, add_into, scale, sigma
+from .symplectic import SymplecticSpace, add_into, scale
 
 # the value of a 4-form off its support, shared so no lookup builds a Fraction
 _ZERO = Fraction(0)
@@ -119,7 +119,7 @@ def curv_generator(alpha: dict, beta: dict, gamma: dict, delta: dict) -> dict:
 
 
 def basis_cov(i: int) -> dict:
-    return {i: Fraction(1)}
+    return {i: 1}
 
 
 # -- multiplication and comultiplication ----------------------------------
@@ -547,21 +547,31 @@ def _rform_index(space: SymplecticSpace) -> list:
             for i in labels for j in labels]
 
 
+def _pair_endo(space: SymplecticSpace, x: int, y: int) -> dict:
+    """e_x e_y as an endomorphism, e_c -> sigma(e_x, e_c) e_y +
+    sigma(e_y, e_c) e_x, with int entries."""
+    out: dict = {}
+    for src, tgt in ((x, y), (y, x)):
+        c, sign = space.sharp_basis(src)
+        add_into(out.setdefault(c, {}), tgt, sign)
+    return {c: img for c, img in out.items() if img}
+
+
 class ModelCurvature:
     """The End(H tensor E)-valued 2-forms R^H, R^E, R^hyper on basis pairs.
 
     R^hyper is parametrized by a symmetric 4-form on E, stored as a dict
-    from sorted index 4-multisets to Fractions.  Its endomorphisms
-    R(e_i, e_j): e_k -> rform(e_i, e_j, e_k, .)^flat are read off the form
-    through `_rform_index`, once, at construction.  `scale` is the lcm of
-    the denominators of the form's values, and `scaled_endos` holds the
-    nonzero scale R(e_i, e_j) with int entries, keyed (i, j) in (i, j)
-    order, each key's int value computed once.  The Sym^4 checks read
-    `paired_endos`, the nonzero scale P_ij keyed by the unordered pairs
-    i <= j, in that order, where P_ij = R(e_i, e_j) + R(e_j, e_i) for
-    i < j and P_ii = R(e_i, e_i), the `scaled_endos` entry itself.  The
-    Fraction endomorphisms `r_endos`, which only `tensors` reads, are built
-    on first use.
+    from sorted index 4-multisets to Fractions, with `scale` the lcm of
+    their denominators.  Its endomorphisms R(e_i, e_j): e_k ->
+    rform(e_i, e_j, e_k, .)^flat are read off through `_rform_index`, once,
+    at construction, as `scaled_endos`: the nonzero scale R(e_i, e_j) with
+    int entries, keyed (i, j) in (i, j) order.  The Sym^4 checks read
+    `paired_endos`, the nonzero scale P_ij over the unordered pairs i <= j,
+    in that order: P_ij = R(e_i, e_j) + R(e_j, e_i) for i < j and
+    P_ii = R(e_i, e_i).  The `tensors` are int too, R^H and R^E from the
+    int signs of sigma (the numerators of `sigma_basis`) and R^hyper scaled
+    by `tensor_scale`: Ricci and the extraction sum ints and divide once,
+    and `apply` is exact.
     """
 
     KINDS = ("H", "E", "hyper")
@@ -580,14 +590,6 @@ class ModelCurvature:
             (i, j): paired for i, j in sym2_basis(self.E.dim)
             if (paired := sparsemat.madd(get((i, j), {}), get((j, i), {}))
                 if i < j else get((i, i)))}
-
-    @functools.cached_property
-    def r_endos(self) -> dict:
-        """The nonzero R(e_i, e_j) keyed (i, j), with the form's own values.
-
-        Built on first use and shared, so callers must not modify it.
-        """
-        return self._endos(self.rform)
 
     def _endos(self, values: dict) -> dict:
         """{(i, j): {k: {flat(l): sign values[key]}}} over `_rform_index`,
@@ -616,7 +618,7 @@ class ModelCurvature:
         These levels are read twice, by `sym4_acts_trivially` and
         `qzero_check`, so they are built on first use and held until the
         model is freed; shared, so callers must not modify them.  A level
-        above n is read once, and `derivations` builds it afresh.
+        above n is read at most once, and `derivations` builds it afresh.
         """
         return [self.derivations(q) for q in range(self.n + 1)]
 
@@ -628,13 +630,21 @@ class ModelCurvature:
     def rvalue(self, i, j, k, l) -> Fraction:
         return self.rform.get(tuple(sorted((i, j, k, l))), _ZERO)
 
+    def tensor_scale(self, kind: str) -> int:
+        """The int s with `tensors` holding s R^kind: `scale` for R^hyper,
+        1 for R^H and R^E."""
+        if kind not in self.KINDS:
+            raise ValueError(f"unknown model tensor {kind!r}")
+        return self.scale if kind == "hyper" else 1
+
     @functools.cached_property
     def tensors(self) -> dict:
-        """{(kind, X, Y): R^kind_{X,Y}} over every kind and basis pair.
+        """{(kind, X, Y): tensor_scale(kind) R^kind_{X,Y}}, with int entries,
+        over every kind and basis pair.
 
-        `ricci` and `sym4_extraction` both read it, so it is built once, on
-        first use, and held until the model is freed; zero tensors are left
-        out.  Shared, so callers must not modify it.
+        `ricci_coefficient` and `sym4_extraction` both read it, so it is
+        built once, on first use, and held until the model is freed; zero
+        tensors are left out.  Shared, so callers must not modify it.
         """
         basis = self.tangent_basis()
         return {(kind, x, y): endo for kind in self.KINDS
@@ -642,100 +652,62 @@ class ModelCurvature:
                 if (endo := self._tensor(kind, x, y))}
 
     def apply(self, kind: str, x: tuple, y: tuple) -> dict:
-        """R^kind_{X,Y} for basis tangent vectors; {(a,i): {(b,j): coeff}}."""
-        if kind not in self.KINDS:
-            raise ValueError(f"unknown model tensor {kind!r}")
-        return self.tensors.get((kind, x, y), {})
+        """R^kind_{X,Y} for basis tangent vectors; {(a,i): {(b,j): coeff}},
+        with exact Fraction coefficients."""
+        s = self.tensor_scale(kind)
+        return {key: {row: Fraction(v, s) for row, v in col.items()}
+                for key, col in self.tensors.get((kind, x, y), {}).items()}
 
     def _tensor(self, kind: str, x: tuple, y: tuple) -> dict:
+        """tensor_scale(kind) R^kind_{X,Y}: sigma_E(e_i, e_j) (e_a e_b) (x) id
+        for H, sigma_H(e_a, e_b) id (x) (e_i e_j) for E, and
+        sigma_H(e_a, e_b) id (x) scale R(e_i, e_j) for hyper."""
         (a, i), (b, j) = x, y
-        endo: dict = {}
         if kind == "H":
-            s = self.E.sigma_basis(i, j)
-            if not s:
-                return {}
-            for c in range(2):
-                img_h = {}
-                for src, tgt in ((a, b), (b, a)):
-                    v = self.H.sigma_basis(src, c)
-                    if v:
-                        add_into(img_h, tgt, v)
-                for k in range(self.E.dim):
-                    col = {}
-                    for hh, v in img_h.items():
-                        add_into(col, (hh, k), s * v)
-                    if col:
-                        endo[(c, k)] = col
-        elif kind == "E":
-            s = self.H.sigma_basis(a, b)
-            if not s:
-                return {}
-            for k in range(self.E.dim):
-                img_e = {}
-                for src, tgt in ((i, j), (j, i)):
-                    v = self.E.sigma_basis(src, k)
-                    if v:
-                        add_into(img_e, tgt, v)
-                for c in range(2):
-                    col = {}
-                    for ee, v in img_e.items():
-                        add_into(col, (c, ee), s * v)
-                    if col:
-                        endo[(c, k)] = col
-        elif kind == "hyper":
-            s = self.H.sigma_basis(a, b)
-            if not s:
-                return {}
-            for k, img_e in self.r_endos.get((i, j), {}).items():
-                for c in range(2):
-                    endo[(c, k)] = {(c, ee): s * v for ee, v in img_e.items()}
-        return endo
+            s = self.E.sigma_basis(i, j).numerator
+            h_endo = _pair_endo(self.H, a, b) if s else {}
+            return {(c, k): {(h, k): s * v for h, v in img.items()}
+                    for c, img in h_endo.items() for k in range(self.E.dim)}
+        s = self.H.sigma_basis(a, b).numerator
+        e_endo = ({} if not s else _pair_endo(self.E, i, j) if kind == "E"
+                  else self.scaled_endos.get((i, j), {}))
+        return {(c, k): {(c, e): s * v for e, v in img.items()}
+                for k, img in e_endo.items() for c in range(2)}
 
     def tangent_basis(self) -> list:
         return [(a, i) for a in range(2) for i in range(self.E.dim)]
 
-    def metric(self, x: tuple, y: tuple) -> Fraction:
-        return self.H.sigma_basis(x[0], y[0]) * self.E.sigma_basis(x[1], y[1])
-
-    def ricci(self, kind: str) -> dict:
-        """Ric(X, Y) = tr(Z -> R_{Z,X} Y) on all basis pairs."""
-        out: dict = {}
-        basis = self.tangent_basis()
-        for xx in basis:
-            acc: dict = {}
-            for zz in basis:
-                endo = self.apply(kind, zz, xx)
-                for yy, col in endo.items():
-                    v = col.get(zz)
-                    if v:
-                        add_into(acc, yy, v)
-            for yy, total in acc.items():
-                out[(xx, yy)] = total
-        return out
-
     def ricci_coefficient(self, kind: str) -> tuple:
         """(c, None) with Ric^kind = c sigma_H tensor sigma_E, else (None, witness).
 
-        The witness (kind, X, Y) is the first tangent pair at which Ric^kind
-        leaves the line of the metric.
+        Ric(X, Y) = tr(Z -> R_{Z,X} Y) is summed in ints over `tensors`.
+        The metric is +-1 where it is nonzero, so the coefficient at such a
+        pair is the int Ric g, compared across pairs, and divided by
+        `tensor_scale` once.  The witness (kind, X, Y) is the first tangent
+        pair at which Ric^kind leaves the line of the metric.
         """
-        ric = self.ricci(kind)
+        s = self.tensor_scale(kind)
         basis = self.tangent_basis()
+        tensors = self.tensors
         coeff = None
         for xx in basis:
+            ric: dict = {}
+            for zz in basis:
+                for yy, col in tensors.get((kind, zz, xx), {}).items():
+                    if v := col.get(zz):
+                        ric[yy] = ric.get(yy, 0) + v
             for yy in basis:
-                g = self.metric(xx, yy)
-                v = ric.get((xx, yy), _ZERO)
+                v = ric.get(yy, 0)
+                g = (self.H.sigma_basis(xx[0], yy[0]).numerator *
+                     self.E.sigma_basis(xx[1], yy[1]).numerator)
                 if not g:
                     if v:
                         return None, (kind, xx, yy)
-                    continue
-                c = v / g
-                if coeff is None:
-                    coeff = c
-                elif coeff != c:
+                elif coeff is None:
+                    coeff = v * g
+                elif coeff != v * g:
                     return None, (kind, xx, yy)
-        return (Fraction(0) if coeff is None else coeff), None
+        return Fraction(coeff or 0, s), None
 
 
 def einstein_report(model: ModelCurvature) -> dict:
@@ -765,42 +737,51 @@ def sym4_extraction(model: ModelCurvature, kind: str,
                     h_quad: list, e_quad: tuple) -> Fraction:
     """Recover a symmetric 4-form value from a curvature tensor.
 
-    h_quad: four H vectors as sparse dicts, e_quad: four E basis indices.
-    The symmetrization over S4 divided by 24 sigma_H(h1,h2) sigma_H(h3,h4)
-    is independent of the h-choice whenever the prefactor is nonzero.
+    h_quad: four H vectors as sparse dicts, with int or Fraction values;
+    e_quad: four E basis indices.  The symmetrization over S4 divided by
+    24 sigma_H(h1,h2) sigma_H(h3,h4) is independent of the h-choice
+    whenever the prefactor is nonzero.
 
     Each term pairs R_{h1 (x) e0', h2 (x) e1'} h3 (x) e2' with h4 (x) e3'
     through g = sigma_H sigma_E.  sigma_H(e_b, h4) is found once per call,
     only the one e_k with sigma_E(e_k, e3') != 0 is read, and each distinct
     arrangement (e0', .., e3') of e_quad is summed once, weighted by the
-    number of the 24 permutations that give it.
+    number of the 24 permutations that give it.  The terms are read off
+    the int `tensors` and sigma's int signs, so int h-vectors give an int
+    sum, divided once, by 24, the prefactor and `tensor_scale`.
     """
+    s = model.tensor_scale(kind)
+    tensors = model.tensors
+
+    def sigma_h(v, w):
+        return sum(x * y * model.H.sigma_basis(b, c).numerator
+                   for b, x in v.items() for c, y in w.items())
+
     h1, h2, h3, h4 = h_quad
-    pref = sigma(model.H, h1, h2) * sigma(model.H, h3, h4)
+    pref = sigma_h(h1, h2) * sigma_h(h3, h4)
     if not pref:
         raise ValueError("vanishing sigma_H prefactor")
-    sigma_h4 = [(b, s) for b in range(2)
-                if (s := sigma(model.H, {b: Fraction(1)}, h4))]
-    total = Fraction(0)
+    sigma_h4 = [(b, v) for b in range(2) if (v := sigma_h({b: 1}, h4))]
+    total = 0
     for e, weight in Counter(permutations(e_quad)).items():
         # sigma_E(e_k, e_l) is nonzero only at k = flat(l), where it is the sign
         k, sigma_e = model.E.flat_basis(e[3])
-        part = Fraction(0)
+        part = 0
         for (a1, c1) in h1.items():
             for (a2, c2) in h2.items():
-                endo = model.apply(kind, (a1, e[0]), (a2, e[1]))
+                endo = tensors.get((kind, (a1, e[0]), (a2, e[1])), {})
                 for (a3, c3) in h3.items():
                     col = endo.get((a3, e[2]))
                     if not col:
                         continue
                     c123 = c1 * c2 * c3
-                    for b, s in sigma_h4:
+                    for b, v4 in sigma_h4:
                         v = col.get((b, k))
                         if v:
-                            part += c123 * v * s
+                            part += c123 * v * v4
         if part:
             total += weight * sigma_e * part
-    return total / (24 * pref)
+    return Fraction(total, 24 * pref * s)
 
 
 def random_sym4(n: int, rng: random.Random, height: int = 4) -> dict:

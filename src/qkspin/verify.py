@@ -196,11 +196,8 @@ def suite_curvature(n: int, seed: int = 0) -> list[Check]:
     checks.append(Check("Einstein coefficient kappa/(4n)", rep["einstein_ok"],
                         value=rep["einstein_coefficient"]))
 
-    h_quads = [
-        [{0: Fraction(1)}, {1: Fraction(1)}, {0: Fraction(1)}, {1: Fraction(1)}],
-        [{0: Fraction(2), 1: Fraction(1)}, {1: Fraction(3)},
-         {0: Fraction(1), 1: Fraction(-1)}, {0: Fraction(1), 1: Fraction(2)}],
-    ]
+    h_quads = [[{0: 1}, {1: 1}, {0: 1}, {1: 1}],
+               [{0: 2, 1: 1}, {1: 3}, {0: 1, 1: -1}, {0: 1, 1: 2}]]
     bad = None
     for _ in range(10):
         e_quad = tuple(rng.randrange(2 * n) for _ in range(4))

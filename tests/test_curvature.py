@@ -40,7 +40,7 @@ from qkspin.curvature import (
 )
 from qkspin.lefschetz import primitive_ops, primitive_space
 from qkspin.powers import ExtPower, sort_sign
-from qkspin.symplectic import add_into
+from qkspin.symplectic import add_into, sigma
 from qkspin.verify import run_suite
 
 
@@ -215,7 +215,7 @@ def _extraction_by_permutations(model, kind, h_quad, e_quad):
     """The loop over all 24 permutations and every H and E index, kept as
     the reference for `sym4_extraction`."""
     h1, h2, h3, h4 = h_quad
-    pref = curvature.sigma(model.H, h1, h2) * curvature.sigma(model.H, h3, h4)
+    pref = sigma(model.H, h1, h2) * sigma(model.H, h3, h4)
     if not pref:
         raise ValueError("vanishing sigma_H prefactor")
     total = Fraction(0)
@@ -321,11 +321,12 @@ def test_each_derivation_is_built_once_per_model(monkeypatch):
     model = ModelCurvature(n, rform)
     assert sym4_acts_trivially(model)["ok"]
     assert all(qzero_check(model, r)["ok"] for r in range(n + 1))
-    # one build per unordered pair i <= j and level q: the qzero levels
-    # q = n - r reuse the ambient ones; 10 pairs, where 16 ordered ones
-    # took 80 builds
-    assert len(model.paired_endos) == len(model.r_endos) - 6 == 10
-    assert len(built) == len(model.paired_endos) * (2 * n + 1) == 50
+    # one build per unordered pair i <= j and level q <= 2: the ambient
+    # check stops at Lambda^2 and the qzero levels q = n - r reuse its
+    # levels; 10 pairs, where every level up to 2n took 50 builds and 16
+    # ordered pairs 80
+    assert len(model.paired_endos) == len(model.scaled_endos) - 6 == 10
+    assert len(built) == len(model.paired_endos) * 3 == 30
     # only the levels read twice, q <= n, are held by the model
     assert len(model.r_derivations) == n + 1
 
@@ -373,7 +374,7 @@ def _ordered_qzero_total(model, q):
 def test_paired_sums_equal_the_ordered_sums(ordered_rform):
     n = 2
     model = ModelCurvature(n, _PAIR_DEPENDENT)
-    r = model.r_endos
+    r = model.scaled_endos
     assert model.scale == 6
     assert r[(0, 1)] and r[(1, 0)] and r[(0, 1)] != r[(1, 0)]
     assert r[(0, 2)] and r[(2, 0)] and r[(0, 2)] != r[(2, 0)]
@@ -389,16 +390,17 @@ def test_paired_sums_equal_the_ordered_sums(ordered_rform):
 
 def test_curvature_suite_derivation_budget(monkeypatch):
     # a deterministic cost guard: with the form-independent operator caches
-    # cleared, the n = 2 curvature suite built 1,050 derivations, one per
-    # unordered pair and level, against 1,680 when both Sym^4 checks
-    # composed every ordered pair (i, j)
+    # cleared, the n = 2 curvature suite builds 630 derivations, one per
+    # unordered pair and level q <= 2, against 1,050 when the ambient check
+    # read every level up to 2n and 1,680 when both Sym^4 checks composed
+    # every ordered pair (i, j)
     run_suite("curvature", 2)
     sym4._sym2_derivation.cache_clear()
     sym4._qzero_operator.cache_clear()
     built = count_derivations(monkeypatch)
     checks = run_suite("curvature", 2)
     assert all(c.ok for c in checks)
-    assert 0 < len(built) <= 1100, len(built)
+    assert 0 < len(built) <= 630, len(built)
 
 
 def _derivation_by_sort_sign(space, endo, q):
@@ -428,7 +430,8 @@ def test_derivation_table_matches_the_sort_sign_loop(n):
     E = model.E
     # de_i . de_j with int signs, the int scaled endos and the Fraction ones
     endos = [sym2_endo(E, i, j) for i in range(E.dim) for j in range(i, E.dim)]
-    endos += list(model.scaled_endos.values()) + list(model.r_endos.values())
+    endos += list(model.scaled_endos.values())
+    endos += list(_fraction_endos(model).values())
     for q in range(E.dim + 1):
         for endo in endos:
             got = derivation_ext_matrix(E, endo, q)
@@ -464,6 +467,14 @@ def _endos_by_rvalue_scan(model):
     return r_endos, scale, scaled, paired
 
 
+def _fraction_endos(model):
+    """The R(e_i, e_j) with the form's own values: `scaled_endos` divided
+    back by `scale`."""
+    return {ij: {k: {t: Fraction(v, model.scale) for t, v in img.items()}
+                 for k, img in endo.items()}
+            for ij, endo in model.scaled_endos.items()}
+
+
 def _layout(endos):
     """Every key of a family of endomorphisms, in order."""
     return [(ij, [(k, list(img)) for k, img in endo.items()])
@@ -482,11 +493,14 @@ def test_index_table_model_matches_the_rvalue_scan(n):
         r_endos, scale, scaled, paired = _endos_by_rvalue_scan(model)
         assert model.scale == scale
         scales.append(scale)
-        for got, want in ((model.r_endos, r_endos), (model.scaled_endos, scaled),
+        for got, want in ((_fraction_endos(model), r_endos),
+                          (model.scaled_endos, scaled),
                           (model.paired_endos, paired)):
             assert got == want and _layout(got) == _layout(want)
-        assert all(type(v) is Fraction for endo in model.r_endos.values()
-                   for img in endo.values() for v in img.values())
+        basis = model.tangent_basis()
+        assert all(type(v) is Fraction for x in basis for y in basis
+                   for col in model.apply("hyper", x, y).values()
+                   for v in col.values())
     # the int copies are not vacuous
     assert max(scales) > 1
 
@@ -563,6 +577,45 @@ def test_witnesses_divide_the_scale_back_exactly(ordered_rform):
         {"ok": False, "witness": (2, (0, {13: Fraction(-1, 4)}))}
     assert [qzero_check(model, r)["witness"] for r in range(4)] == [
         ("not primitive", 0, 1, 0), ("not primitive", 0, 1, 1), None, None]
+
+
+# read under the `ordered_rform` fixture: R(e_0, e_0, e_1, e_1) = 1 alone.
+# At n = 2 its induced endomorphism vanishes on Lambda^1 and not on
+# Lambda^2, so it pins the second half of the degree argument
+_LAMBDA2_FIRST = {(0, 0, 1, 1): Fraction(1)}
+
+
+def _sym4_over_every_degree(model):
+    """The ambient check over every degree q = 0..2n, kept as the reference
+    for the degree cap of `sym4_acts_trivially`."""
+    for q in range(model.E.dim + 1):
+        if total := sym4_total(model, q):
+            col, entries = next(iter(total.items()))
+            return {"ok": False, "witness": (q, (col, {
+                row: Fraction(v, 2 * model.scale) for row, v in entries.items()}))}
+    return {"ok": True, "witness": None}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ambient_check_matches_the_loop_over_every_degree(n, ordered_rform):
+    rng = random.Random(109 + n)
+    symmetric = [random_sym4(n, rng) for _ in range(3)]
+    symmetric.append(alpha_fourth(n, rand_cov(rng, 2 * n)))
+    # under the fixture a symmetric form lists its values under every ordering
+    forms = [{perm: v for key, v in rform.items()
+              for perm in itertools.permutations(key)} for rform in symmetric]
+    forms += [_NOT_SYMMETRIC, _HALVES_AND_THIRDS, _PAIR_DEPENDENT,
+              _LAMBDA2_FIRST]
+    degrees = []
+    for rform in forms:
+        model = ModelCurvature(n, rform)
+        want = _sym4_over_every_degree(model)
+        assert sym4_acts_trivially(model) == want
+        degrees.append(want["witness"] and want["witness"][0])
+    # the symmetric forms pass, and neither degree 1 nor 2 goes untested
+    assert degrees[:4] == [None] * 4
+    assert degrees[4:] == {1: [None, None, 1, 1], 2: [1, 1, 1, 2],
+                           3: [2, 2, 1, 2]}[n]
 
 
 def test_curvature_suite_carries_the_structured_witness(monkeypatch,

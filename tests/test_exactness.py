@@ -7,9 +7,11 @@ import pytest
 
 from qkspin.curvature import (
     ModelCurvature,
+    einstein_report,
     qzero_check,
     random_sym4,
     sym4_acts_trivially,
+    sym4_extraction,
 )
 from qkspin.lefschetz import primitive_space
 from qkspin.scalar import Scalar
@@ -67,8 +69,9 @@ def test_suites_construct_no_scalar(n, monkeypatch):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_curvature_operators_have_int_entries(n):
     # every operator the Sym^4 checks compose, the paired endomorphisms
-    # scale P_ij over the unordered pairs i <= j included, is stored with
-    # int entries, so no int/int division can turn one into a float unseen
+    # scale P_ij over the unordered pairs i <= j included, and every model
+    # tensor that Ricci and the extraction sum, is stored with int entries,
+    # so no int/int division can turn one into a float unseen
     model = ModelCurvature(n, random_sym4(n, random.Random(5)))
     E = model.E
     pairs = [(i, j) for i in range(E.dim) for j in range(i, E.dim)]
@@ -80,10 +83,45 @@ def test_curvature_operators_have_int_entries(n):
              for q in range(E.dim + 1) for i, j in pairs]
     mats += [_qzero_operator(E, q, i, j) for q in range(n + 1) for i, j in pairs]
     mats += [primitive_space(E, q).matrix for q in range(n + 1)]
-    assert model.scale > 1
+    mats += list(model.tensors.values())
+    assert model.scale > 1 and len(model.tensors) > 0
     bad = [v for m in mats for col in m.values() for v in col.values()
            if type(v) is not int]
     assert not bad, bad[:5]
+
+
+_H_QUADS = [[{0: 1}, {1: 1}, {0: 1}, {1: 1}],
+            [{0: 2, 1: 1}, {1: 3}, {0: 1, 1: -1}, {0: 1, 1: 2}]]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_curvature_values_are_fractions(n):
+    # Ricci and the extraction sum the int tensors and divide once; an
+    # int/int division there would give a float that still compares equal,
+    # so the types are checked, not the values
+    model = ModelCurvature(n, random_sym4(n, random.Random(6)))
+    assert model.scale > 1
+    for kind in model.KINDS:
+        coeff, witness = model.ricci_coefficient(kind)
+        assert type(coeff) is Fraction and witness is None, kind
+    rep = einstein_report(model)
+    assert all(type(rep[key]) is Fraction for key in (
+        "ricci_H", "ricci_E", "ricci_hyper", "einstein_coefficient"))
+    fraction_quads = [[{a: Fraction(v) for a, v in h.items()} for h in hq]
+                      for hq in _H_QUADS]
+    rng = random.Random(7)
+    for _ in range(4):
+        e_quad = tuple(rng.randrange(2 * n) for _ in range(4))
+        for hq in _H_QUADS + fraction_quads:
+            got = {kind: sym4_extraction(model, kind, hq, e_quad)
+                   for kind in model.KINDS}
+            assert all(type(v) is Fraction for v in got.values()), (hq, got)
+            assert got["hyper"] == model.rvalue(*e_quad)
+    # apply() returns the exact tensor, scale R^hyper divided back
+    basis = model.tangent_basis()
+    values = [v for kind in model.KINDS for x in basis for y in basis
+              for col in model.apply(kind, x, y).values() for v in col.values()]
+    assert values and all(type(v) is Fraction for v in values)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
