@@ -361,8 +361,9 @@ class BianchiSystem:
     Lambda^2 H tensor Sym^2 E) and 'M' (the mixed product block).
     """
 
-    # the largest n measured: solution_equals_ker_m takes 0.5 s and 33 MB
-    # peak RSS in-process on a 2-vCPU VM (Python 3.11.7)
+    # the largest n measured: solution_equals_ker_m takes 1.07-1.37 s at
+    # 32.4-32.6 MB peak RSS in process, imports included, on a 2-vCPU VM
+    # (Python 3.11.7, three runs)
     MAX_N = 5
 
     def __init__(self, n: int):
@@ -612,15 +613,16 @@ class ModelCurvature:
         return out
 
     @functools.cached_property
-    def r_derivations(self) -> list:
-        """[q][(i, j)]: der(scale P_ij) on Lambda^q for q = 0..n, i <= j.
+    def r_derivations(self) -> dict:
+        """{q: {(i, j): der(scale P_ij) on Lambda^q}} for q = 1..n, i <= j.
 
         These levels are read twice, by `sym4_acts_trivially` and
         `qzero_check`, so they are built on first use and held until the
-        model is freed; shared, so callers must not modify them.  A level
-        above n is read at most once, and `derivations` builds it afresh.
+        model is freed; shared, so callers must not modify them.  Lambda^0,
+        where every derivation vanishes, and a level above n are read at
+        most once, and `derivations` builds them afresh.
         """
-        return [self.derivations(q) for q in range(self.n + 1)]
+        return {q: self.derivations(q) for q in range(1, self.n + 1)}
 
     def derivations(self, q: int) -> dict:
         """{(i, j): der(scale P_ij)} on Lambda^q for i <= j, with int entries."""

@@ -19,10 +19,10 @@ package, both are column-major `sparsemat` matrices, and the one inverse
 they need goes through `linalg.Echelon`.
 
 The relation suites check every lemma relation as an identity between
-operator matrices: `PrimitiveOps` owns the contraction / modified-wedge
-ladder on the primitive levels of Lambda^q E, and `powers.SymOps` the
-product / normalized-contraction ladder on Sym^r H.  A failing relation
-names its first failing index pair.
+operator matrices of the two `powers.Ladder`s: `PrimitiveOps`, the
+contraction / modified-wedge ladder on the primitive levels of Lambda^q E,
+and `powers.SymOps`, the product / normalized-contraction ladder on Sym^r
+H.  A failing relation names its first failing index pair.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from math import comb
 from . import linalg, sparsemat
 from .powers import (
     ExtPower,
+    Ladder,
     ext_contract,
     ext_product,
     ext_wedge_vec,
@@ -304,59 +305,45 @@ def primitive_dim(n: int, q: int) -> int:
     return comb(2 * n, q) - (comb(2 * n, q - 2) if q >= 2 else 0)
 
 
-class PrimitiveOps:
-    """Cached contraction / modified-wedge matrices between primitive levels.
+class PrimitiveOps(Ladder):
+    """The contraction / modified-wedge ladder on the primitive levels.
 
-    C(q)[i] is de_i contraction from level q to q-1, W(q)[i] is e_i
-    wedge_circ from q to q+1.  Sharp and flat variants are index
-    relabelings with a sign, each sign-flipped copy built once.  The ladder
-    is total: off the ladder, i.e. C(q) unless 1 <= q <= n and W(q) unless
-    0 <= q < n, the operator is the zero matrix {}, so callers never test
-    the level themselves.  The level is tested before the `functools.cache`
-    lookup, so no off-ladder key is cached; the cached matrices, the
-    sharp and flat variants included, are shared and must not be modified.
+    contract(q, i) is de_i contraction from level q to q-1, wedge(q, i) is
+    e_i wedge_circ from q to q+1.  Off the ladder, i.e. C(q) unless
+    1 <= q <= n and W(q) unless 0 <= q < n, the operator is {}, so callers
+    never test the level themselves.  The derivation of e_x e_y composes
+    wedge_circ after the contraction.
     """
 
+    UP, DOWN = "wedge", "contract"
+    SIGNED = {"contract_sharp": ("contract", "sharp_basis"),
+              "wedge_flat": ("wedge", "flat_basis")}
+
     def __init__(self, space: SymplecticSpace):
-        self.space = space
+        super().__init__(space)
         self.n = space.half_dim
 
     def level(self, q: int) -> PrimitiveSpace:
         return primitive_space(self.space, q)
 
+    def _build(self, name: str, q: int, i: int) -> dict:
+        if name == "contract":
+            return self.level(q).contract_matrix(i, self.level(q - 1))
+        return self.level(q).wedge_circ_matrix(i, self.level(q + 1))
+
     def contract(self, q: int, i: int) -> dict:
-        return self._contract(q, i) if 1 <= q <= self.n else {}
+        return self.matrix("contract", q, i) if 1 <= q <= self.n else {}
 
     def wedge(self, q: int, i: int) -> dict:
-        return self._wedge(q, i) if 0 <= q < self.n else {}
-
-    @functools.cache
-    def _contract(self, q: int, i: int) -> dict:
-        return self.level(q).contract_matrix(i, self.level(q - 1))
-
-    @functools.cache
-    def _wedge(self, q: int, i: int) -> dict:
-        return self.level(q).wedge_circ_matrix(i, self.level(q + 1))
+        return self.matrix("wedge", q, i) if 0 <= q < self.n else {}
 
     def contract_sharp(self, q: int, vec_index: int) -> dict:
         """Contraction with e_vec_index^sharp; shared, so read-only."""
-        return self._contract_sharp(q, vec_index) if 1 <= q <= self.n else {}
+        return self.matrix("contract_sharp", q, vec_index) if 1 <= q <= self.n else {}
 
     def wedge_flat(self, q: int, cov_index: int) -> dict:
         """Modified wedge with de_cov_index^flat; shared, so read-only."""
-        return self._wedge_flat(q, cov_index) if 0 <= q < self.n else {}
-
-    @functools.cache
-    def _contract_sharp(self, q: int, vec_index: int) -> dict:
-        j, sg = self.space.sharp_basis(vec_index)
-        m = self._contract(q, j)
-        return m if sg == 1 else sparsemat.mscale(m, -1)
-
-    @functools.cache
-    def _wedge_flat(self, q: int, cov_index: int) -> dict:
-        j, sg = self.space.flat_basis(cov_index)
-        m = self._wedge(q, j)
-        return m if sg == 1 else sparsemat.mscale(m, -1)
+        return self.matrix("wedge_flat", q, cov_index) if 0 <= q < self.n else {}
 
 
 @functools.cache

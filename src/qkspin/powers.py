@@ -6,9 +6,12 @@ sorted tuple with repetitions; no combinatorial prefactor is stored, all
 normalizations live in the operations.  Degrees are read off the key
 length, so one dict may hold mixed degrees where convenient.
 
-`SymOps` holds the matrices of the product and contraction operators
-between the levels of Sym^r, built once from the elementwise rules here,
-as `lefschetz.PrimitiveOps` does for the primitive exterior levels.
+`Ladder` owns every operator between the levels of a ladder: one cache
+of the plain and sign-flipped matrices, their int copies, and the
+derivation action of a Sym^2 element on a level.  `SymOps` is its product
+/ contraction ladder on Sym^r, built from the elementwise rules here, and
+`lefschetz.PrimitiveOps` its contraction / modified-wedge ladder on the
+primitive exterior levels.
 """
 
 from __future__ import annotations
@@ -168,60 +171,102 @@ def sym_contract_circ(cov: dict, elem: dict) -> dict:
     return out
 
 
-class SymOps:
-    """Cached product / contraction matrices between the levels of Sym^r.
+class Ladder:
+    """The cached operators between the levels of one space's ladder.
 
-    mul(r, i) is h_i . from Sym^r to Sym^(r+1); contract(r, i) is the plain
-    (derivation) contraction with dh_i and contract_circ(r, i) the
-    normalized one, both from Sym^r to Sym^(r-1).  Each matrix applies the
-    elementwise rule above to every basis monomial.  The flat and sharp
-    variants are index relabelings with a sign, each sign-flipped copy
-    built once.  The ladder is total: off it, i.e. below degree 0 or a
-    contraction at degree 0, the operator is the zero matrix {}, tested
-    before the `functools.cache` lookup, so no such key is cached.  Every
-    matrix, the flat and sharp variants included, is shared and must not
-    be modified.
+    A subclass names its operators: `_build(name, level, index)` builds a
+    plain one, `SIGNED` maps each sign-flipped variant to (plain,
+    "flat_basis" | "sharp_basis"), and `UP` and `DOWN` name the raising and
+    the lowering operator that `derivation` composes.  Its public methods
+    test the level before the lookup: off the ladder the operator is the
+    zero matrix {}, and no such key is cached.
+
+    `matrix(name, level, index)` is the one cache of operators.  A variant
+    is the index relabeling sg plain(level, j), (j, sg) the basis map of
+    the index, built once from the cached plain matrix and scaled by the
+    int -1 when sg is -1, so int entries stay int.  `scaled(name, level)`
+    holds the int copies of one level's operators.  Every matrix, the
+    variants and int copies included, is shared and must not be modified.
     """
 
     def __init__(self, space: SymplecticSpace):
         self.space = space
 
     @functools.cache
-    def _matrix(self, rule, r: int, i: int, shift: int) -> dict:
+    def matrix(self, name: str, level: int, index: int) -> dict:
         """Cached; the returned matrix is shared, so callers must not modify it."""
+        if name not in self.SIGNED:
+            return self._build(name, level, index)
+        plain, basis = self.SIGNED[name]
+        j, sg = getattr(self.space, basis)(index)
+        m = self.matrix(plain, level, j)
+        return m if sg == 1 else sparsemat.mscale(m, -1)
+
+    @functools.cache
+    def scaled(self, name: str, level: int) -> tuple[int, list]:
+        """(s, [s L_x]): the operators L_x = self.name(level, x) over every
+        index x as int copies, s the lcm of their denominators.
+
+        Cached and shared by every reader, so callers must not modify them.
+        """
+        return sparsemat.int_copies([getattr(self, name)(level, x)
+                                     for x in range(self.space.dim)])
+
+    def derivation(self, level: int, x: int, y: int) -> dict:
+        """The action of x y on one level: UP(level-1, y) after
+        sg DOWN(level, j), (j, sg) = sharp_basis(x), plus (x <-> y).
+
+        Built afresh on each call from the cached ladder operators.
+        """
+        up, down = getattr(self, self.UP), getattr(self, self.DOWN)
+        total: dict = {}
+        for a, b in ((x, y), (y, x)):
+            j, sg = self.space.sharp_basis(a)
+            sparsemat.madd_into(
+                total, sparsemat.compose(up(level - 1, b), down(level, j)), sg)
+        return total
+
+
+class SymOps(Ladder):
+    """The product / contraction ladder on the levels of Sym^r.
+
+    mul(r, i) is h_i . from Sym^r to Sym^(r+1); contract(r, i) is the plain
+    (derivation) contraction with dh_i and contract_circ(r, i) the
+    normalized one, both from Sym^r to Sym^(r-1).  Each matrix applies the
+    elementwise rule above to every basis monomial.  Off the ladder, below
+    degree 0 or a contraction at degree 0, the operator is {}.  The
+    derivation of h_x h_y composes mul after the plain contraction.
+    """
+
+    UP, DOWN = "mul", "contract"
+    SIGNED = {"mul_flat": ("mul", "flat_basis"),
+              "contract_sharp": ("contract_circ", "sharp_basis")}
+
+    def _build(self, name: str, r: int, i: int) -> dict:
+        # the rules are read at call time, so a patched rule is seen
+        rule, shift = {"mul": (sym_mul_vec, 1), "contract": (sym_contract, -1),
+                       "contract_circ": (sym_contract_circ, -1)}[name]
         unit = {i: Fraction(1)}
         return sparsemat.from_images(
             (rule(unit, {mono: Fraction(1)}) for mono in SymPower(self.space, r).basis),
             SymPower(self.space, r + shift).coords)
 
     def mul(self, r: int, i: int) -> dict:
-        return self._matrix(sym_mul_vec, r, i, 1) if r >= 0 else {}
+        return self.matrix("mul", r, i) if r >= 0 else {}
 
     def contract(self, r: int, i: int) -> dict:
-        return self._matrix(sym_contract, r, i, -1) if r >= 1 else {}
+        return self.matrix("contract", r, i) if r >= 1 else {}
 
     def contract_circ(self, r: int, i: int) -> dict:
-        return self._matrix(sym_contract_circ, r, i, -1) if r >= 1 else {}
+        return self.matrix("contract_circ", r, i) if r >= 1 else {}
 
     def mul_flat(self, r: int, cov_index: int) -> dict:
         """Product with dh_cov_index^flat; shared, so read-only."""
-        return self._mul_flat(r, cov_index) if r >= 0 else {}
+        return self.matrix("mul_flat", r, cov_index) if r >= 0 else {}
 
     def contract_sharp(self, r: int, vec_index: int) -> dict:
         """Normalized contraction with h_vec_index^sharp; shared, so read-only."""
-        return self._contract_sharp(r, vec_index) if r >= 1 else {}
-
-    @functools.cache
-    def _mul_flat(self, r: int, cov_index: int) -> dict:
-        j, sg = self.space.flat_basis(cov_index)
-        m = self.mul(r, j)
-        return m if sg == 1 else sparsemat.mscale(m, Fraction(-1))
-
-    @functools.cache
-    def _contract_sharp(self, r: int, vec_index: int) -> dict:
-        j, sg = self.space.sharp_basis(vec_index)
-        m = self.contract_circ(r, j)
-        return m if sg == 1 else sparsemat.mscale(m, Fraction(-1))
+        return self.matrix("contract_sharp", r, vec_index) if r >= 1 else {}
 
 
 @functools.cache

@@ -25,7 +25,10 @@ r+1 and `SymOps.contract_sharp(r, a)` tensor `PrimitiveOps.wedge(n-r, i)`
 to grade r-1.  The elementwise `_component` rule behind `mu` and the mu_*
 methods is the reference the tests compare these matrices with.  The
 primitive Gram is the sparse product B^T A J B (`primitive_gram`), with
-the elementwise `extended_sigma_ext` as its reference.
+the elementwise `extended_sigma_ext` as its reference.  The Casimir
+composes the derivations of Sym^2 H off the H ladder
+(`SymOps.derivation`), with the elementwise `sym2h_derivation` as their
+reference.
 
 Where the int scaling happens: `scaled_clifford` and `scaled_hermitian_gram`
 clear the denominators of the basis matrices and of the Gram once per
@@ -315,7 +318,11 @@ class SpinorSpace:
     # -- two-forms, Casimir, Kraines -------------------------------------
 
     def sym2h_derivation(self, pair: tuple, hm: tuple) -> dict:
-        """Derivation action of h_pair[0] h_pair[1] in Sym^2 H on a monomial."""
+        """Derivation action of h_pair[0] h_pair[1] in Sym^2 H on a monomial.
+
+        The elementwise reference for `SymOps.derivation`, the matrices
+        that `casimir_matrix` and the Weitzenboeck families compose.
+        """
         i, j = pair
         out: dict = {}
         for pos, a in enumerate(hm):
@@ -325,11 +332,6 @@ class SpinorSpace:
                 if s:
                     add_into(out, sym_insert(tgt, hm[:pos] + hm[pos + 1:]), s)
         return out
-
-    def derivation_matrix(self, pair: tuple, p: int) -> dict:
-        sym = SymPower(self.H, p)
-        return sparsemat.from_images(
-            (self.sym2h_derivation(pair, hm) for hm in sym.basis), sym.coords)
 
     def two_form_matrix(self, pair: tuple) -> dict:
         """Brute-force Clifford action of (h_i h_j) tensor sigma_E on spinors.
@@ -357,11 +359,12 @@ class SpinorSpace:
 
     def casimir_matrix(self, p: int) -> dict:
         """sum_k der(A_k) der(B_k) over a sigma-dual basis of Sym^2 H."""
+        hops = sym_ops(self.H)
         total: dict = {}
         for a, bs in sym2h_dual_pairs(self.H):
-            da = self.derivation_matrix(a, p)
+            da = hops.derivation(p, *a)
             for b, coeff in bs:
-                db = sparsemat.mscale(self.derivation_matrix(b, p), coeff)
+                db = sparsemat.mscale(hops.derivation(p, *b), coeff)
                 sparsemat.compose_into(total, da, db)
         return total
 

@@ -34,6 +34,18 @@ an alternating tensor lies in Lambda^2, so W depends only on K there.  T is
 Lambda^1 and Lambda^2, then C = 0 and K = 0 on Lambda^2, so T = 0 on every
 Lambda^q.  The first degree where T is nonzero, if any, is 1 or 2, for
 every form, symmetric or not.
+
+Neither check reads Lambda^0.  der(A) on Lambda^0 is 0 for every A, so
+both operator sums, each composed with der(P_ij), vanish there for every
+form: the ambient check starts at Lambda^1, and the suite runs the
+primitive check for q = n - r >= 1 only.  `sym4_total(model, 0)` and
+`qzero_check(model, n)` stay valid calls: the first returns the zero
+operator, the second a passing check.
+
+The primitive check's form-independent factor, de_j^flat wedge_circ de_i_
++ (i <-> j), is read off the primitive ladder: with de_i^flat = s_i e_fi,
+it is s_i s_j times `PrimitiveOps.derivation` of e_fi e_fj, so this module
+composes no ladder operators of its own.
 """
 
 from __future__ import annotations
@@ -134,6 +146,13 @@ def _sym2_derivation(space: SymplecticSpace, i: int, j: int, q: int) -> dict:
     return derivation_ext_matrix(space, sym2_endo(space, i, j), q)
 
 
+def _form_derivations(model: ModelCurvature, q: int) -> dict:
+    """{(i, j): der(scale P_ij)} on Lambda^q: the model's held level for
+    1 <= q <= n (`r_derivations`), built afresh at any other q."""
+    held = model.r_derivations
+    return held[q] if q in held else model.derivations(q)
+
+
 def sym4_total(model: ModelCurvature, q: int) -> dict:
     """2 scale times the endomorphism that the form induces on Lambda^q E.
 
@@ -143,12 +162,12 @@ def sym4_total(model: ModelCurvature, q: int) -> dict:
     pair (see the module docstring).  The factors der(de_i . de_j) depend
     only on (E, q, i, j), not on the form, and are built once per run
     (`_sym2_derivation`, a `functools.cache`); the factors der(scale P_ij)
-    come from the model, held for q <= n (`r_derivations`) and built afresh
-    above n.  Both have int entries, so the sum is int arithmetic.  It is
-    valid at every q, though `sym4_acts_trivially` reads only q <= 2.
+    come from the model (`_form_derivations`).  Both have int entries, so
+    the sum is int arithmetic.  It is valid at every q, though
+    `sym4_acts_trivially` reads only q = 1, 2.
     """
     E = model.E
-    d_ps = model.r_derivations[q] if q <= model.n else model.derivations(q)
+    d_ps = _form_derivations(model, q)
     total: dict = {}
     for (i, j), d_p in d_ps.items():
         sparsemat.compose_into(total, _sym2_derivation(E, i, j, q), d_p)
@@ -159,14 +178,14 @@ def sym4_acts_trivially(model: ModelCurvature) -> dict:
     """The induced endomorphism of Lambda E vanishes degree by degree.
 
     Degree q is tested on `sym4_total`, 2 scale times the endomorphism, for
-    q <= 2 <= 2n only: it vanishes on every Lambda^q once it vanishes on
-    Lambda^1 and Lambda^2 (see the module docstring), so a loop up to 2n
-    gives the same verdict and witness.  The test "operator = 0" is linear
-    in the form, so clearing the denominators with the nonzero int scale
-    changes no verdict, and a witness entry v is divided back exactly, as
-    Fraction(v, 2 scale).
+    q = 1, 2 <= 2n only: it vanishes on Lambda^0, and on every Lambda^q
+    once it vanishes on Lambda^1 and Lambda^2 (see the module docstring),
+    so a loop over q = 0..2n gives the same verdict and witness.  The test
+    "operator = 0" is linear in the form, so clearing the denominators with
+    the nonzero int scale changes no verdict, and a witness entry v is
+    divided back exactly, as Fraction(v, 2 scale).
     """
-    for q in range(3):
+    for q in (1, 2):
         total = sym4_total(model, q)
         if total:
             col, entries = next(iter(total.items()))
@@ -180,13 +199,14 @@ def sym4_acts_trivially(model: ModelCurvature) -> dict:
 def _qzero_operator(space: SymplecticSpace, q: int, i: int, j: int) -> dict:
     """de_j^flat wedge_circ de_i_ + (i <-> j) from primitive level q to q.
 
-    Its entries are integers, stored as ints.  Built once per run and
-    shared, so callers must not modify it.
+    With (fi, s_i) and (fj, s_j) the flat maps of i and j, this is s_i s_j
+    times the ladder's derivation of e_fi e_fj.  Its entries are integers,
+    stored as ints.  Built once per run and shared, so callers must not
+    modify it.
     """
-    ops = primitive_ops(space)
-    return sparsemat.integral(sparsemat.madd(
-        sparsemat.compose(ops.wedge_flat(q - 1, j), ops.contract(q, i)),
-        sparsemat.compose(ops.wedge_flat(q - 1, i), ops.contract(q, j))))
+    (fi, s_i), (fj, s_j) = space.flat_basis(i), space.flat_basis(j)
+    return sparsemat.integral(sparsemat.mscale(
+        primitive_ops(space).derivation(q, fi, fj), s_i * s_j))
 
 
 def qzero_total(model: ModelCurvature, q: int) -> tuple:
@@ -198,7 +218,7 @@ def qzero_total(model: ModelCurvature, q: int) -> tuple:
     i <= j, one product per pair (see the module docstring).  The operator
     sums depend only on (E, q, i, j), not on the form, and are built once
     per run (`_qzero_operator`, a `functools.cache`).  The form's
-    derivation der(scale P_ij) (`model.r_derivations`) is restricted to
+    derivation der(scale P_ij) (`_form_derivations`) is restricted to
     the primitive level as `to_coords` of its product with the kernel
     basis B.  Every factor has int entries, so the sum is int arithmetic.
     If a restriction leaves the primitive space (R is not a symmetric
@@ -209,7 +229,7 @@ def qzero_total(model: ModelCurvature, q: int) -> tuple:
     E = model.E
     prim = primitive_space(E, q)
     total: dict = {}
-    for (i, j), d_amb in model.r_derivations[q].items():
+    for (i, j), d_amb in _form_derivations(model, q).items():
         try:
             d_prim = prim.to_coords(sparsemat.compose(d_amb, prim.matrix))
         except NotPrimitiveError as exc:

@@ -220,7 +220,8 @@ def suite_curvature(n: int, seed: int = 0) -> list[Check]:
         if not rep["ok"]:
             bad = ("lambda-E", trial, rep["witness"])
             break
-        for r in range(n + 1):
+        # r = n is primitive level 0, where every derivation vanishes
+        for r in range(n):
             rep = qzero_check(model, r)
             if not rep["ok"]:
                 bad = ("primitive", trial, r, rep["witness"])

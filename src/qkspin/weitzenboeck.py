@@ -20,9 +20,11 @@ the E side for each (i, j).  It serves this 6x6 oracle and the 2x2
 which pass the 1x1 identity as the side they leave out.
 `projector_family` builds one family per (n, r), whose factors are built
 once and shared by all three oracles.  The factors are int matrices: the
-ladders are cleared of their denominators once per process, and each label
-has one table of factors over its side's index pairs, built together with
-its one int scale, by which every int factor exceeds the exact one.  The
+ladders' int copies are read off `powers.Ladder.scaled`, cleared of their
+denominators once per process, the Sym2H factors are the H ladder's
+derivations, and each label has one table of factors over its side's
+index pairs, built together with its one int scale, by which every int
+factor exceeds the exact one.  No factor reads `spinor`.  The
 solver reduces each side's entry vectors, read over the distinct factors
 of a tuple, to a basis and feeds the joint echelon only the products of
 the two bases, which span the rows of the tangent blocks; it undoes the
@@ -45,9 +47,7 @@ import functools
 from fractions import Fraction
 from math import lcm
 
-# spinor is loaded lazily (see the package docstring): only the projector
-# families read it, so the closed forms and the bound do not compile it.
-from . import linalg, sparsemat, spinor
+from . import linalg, sparsemat
 from .lefschetz import PrimitiveOps, primitive_ops, primitive_space
 from .powers import sym_ops
 from .scalar import Scalar
@@ -154,11 +154,11 @@ class ProjectorFamily:
 
     `table(side, label)` builds a label's factors at every index pair of
     its side together with their one scale: s and {(x, y): s times the
-    exact factor}, with int entries.  The int ladders come from the
-    module's `_int_ladder`, and the rational coefficients of K and
-    Lambda2E fold into their labels' scales.  Tables are cached, so each
-    factor is built once and shared by every pair of tangent slots;
-    `projector_family` builds one family per (n, r) for every oracle.
+    exact factor}, with int entries.  The int ladders come from
+    `Ladder.scaled`, and the rational coefficients of K and Lambda2E fold
+    into their labels' scales.  Tables are cached, so each factor is built
+    once and shared by every pair of tangent slots; `projector_family`
+    builds one family per (n, r) for every oracle.
     """
 
     H_LEFT = ("C", "Sym2H")
@@ -172,9 +172,8 @@ class ProjectorFamily:
         self.n = n
         self.r = r
         self.q = n - r
-        self.spin = spinor.SpinorSpace(n)
-        self.H = self.spin.H
-        self.E = self.spin.E
+        self.H = SymplecticSpace(1, name="h")
+        self.E = SymplecticSpace(n, name="e")
         self.eops = primitive_ops(self.E)
         self.hops = sym_ops(self.H)
         self.prim = primitive_space(self.E, self.q)
@@ -188,7 +187,7 @@ class ProjectorFamily:
           -+       = x^sharp_circ (y up .) and +- = x up (y^sharp_circ .),
                      up = mul at level r on H and wedge_circ at level n - r
                      on E;
-          Sym2H    = the derivation action of h_x h_y;
+          Sym2H    = the derivation action of h_x h_y (`SymOps.derivation`);
           Sym2E    = +-(y, x) + +-(x, y);
           K        = sigma id - -+ / (n-r+1) + (r+2) +- / ((n+r+3)(r+1));
           Lambda2E = +-(y, x) - +-(x, y) - (n-r)/n sigma id.
@@ -203,18 +202,17 @@ class ProjectorFamily:
         if label in ("-+", "+-"):
             ops, up, level = ((self.hops, "mul", self.r) if side == "h"
                               else (self.eops, "wedge", self.q))
+            sharp = "contract_sharp"
             if label == "-+":
-                first = _int_ladder(ops, "contract_sharp", level + 1)
-                second = _int_ladder(ops, up, level)
+                first, second = ops.scaled(sharp, level + 1), ops.scaled(up, level)
             else:
-                first = _int_ladder(ops, up, level - 1)
-                second = _int_ladder(ops, "contract_sharp", level)
+                first, second = ops.scaled(up, level - 1), ops.scaled(sharp, level)
             return first[0] * second[0], {
                 (x, y): sparsemat.compose(first[1][x], second[1][y])
                 for x, y in pairs}
         if label == "Sym2H":
-            return sparsemat.int_copies({ab: self.spin.derivation_matrix(ab, self.r)
-                                         for ab in pairs})
+            return sparsemat.int_copies({(a, b): self.hops.derivation(self.r, a, b)
+                                         for a, b in pairs})
         n, r = self.n, self.r
         s_plus, plus = self.table("e", "+-")
         if label == "Sym2E":
@@ -257,18 +255,6 @@ class ProjectorFamily:
                 for h_labels, e_labels in ((self.H_RIGHT, self.E_RIGHT),
                                            (self.H_LEFT, self.E_LEFT))
                 for eb in e_labels for hb in h_labels]
-
-
-@functools.cache
-def _int_ladder(ops, name: str, level: int) -> tuple[int, list]:
-    """(s, [s L_x]): the ladder matrices L_x = ops.name(level, x) over every
-    index x as int copies, s the lcm of their denominators.
-
-    Cached, and shared by every family and by the curvature-scalar
-    identities, so callers must not modify the copies.
-    """
-    return sparsemat.int_copies([getattr(ops, name)(level, x)
-                                 for x in range(ops.space.dim)])
 
 
 def _int_weights(coeffs: list) -> tuple[int, list]:
@@ -570,7 +556,7 @@ def curvature_scalar_identities(n: int, r: int) -> dict:
     `table("h", "Sym2H")` and `table("e", "Sym2E")`, so the identities
     check the same matrices that the recovery oracle feeds in.  Both sums
     are taken over int copies, of those factors and of the outer ladders
-    (`_int_ladder`, shared with the families), so each is compared against
+    (`Ladder.scaled`, shared with the families), so each is compared against
     its eigenvalue times the product of the three scales.
 
     The kappa/4 coefficients arise by multiplying the eigenvalue with the
@@ -582,8 +568,8 @@ def curvature_scalar_identities(n: int, r: int) -> dict:
     H, E = fam.H, fam.E
 
     # H side operator sum on Sym^r H (dim r + 1)
-    s_flat, mul_flat = _int_ladder(fam.hops, "mul_flat", r - 1)
-    s_con, contract = _int_ladder(fam.hops, "contract", r)
+    s_flat, mul_flat = fam.hops.scaled("mul_flat", r - 1)
+    s_con, contract = fam.hops.scaled("contract", r)
     s_sym, sym2h = fam.table("h", "Sym2H")
     h_total: dict = {}
     for a in range(2):
@@ -596,8 +582,8 @@ def curvature_scalar_identities(n: int, r: int) -> dict:
 
     # E side operator sum on the primitive level q = n - r
     q = n - r
-    s_flat, wedge_flat = _int_ladder(fam.eops, "wedge_flat", q - 1)
-    s_con, contract = _int_ladder(fam.eops, "contract", q)
+    s_flat, wedge_flat = fam.eops.scaled("wedge_flat", q - 1)
+    s_con, contract = fam.eops.scaled("contract", q)
     s_sym, sym2e = fam.table("e", "Sym2E")
     e_total: dict = {}
     for i in range(E.dim):

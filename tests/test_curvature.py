@@ -40,7 +40,7 @@ from qkspin.curvature import (
 )
 from qkspin.lefschetz import primitive_ops, primitive_space
 from qkspin.powers import ExtPower, sort_sign
-from qkspin.symplectic import add_into, sigma
+from qkspin.symplectic import SymplecticSpace, add_into, sigma
 from qkspin.verify import run_suite
 
 
@@ -320,15 +320,15 @@ def test_each_derivation_is_built_once_per_model(monkeypatch):
     built = count_derivations(monkeypatch)
     model = ModelCurvature(n, rform)
     assert sym4_acts_trivially(model)["ok"]
-    assert all(qzero_check(model, r)["ok"] for r in range(n + 1))
-    # one build per unordered pair i <= j and level q <= 2: the ambient
-    # check stops at Lambda^2 and the qzero levels q = n - r reuse its
-    # levels; 10 pairs, where every level up to 2n took 50 builds and 16
-    # ordered pairs 80
+    assert all(qzero_check(model, r)["ok"] for r in range(n))
+    # one build per unordered pair i <= j and level q = 1, 2: the ambient
+    # check reads Lambda^1 and Lambda^2 only, and the qzero levels q = n - r
+    # >= 1 reuse its levels; 10 pairs, where q = 0..2 took 30 builds, every
+    # level up to 2n 50 and 16 ordered pairs 80
     assert len(model.paired_endos) == len(model.scaled_endos) - 6 == 10
-    assert len(built) == len(model.paired_endos) * 3 == 30
-    # only the levels read twice, q <= n, are held by the model
-    assert len(model.r_derivations) == n + 1
+    assert len(built) == len(model.paired_endos) * 2 == 20
+    # only the levels read twice, q = 1..n, are held by the model
+    assert sorted(model.r_derivations) == list(range(1, n + 1))
 
 
 # R(e_i, e_j) = a_ij T with a_ij != a_ji and T: e_k -> s(e_k, .)^flat for a
@@ -390,17 +390,17 @@ def test_paired_sums_equal_the_ordered_sums(ordered_rform):
 
 def test_curvature_suite_derivation_budget(monkeypatch):
     # a deterministic cost guard: with the form-independent operator caches
-    # cleared, the n = 2 curvature suite builds 630 derivations, one per
-    # unordered pair and level q <= 2, against 1,050 when the ambient check
-    # read every level up to 2n and 1,680 when both Sym^4 checks composed
-    # every ordered pair (i, j)
+    # cleared, the n = 2 curvature suite builds 420 derivations, one per
+    # unordered pair and level q = 1, 2, against 630 when both checks also
+    # read Lambda^0, 1,050 when the ambient check read every level up to 2n
+    # and 1,680 when both Sym^4 checks composed every ordered pair (i, j)
     run_suite("curvature", 2)
     sym4._sym2_derivation.cache_clear()
     sym4._qzero_operator.cache_clear()
     built = count_derivations(monkeypatch)
     checks = run_suite("curvature", 2)
     assert all(c.ok for c in checks)
-    assert 0 < len(built) <= 630, len(built)
+    assert 0 < len(built) <= 420, len(built)
 
 
 def _derivation_by_sort_sign(space, endo, q):
@@ -616,6 +616,45 @@ def test_ambient_check_matches_the_loop_over_every_degree(n, ordered_rform):
     assert degrees[:4] == [None] * 4
     assert degrees[4:] == {1: [None, None, 1, 1], 2: [1, 1, 1, 2],
                            3: [2, 2, 1, 2]}[n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_both_totals_vanish_on_lambda0(n, ordered_rform):
+    # der(A) on Lambda^0 is 0 for every A, so both operator sums vanish
+    # there for every form, symmetric or not, and neither check reads it
+    rng = random.Random(113 + n)
+    forms = [{perm: v for key, v in random_sym4(n, rng).items()
+              for perm in itertools.permutations(key)} for _ in range(3)]
+    forms += [_NOT_SYMMETRIC, _PAIR_DEPENDENT]
+    pairs = []
+    for rform in forms:
+        model = ModelCurvature(n, rform)
+        level0 = model.derivations(0)
+        assert list(level0) == list(model.paired_endos)
+        assert not any(level0.values())
+        assert sym4_total(model, 0) == {}
+        assert qzero_total(model, 0) == ({}, None)
+        assert qzero_check(model, n) == {"ok": True, "witness": None}
+        assert 0 not in model.r_derivations
+        pairs.append(len(level0))
+    # the symmetric forms, at least, hold pairs whose derivations vanish
+    assert all(pairs[:3])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_qzero_operator_matches_the_wedge_flat_contract_formula(n):
+    # the operator sum read off the ladder's derivation, against the
+    # composition de_j^flat wedge_circ de_i_ + (i <-> j) it replaced
+    E = SymplecticSpace(n)
+    ops = primitive_ops(E)
+    for q in range(n + 1):
+        for i in range(E.dim):
+            for j in range(E.dim):
+                want = sparsemat.madd(
+                    sparsemat.compose(ops.wedge_flat(q - 1, j), ops.contract(q, i)),
+                    sparsemat.compose(ops.wedge_flat(q - 1, i), ops.contract(q, j)))
+                assert sym4._qzero_operator(E, q, i, j) == want, (q, i, j)
+                assert bool(want) == (q > 0)
 
 
 def test_curvature_suite_carries_the_structured_witness(monkeypatch,

@@ -76,8 +76,8 @@ def test_curvature_operators_have_int_entries(n):
     E = model.E
     pairs = [(i, j) for i in range(E.dim) for j in range(i, E.dim)]
     mats = list(model.scaled_endos.values()) + list(model.paired_endos.values())
-    mats += [d for level in model.r_derivations for d in level.values()]
-    mats += [d for q in range(n + 1, E.dim + 1)
+    mats += [d for level in model.r_derivations.values() for d in level.values()]
+    mats += [d for q in (0, *range(n + 1, E.dim + 1))
              for d in model.derivations(q).values()]
     mats += [_sym2_derivation(E, i, j, q)
              for q in range(E.dim + 1) for i, j in pairs]

@@ -13,7 +13,6 @@ from qkspin.lefschetz import (
     L_op,
     NotPrimitiveError,
     PrimitiveDimensionError,
-    PrimitiveOps,
     apply_L,
     apply_Lambda,
     canonical_bivector,
@@ -25,7 +24,8 @@ from qkspin.lefschetz import (
     primitive_space,
     wedge_circ,
 )
-from qkspin.powers import ExtPower, ext_contract, ext_wedge_vec
+from qkspin.powers import ExtPower, Ladder, ext_contract, ext_wedge_vec
+from qkspin.sym4 import derivation_ext_matrix
 from qkspin.symplectic import SymplecticSpace, add_into, sub
 from qkspin.verify import run_suite
 
@@ -303,12 +303,11 @@ def test_caches_key_on_space_value():
 
 def test_ladder_is_total():
     # off the primitive ladder every operator is the zero matrix; the level
-    # is tested before the cache lookup, so no off-ladder key is cached.
-    # The sign-flipped sharp and flat variants are cached copies too.
+    # is tested before the `Ladder.matrix` lookup, so no off-ladder key is
+    # cached.  The sign-flipped sharp and flat variants are cached there too.
     ops = primitive_ops(SymplecticSpace(2))
-    caches = (PrimitiveOps._contract, PrimitiveOps._wedge,
-              PrimitiveOps._contract_sharp, PrimitiveOps._wedge_flat)
-    before = [c.cache_info() for c in caches]
+    cache = Ladder.matrix
+    before = cache.cache_info()
     for i in range(4):
         assert ops.contract(0, i) == {}
         assert ops.contract(3, i) == {}
@@ -316,20 +315,51 @@ def test_ladder_is_total():
         assert ops.wedge(2, i) == {}
         assert ops.contract_sharp(3, i) == {}
         assert ops.wedge_flat(-1, i) == {}
-    assert [c.cache_info() for c in caches] == before
+    assert cache.cache_info() == before
     for i in range(4):
         assert ops.contract(1, i) is ops.contract(1, i)
         assert ops.wedge(1, i) is ops.wedge(1, i)
         assert ops.contract_sharp(1, i) is ops.contract_sharp(1, i)
         assert ops.wedge_flat(1, i) is ops.wedge_flat(1, i)
         assert ops.contract_sharp(0, i) == {} and ops.wedge_flat(2, i) == {}
-    assert all(c.cache_info().hits >= b.hits + 4 for c, b in zip(caches, before))
+    assert cache.cache_info().hits >= before.hits + 16
+    # each matrix and each variant is built once: reading them again only hits
+    built = cache.cache_info()
+    for i in range(4):
+        for name in ("contract", "wedge", "contract_sharp", "wedge_flat"):
+            assert getattr(ops, name)(1, i) is ops.matrix(name, 1, i)
+    after = cache.cache_info()
+    assert after.misses == built.misses and after.hits == built.hits + 32
     for i in range(4):
         # e_i^sharp = sg de_j: the flipped copy is sg times the plain one
         j, sg = ops.space.sharp_basis(i)
         assert ops.contract_sharp(1, i) == \
             {c: {k: sg * v for k, v in col.items()}
              for c, col in ops.contract(1, j).items()}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_primitive_derivation_is_the_restricted_derivation(n):
+    # the ladder's derivation of e_x e_y, wedge_circ after the contraction,
+    # is the derivation extension of e -> sigma(e_x, e) e_y + sigma(e_y, e) e_x
+    # restricted to the primitive level: the coordinates of its product with B
+    E = SymplecticSpace(n)
+    ops = primitive_ops(E)
+    for q in range(n + 1):
+        prim = primitive_space(E, q)
+        for x in range(E.dim):
+            for y in range(E.dim):
+                endo = {}
+                for k in range(E.dim):
+                    img: dict = {}
+                    for a, b in ((x, y), (y, x)):
+                        add_into(img, b, E.sigma_basis(a, k))
+                    if img:
+                        endo[k] = img
+                want = prim.to_coords(sparsemat.compose(
+                    derivation_ext_matrix(E, endo, q), prim.matrix))
+                assert ops.derivation(q, x, y) == want, (q, x, y)
+                assert bool(want) == (q > 0)
 
 
 def test_operator_tables_equal_the_elementwise_rules():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from qkspin import sparsemat, spinor
 from qkspin.lefschetz import primitive_space
-from qkspin.powers import extended_sigma_ext, j_ext
+from qkspin.powers import SymPower, extended_sigma_ext, j_ext, sym_ops
 from qkspin.scalar import SQRT2, Scalar
 from qkspin.spinor import (
     SpinorSpace,
@@ -195,6 +195,21 @@ def test_two_form_action():
             if colm:
                 expect[idx[key]] = colm
         assert not sparsemat.msub(M, expect), pair
+
+
+def test_sym_ladder_derivation_is_the_elementwise_sym2h_action():
+    # the Sym^2 H member of the oracle and the Casimir read the ladder's
+    # derivation, mul after the plain contraction; sym2h_derivation is the
+    # elementwise reference
+    S = SpinorSpace(1)
+    hops = sym_ops(S.H)
+    for r in range(6):
+        sym = SymPower(S.H, r)
+        for pair in [(a, b) for a in range(2) for b in range(2)]:
+            want = sparsemat.from_images(
+                (S.sym2h_derivation(pair, hm) for hm in sym.basis), sym.coords)
+            assert hops.derivation(r, *pair) == want, (r, pair)
+            assert bool(want) == (r > 0)
 
 
 def test_two_form_antisymmetry():

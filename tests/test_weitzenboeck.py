@@ -7,6 +7,7 @@ import pytest
 
 from qkspin import linalg, sparsemat, weitzenboeck
 from qkspin.cli import main
+from qkspin.powers import Ladder
 from qkspin.symplectic import add_into
 from qkspin.verify import run_suite
 from qkspin.weitzenboeck import (
@@ -477,14 +478,15 @@ def test_shared_factors_are_never_modified():
                 (side, label)
             assert all(type(v) is int for m in shared[1].values()
                        for col in m.values() for v in col.values())
-    # the int ladders the factors are built from
-    ladder = weitzenboeck._int_ladder
+    # the int ladders the factors and the identities are built from
     for ops, up, level in ((fam.hops, "mul", fam.r), (fam.eops, "wedge", fam.q)):
-        for args in ((ops, "contract_sharp", level + 1), (ops, up, level),
-                     (ops, up, level - 1), (ops, "contract_sharp", level)):
-            shared = ladder(*args)
-            assert ladder(*args) is shared
-            assert shared == ladder.__wrapped__(*args), args
+        flat = "mul_flat" if up == "mul" else "wedge_flat"
+        for name, lvl in (("contract_sharp", level + 1), (up, level),
+                          (up, level - 1), ("contract_sharp", level),
+                          (flat, level - 1), ("contract", level)):
+            shared = ops.scaled(name, lvl)
+            assert ops.scaled(name, lvl) is shared
+            assert shared == Ladder.scaled.__wrapped__(ops, name, lvl), (name, lvl)
 
 
 def test_int_ladders_are_cleared_once_per_process():
@@ -494,13 +496,13 @@ def test_int_ladders_are_cleared_once_per_process():
     for r in range(n + 1):
         recover_w(n, r)
         curvature_scalar_identities(n, r)
-    misses = weitzenboeck._int_ladder.cache_info().misses
+    misses = Ladder.scaled.cache_info().misses
     for r in range(n + 1):
         fam = ProjectorFamily(n, r)
         assert fam is not projector_family(n, r)
         fam.member_scales()
         curvature_scalar_identities(n, r)
-    assert weitzenboeck._int_ladder.cache_info().misses == misses
+    assert Ladder.scaled.cache_info().misses == misses
 
 
 def test_kernel_projection_properties():
