@@ -358,14 +358,18 @@ class SpinorSpace:
         return sparsemat.mscale(total, Fraction(1, s * s))
 
     def casimir_matrix(self, p: int) -> dict:
-        """sum_k der(A_k) der(B_k) over a sigma-dual basis of Sym^2 H."""
-        hops = sym_ops(self.H)
+        """sum_k der(A_k) der(B_k) over a sigma-dual basis of Sym^2 H.
+
+        The A_k and B_k are monomials of Sym^2 H, so each monomial's
+        derivation is built once and read in both roles.
+        """
+        pairs = sym2h_dual_pairs(self.H)
+        der = {a: sym_ops(self.H).derivation(p, *a) for a, _ in pairs}
         total: dict = {}
-        for a, bs in sym2h_dual_pairs(self.H):
-            da = hops.derivation(p, *a)
+        for a, bs in pairs:
             for b, coeff in bs:
-                db = sparsemat.mscale(hops.derivation(p, *b), coeff)
-                sparsemat.compose_into(total, da, db)
+                sparsemat.compose_into(total, der[a],
+                                       sparsemat.mscale(der[b], coeff))
         return total
 
 

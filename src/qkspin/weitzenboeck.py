@@ -19,9 +19,11 @@ the E side for each (i, j).  It serves this 6x6 oracle and the 2x2
 (H-part) and 3x3 (E-part) sub-oracles `recover_wh` and `recover_we`,
 which pass the 1x1 identity as the side they leave out.
 `projector_family` builds one family per (n, r), whose factors are built
-once and shared by all three oracles.  The factors are int matrices: the
-ladders' int copies are read off `powers.Ladder.scaled`, cleared of their
-denominators once per process, the Sym2H factors are the H ladder's
+once and shared by all three oracles; the family owns its tables, which
+are freed with it once the suite has checked its grade and released it.
+The factors are int matrices: the ladders' int copies are read off
+`powers.Ladder.scaled`, cleared of their denominators once per process
+and shared by every grade, the Sym2H factors are the H ladder's
 derivations, and each label has one table of factors over its side's
 index pairs, built together with its one int scale, by which every int
 factor exceeds the exact one.  No factor reads `spinor`.  The
@@ -156,9 +158,12 @@ class ProjectorFamily:
     its side together with their one scale: s and {(x, y): s times the
     exact factor}, with int entries.  The int ladders come from
     `Ladder.scaled`, and the rational coefficients of K and Lambda2E fold
-    into their labels' scales.  Tables are cached, so each factor is built
-    once and shared by every pair of tangent slots; `projector_family`
-    builds one family per (n, r) for every oracle.
+    into their labels' scales.  The family owns its tables, in a plain
+    dict on the instance: each factor is built once and shared by every
+    pair of tangent slots and every oracle reading the family, and the
+    tables are freed with the family.  `projector_family` builds one
+    family per (n, r), which the Weitzenboeck suite releases once its
+    grade is checked.
     """
 
     H_LEFT = ("C", "Sym2H")
@@ -177,9 +182,16 @@ class ProjectorFamily:
         self.eops = primitive_ops(self.E)
         self.hops = sym_ops(self.H)
         self.prim = primitive_space(self.E, self.q)
+        self._tables: dict = {}
 
-    @functools.cache
     def table(self, side: str, label: str) -> tuple[int, dict]:
+        """The table of label on side, built on first use and held by the
+        family; the tables are shared, so callers must not modify them."""
+        if (side, label) not in self._tables:
+            self._tables[side, label] = self._build_table(side, label)
+        return self._tables[side, label]
+
+    def _build_table(self, side: str, label: str) -> tuple[int, dict]:
         """(s, {(x, y): s times the factor of label at (x, y)}) over every
         index pair of side "h" or "e", with int entries:
 
@@ -191,14 +203,15 @@ class ProjectorFamily:
           Sym2E    = +-(y, x) + +-(x, y);
           K        = sigma id - -+ / (n-r+1) + (r+2) +- / ((n+r+3)(r+1));
           Lambda2E = +-(y, x) - +-(x, y) - (n-r)/n sigma id.
-
-        Cached; the tables are shared, so callers must not modify them.
         """
         space, dim = (self.H, self.r + 1) if side == "h" else (self.E, self.prim.dim)
         pairs = [(x, y) for x in range(space.dim) for y in range(space.dim)]
         if label == "C":
-            return 1, {(x, y): _sigma_identity(space, x, y, dim, 1)
-                       for x, y in pairs}
+            # one sigma id per nonzero value of sigma, shared by its pairs
+            sigma = {(x, y): space.sigma_basis(x, y) for x, y in pairs}
+            ids = {s: sparsemat.identity(dim, s.numerator)
+                   for s in set(sigma.values()) if s}
+            return 1, {pair: ids.get(s, {}) for pair, s in sigma.items()}
         if label in ("-+", "+-"):
             ops, up, level = ((self.hops, "mul", self.r) if side == "h"
                               else (self.eops, "wedge", self.q))
@@ -281,7 +294,8 @@ def _sigma_identity(space, x: int, y: int, dim: int, weight: int) -> dict:
 
 @functools.cache
 def projector_family(n: int, r: int) -> ProjectorFamily:
-    """The one `ProjectorFamily` of (n, r), shared with its cached factors."""
+    """The one `ProjectorFamily` of (n, r), shared with its tables by every
+    oracle until `projector_family.cache_clear()` releases it."""
     return ProjectorFamily(n, r)
 
 
@@ -314,19 +328,24 @@ def _entry_vectors(side: list) -> list:
     return list(vectors)
 
 
-def _side_basis(side: list) -> list:
-    """A basis of the span of one side's entry vectors, in member columns.
-
-    Members that hold the same factor object at every index of the side
-    have equal entries throughout, so the vectors are read over one member
-    of each such class (4 on the H side of `recover_w`, 6 on its E side),
-    reduced by an `Echelon`, and each basis row is spread back over the
-    members of its classes.
-    """
+def _member_classes(side: list) -> list:
+    """The members of one side grouped into classes, in order: those that
+    hold the same factor object at every index of the side."""
     classes: dict = {}
     for k in range(len(side[0])):
         classes.setdefault(tuple(id(factors[k]) for factors in side), []).append(k)
-    members = list(classes.values())
+    return list(classes.values())
+
+
+def _side_basis(side: list) -> list:
+    """A basis of the span of one side's entry vectors, in member columns.
+
+    Members of one `_member_classes` class have equal entries throughout,
+    so the vectors are read over one member of each class (4 on the H side
+    of `recover_w`, 6 on its E side), reduced by an `Echelon`, and each
+    basis row is spread back over the members of its classes.
+    """
+    members = _member_classes(side)
     ech = linalg.Echelon()
     for vec in _entry_vectors([tuple(factors[ks[0]] for ks in members)
                                for factors in side]):
