@@ -13,26 +13,28 @@ operators by exact linear algebra; it must agree with the closed form.
 Every operator is a Kronecker product h(a, b) tensor e(i, j) over a pair
 of tangent slots (a, i), (b, j): its H factor depends only on (a, b) and
 its E factor only on (i, j), so the operator system has the shape of the
-matrix, W_E tensor W_H.  One exact span solver, `solve_in_span`, takes
-it as two sides: the H side holds the members' factors for each (a, b),
-the E side for each (i, j).  It serves this 6x6 oracle and the 2x2
-(H-part) and 3x3 (E-part) sub-oracles `recover_wh` and `recover_we`,
-which pass the 1x1 identity as the side they leave out.
-`projector_family` builds one family per (n, r), whose factors are built
-once and shared by all three oracles; the family owns its tables, which
-are freed with it once the suite has checked its grade and released it.
+matrix, W_E tensor W_H.  Each side's entry vectors, read over its labels'
+factors at each index pair ((a, b) on H, (i, j) on E), span a space of
+rank at most 2 (H) or 3 (E).  `projector_family` builds one family per
+(n, r), which streams each side's pairs through `span_basis` once and
+holds the basis; the family is freed once the suite has checked its
+grade and released it.  One exact span solver, `solve_in_span`, feeds
+the joint echelon the products of an H and an E basis, which span the
+rows of the tangent blocks.  It serves this 6x6 oracle, which spreads the
+bases over its twelve members, and the 2x2 (H-part) and 3x3 (E-part)
+sub-oracles `recover_wh` and `recover_we`, which read one basis and pass
+the 1x1 identity as the side they leave out.
 The factors are int matrices: the ladders' int copies are read off
 `powers.Ladder.scaled`, cleared of their denominators once per process
-and shared by every grade, the Sym2H factors are the H ladder's
-derivations, and each label has one table of factors over its side's
-index pairs, built together with its one int scale, by which every int
-factor exceeds the exact one.  No factor reads `spinor`.  The
-solver reduces each side's entry vectors, read over the distinct factors
-of a tuple, to a basis and feeds the joint echelon only the products of
-the two bases, which span the rows of the tangent blocks; it undoes the
-members' scales once, on the reduced rows.  A recovery that fails raises
-`RecoveryError` with a structured witness; `recover_matches_closed_form`
-and the suite report it as a failing check.
+and shared by every grade, and the Sym2H factors are the H ladder's
+derivations.  The family holds one table over its side's index pairs for
+each of the C, -+, +- and Sym2H labels; Sym2E, K and Lambda2E are sums of
+those, built for one index pair when it is read and then dropped.  Each
+label has one int scale, by which every int factor exceeds the exact one;
+the solver undoes the members' scales once, on the reduced rows.  No
+factor reads `spinor`.  A recovery that fails raises `RecoveryError`
+with a structured witness; `recover_matches_closed_form` and the suite
+report it as a failing check.
 
 Row and column conventions (0-based):
   rows  (E-label major): [C.C, Sym2H.C, C.Sym2E, Sym2H.Sym2E,
@@ -144,6 +146,10 @@ def w_full(n: int, r: int) -> WeitzenboeckMatrix:
 
 # -- H-side and E-side projector matrices ---------------------------------
 
+# the labels summed from the held E tables
+_SUMS = ("Sym2E", "K", "Lambda2E")
+
+
 class ProjectorFamily:
     """The six left and six right operators for spinor grade r at dimension n.
 
@@ -154,22 +160,25 @@ class ProjectorFamily:
     sides compose the ladder matrices of their one owner, `SymOps` for H
     and `PrimitiveOps` for E.
 
-    `table(side, label)` builds a label's factors at every index pair of
-    its side together with their one scale: s and {(x, y): s times the
-    exact factor}, with int entries.  The int ladders come from
-    `Ladder.scaled`, and the rational coefficients of K and Lambda2E fold
-    into their labels' scales.  The family owns its tables, in a plain
-    dict on the instance: each factor is built once and shared by every
-    pair of tangent slots and every oracle reading the family, and the
-    tables are freed with the family.  `projector_family` builds one
-    family per (n, r), which the Weitzenboeck suite releases once its
-    grade is checked.
+    `factor(side, label, x, y)` is s times the exact factor of label at
+    index pair (x, y), with int entries, s = `scale(side, label)`.  The
+    family holds the tables of C, -+, +- and Sym2H, each built on first
+    use over every index pair of its side (`table`); the int ladders come
+    from `Ladder.scaled`.  Sym2E, K and Lambda2E are built at one pair
+    from the held tables when they are read, and not held; the rational
+    coefficients of K and Lambda2E fold into their scales.  `side_basis`
+    reads each side once, pair by pair through `right_factors` and
+    `left_factors`, and holds its basis, a few rows, which every oracle
+    reading the family shares.  Everything is freed with the family:
+    `projector_family` builds one per (n, r), which the Weitzenboeck suite
+    releases once its grade is checked.
     """
 
     H_LEFT = ("C", "Sym2H")
     H_RIGHT = ("-+", "+-")
     E_LEFT = ("C", "Sym2E", "Lambda2E")
     E_RIGHT = ("-+", "+-", "K")
+    LABELS = {"h": (H_RIGHT, H_LEFT), "e": (E_RIGHT, E_LEFT)}
 
     def __init__(self, n: int, r: int):
         if not 0 <= r <= n:
@@ -183,10 +192,13 @@ class ProjectorFamily:
         self.hops = sym_ops(self.H)
         self.prim = primitive_space(self.E, self.q)
         self._tables: dict = {}
+        self._sums: dict = {}
+        self._bases: dict = {}
 
     def table(self, side: str, label: str) -> tuple[int, dict]:
-        """The table of label on side, built on first use and held by the
-        family; the tables are shared, so callers must not modify them."""
+        """The table of a held label on side, built on first use and held
+        by the family; the tables are shared, so callers must not modify
+        them."""
         if (side, label) not in self._tables:
             self._tables[side, label] = self._build_table(side, label)
         return self._tables[side, label]
@@ -195,14 +207,10 @@ class ProjectorFamily:
         """(s, {(x, y): s times the factor of label at (x, y)}) over every
         index pair of side "h" or "e", with int entries:
 
-          C        = sigma(x, y) id;
-          -+       = x^sharp_circ (y up .) and +- = x up (y^sharp_circ .),
-                     up = mul at level r on H and wedge_circ at level n - r
-                     on E;
-          Sym2H    = the derivation action of h_x h_y (`SymOps.derivation`);
-          Sym2E    = +-(y, x) + +-(x, y);
-          K        = sigma id - -+ / (n-r+1) + (r+2) +- / ((n+r+3)(r+1));
-          Lambda2E = +-(y, x) - +-(x, y) - (n-r)/n sigma id.
+          C     = sigma(x, y) id;
+          -+    = x^sharp_circ (y up .) and +- = x up (y^sharp_circ .),
+                  up = mul at level r on H and wedge_circ at level n - r on E;
+          Sym2H = the derivation action of h_x h_y (`SymOps.derivation`).
         """
         space, dim = (self.H, self.r + 1) if side == "h" else (self.E, self.prim.dim)
         pairs = [(x, y) for x in range(space.dim) for y in range(space.dim)]
@@ -226,48 +234,81 @@ class ProjectorFamily:
         if label == "Sym2H":
             return sparsemat.int_copies({(a, b): self.hops.derivation(self.r, a, b)
                                          for a, b in pairs})
-        n, r = self.n, self.r
-        s_plus, plus = self.table("e", "+-")
-        if label == "Sym2E":
-            return s_plus, {(i, j): sparsemat.madd(plus[j, i], plus[i, j])
-                            for i, j in pairs}
-        if label == "K":
-            s_minus, minus = self.table("e", "-+")
-            s, (w_id, w_minus, w_plus) = _int_weights([
-                Fraction(1), Fraction(-1, (n - r + 1) * s_minus),
-                Fraction(r + 2, (n + r + 3) * (r + 1) * s_plus)])
-            return s, {(i, j): _weighted_sum((
-                (_sigma_identity(space, i, j, dim, w_id), 1),
-                (minus[i, j], w_minus), (plus[i, j], w_plus))) for i, j in pairs}
-        if label == "Lambda2E":
-            s, (w_wedge, w_id) = _int_weights([Fraction(1, s_plus),
-                                               Fraction(-(n - r), n)])
-            return s, {(i, j): _weighted_sum((
-                (plus[j, i], w_wedge), (plus[i, j], -w_wedge),
-                (_sigma_identity(space, i, j, dim, w_id), 1))) for i, j in pairs}
         raise ValueError(label)
+
+    def _sum(self, label: str) -> tuple[int, list]:
+        """(s, terms) of a summed E label, worked out once: s times its
+        factor at (i, j) is the sum of w times the held table t at (j, i)
+        if swap, else at (i, j), over its terms (t, swap, w), where
+
+          Sym2E    = +-(y, x) + +-(x, y);
+          K        = sigma id - -+ / (n-r+1) + (r+2) +- / ((n+r+3)(r+1));
+          Lambda2E = +-(y, x) - +-(x, y) - (n-r)/n sigma id.
+        """
+        if label not in self._sums:
+            n, r = self.n, self.r
+            terms = {"Sym2E": [("+-", True, 1), ("+-", False, 1)],
+                     "K": [("C", False, 1), ("-+", False, Fraction(-1, n - r + 1)),
+                           ("+-", False, Fraction(r + 2, (n + r + 3) * (r + 1)))],
+                     "Lambda2E": [("+-", True, 1), ("+-", False, -1),
+                                  ("C", False, Fraction(-(n - r), n))]}[label]
+            s, weights = _int_weights([Fraction(c, self.table("e", t)[0])
+                                       for t, _, c in terms])
+            self._sums[label] = s, [(t, swap, w) for (t, swap, _), w
+                                    in zip(terms, weights)]
+        return self._sums[label]
+
+    def scale(self, side: str, label: str) -> int:
+        return (self._sum(label) if label in _SUMS else self.table(side, label))[0]
+
+    def factor(self, side: str, label: str, x: int, y: int) -> dict:
+        """s times the factor of label at index pair (x, y), s its scale: a
+        held table's entry, or a sum of them built afresh for the caller."""
+        if label not in _SUMS:
+            return self.table(side, label)[1][x, y]
+        total: dict = {}
+        for held, swap, weight in self._sum(label)[1]:
+            sparsemat.madd_into(total, self.table("e", held)[1][(y, x) if swap
+                                                                else (x, y)], weight)
+        return total
 
     # assembled recovery ------------------------------------------------
 
-    def right_factors(self, a, i, b, j) -> list:
-        """The six right operators of block (a,i),(b,j) as (H, E) int factor
-        pairs; member k is its pair divided by `member_scales()[k]`."""
-        return self._factors(self.H_RIGHT, self.E_RIGHT, (a, b), (i, j))
+    def right_factors(self, side: str, x: int, y: int) -> tuple:
+        """The factors of side's right labels at index pair (x, y)."""
+        return tuple(self.factor(side, label, x, y) for label in self.LABELS[side][0])
 
-    def left_factors(self, a, i, b, j) -> list:
-        return self._factors(self.H_LEFT, self.E_LEFT, (a, b), (i, j))
+    def left_factors(self, side: str, x: int, y: int) -> tuple:
+        return tuple(self.factor(side, label, x, y) for label in self.LABELS[side][1])
 
-    def _factors(self, h_labels, e_labels, ab, ij) -> list:
-        return [(self.table("h", hb)[1][ab], self.table("e", eb)[1][ij])
-                for eb in e_labels for hb in h_labels]
+    def scales(self, side: str) -> list:
+        """The scales of side's labels, right then left."""
+        return [self.scale(side, label) for labels in self.LABELS[side]
+                for label in labels]
+
+    def side_basis(self, side: str) -> list:
+        """A basis of the span of side's entry vectors (`span_basis`), over
+        its labels right then left, from one pass over its index pairs, in
+        order; reduced once and held by the family."""
+        if side not in self._bases:
+            dim = (self.H if side == "h" else self.E).dim
+            self._bases[side] = span_basis(
+                self.right_factors(side, x, y) + self.left_factors(side, x, y)
+                for x in range(dim) for y in range(dim))
+        return self._bases[side]
 
     def member_scales(self) -> list:
-        """The scale of each member of `right_factors` + `left_factors`: its
-        H scale times its E scale."""
-        return [self.table("h", hb)[0] * self.table("e", eb)[0]
-                for h_labels, e_labels in ((self.H_RIGHT, self.E_RIGHT),
-                                           (self.H_LEFT, self.E_LEFT))
-                for eb in e_labels for hb in h_labels]
+        """The scale of each of `recover_w`'s members: its H label's scale
+        times its E label's."""
+        h, e = self.scales("h"), self.scales("e")
+        return [h[hc] * e[ec] for hc, ec in _MEMBERS]
+
+
+# `recover_w`'s twelve members, the six right then the six left, E label
+# major as in COL_LABELS and ROW_LABELS: the (H, E) columns of their labels
+# in the side bases
+_MEMBERS = [(hc, ec) for hs, es in (((0, 1), (0, 1, 2)), ((2, 3), (3, 4, 5)))
+            for ec in es for hc in hs]
 
 
 def _int_weights(coeffs: list) -> tuple[int, list]:
@@ -277,25 +318,10 @@ def _int_weights(coeffs: list) -> tuple[int, list]:
     return s, [c.numerator * (s // c.denominator) for c in coeffs]
 
 
-def _weighted_sum(terms) -> dict:
-    """The sum of weight m over the (m, weight) terms, added in order in
-    one pass over their entries, with no scaled copy."""
-    total: dict = {}
-    for m, weight in terms:
-        sparsemat.madd_into(total, m, weight)
-    return total
-
-
-def _sigma_identity(space, x: int, y: int, dim: int, weight: int) -> dict:
-    """weight sigma(x, y) id on a dim-dimensional space, with int entries."""
-    s = space.sigma_basis(x, y)
-    return sparsemat.identity(dim, weight * s.numerator) if s and weight else {}
-
-
 @functools.cache
 def projector_family(n: int, r: int) -> ProjectorFamily:
-    """The one `ProjectorFamily` of (n, r), shared with its tables by every
-    oracle until `projector_family.cache_clear()` releases it."""
+    """The one `ProjectorFamily` of (n, r), shared with its tables and bases
+    by every oracle until `projector_family.cache_clear()` releases it."""
     return ProjectorFamily(n, r)
 
 
@@ -310,86 +336,55 @@ class RecoveryError(AssertionError):
 _NO_ENTRIES: dict = {}
 
 
-def _entry_vectors(side: list) -> list:
-    """The distinct entry vectors of one side of the system.
+def span_basis(tuples) -> list:
+    """A basis of the span of the entry vectors of a stream of factor tuples.
 
-    For each tuple of factors and each position (row, col) where one of
-    them has an entry, the vector holds every factor's entry there, int 0
-    where a factor has none.
+    For each tuple and each position (row, col) where one of its factors
+    has an entry, the entry vector holds every factor's entry there, int 0
+    where a factor has none.  Each vector not seen before is fed to an
+    `Echelon`, in the order first seen; a tuple is read once and not held.
+    Returns the echelon's rows, over the factors' positions in a tuple.
     """
-    vectors: dict = {}
-    for factors in side:
-        positions = dict.fromkeys((row, col) for m in factors
-                                  for col, entries in m.items()
-                                  for row in entries)
-        vectors.update(dict.fromkeys(
-            tuple(m.get(col, _NO_ENTRIES).get(row, 0) for m in factors)
-            for row, col in positions))
-    return list(vectors)
+    ech, seen = linalg.Echelon(), set()
+    for factors in tuples:
+        for row, col in dict.fromkeys((row, col) for m in factors
+                                      for col, entries in m.items()
+                                      for row in entries):
+            vec = tuple(m.get(col, _NO_ENTRIES).get(row, 0) for m in factors)
+            if vec not in seen:
+                seen.add(vec)
+                ech.add({c: x for c, x in enumerate(vec) if x})
+    return ech.rows
 
 
-def _member_classes(side: list) -> list:
-    """The members of one side grouped into classes, in order: those that
-    hold the same factor object at every index of the side."""
-    classes: dict = {}
-    for k in range(len(side[0])):
-        classes.setdefault(tuple(id(factors[k]) for factors in side), []).append(k)
-    return list(classes.values())
-
-
-def _side_basis(side: list) -> list:
-    """A basis of the span of one side's entry vectors, in member columns.
-
-    Members of one `_member_classes` class have equal entries throughout,
-    so the vectors are read over one member of each class (4 on the H side
-    of `recover_w`, 6 on its E side), reduced by an `Echelon`, and each
-    basis row is spread back over the members of its classes.
-    """
-    members = _member_classes(side)
-    ech = linalg.Echelon()
-    for vec in _entry_vectors([tuple(factors[ks[0]] for ks in members)
-                               for factors in side]):
-        ech.add({c: x for c, x in enumerate(vec) if x})
-    return [{k: x for c, x in row.items() for k in members[c]}
-            for row in ech.rows]
-
-
-def solve_in_span(h_side: list, e_side: list, width: int, where: str,
-                  scales: list | None = None) -> list:
+def solve_in_span(h_basis: list, e_basis: list, width: int, where: str,
+                  scales: list) -> list:
     """Solve left_k = sum_j X[k][j] right_j by exact elimination.
 
-    Each member is a Kronecker product of an H and an E factor, divided by
-    its scale (all 1 if `scales` is None).  A side is a list with one
-    tuple per side index, holding every member's factor at that index:
-    the `width` right members first, then the left ones.  On block (x, y),
-    for every H index x and every E index y, member k is h_side[x][k]
-    tensor e_side[y][k] / scales[k].  Every matrix entry of a block gives
-    one row of the system: right members in the first columns, left
-    members after them.  A pivot among the left columns means some left
-    member is outside the span of the right family, which is a hard
-    failure; the witness is the reduced row with the smallest such pivot.
-    Returns X with None on right columns without pivot.
+    Member k is a Kronecker product h tensor e of an H and an E factor,
+    divided by scales[k]; the `width` right members come first, then the
+    left ones.  Each matrix entry of each tangent block gives one row of
+    the system, the members' entries there: the entrywise product of an H
+    entry vector, the H factors' entries at one position of one H index
+    pair, and an E entry vector.  The product is bilinear, so the products
+    of a basis of each side's entry vectors span the same rows; the caller
+    passes the two bases in member columns, and the joint echelon is fed
+    only their products, at most rank(H) * rank(E) rows.  The echelon is
+    reduced, so it depends only on that span: X, the None columns and the
+    witness are as with one row per block entry.
 
-    The row at entry ((hr, er), (hc, ec)) of block (x, y) is u * v, the
-    entrywise product of u, the factors' entries at (hr, hc) in h_side[x],
-    and v, their entries at (er, ec) in e_side[y]; the blocks run over
-    every (x, y), so the rows are the products of each H entry vector with
-    each E entry vector.  The product is bilinear, so the products of a
-    basis of each side's span (`_side_basis`) span the same rows, and the
-    joint echelon is fed only those: at most rank(H) * rank(E) rows.  The
-    echelon is reduced, so it depends only on that span: X, the None
-    columns and the witness are as with one row per block entry.
-
-    The rows are fed as the factors give them: column k holds c_k times
-    member k's entry, for c = scales.  That scales the columns and keeps
-    the pivots, so the scales are undone once at the end: X[k][j] =
-    X'[k][j] c_j / c_(width+k), and a reduced row w' with pivot p reads
-    w[col] = w'[col] c_p / c_col.
+    A pivot among the left columns means some left member is outside the
+    span of the right family, which is a hard failure; the witness is the
+    reduced row with the smallest such pivot.  Returns X with None on right
+    columns without pivot.  The rows are fed as the factors give them:
+    column k holds c_k times member k's entry, for c = scales.  That scales
+    the columns and keeps the pivots, so the scales are undone once at the
+    end: X[k][j] = X'[k][j] c_j / c_(width+k), and a reduced row w' with
+    pivot p reads w[col] = w'[col] c_p / c_col.
     """
-    c = scales or [1] * len(h_side[0])
+    c = scales
     ech = linalg.Echelon()
-    e_basis = _side_basis(e_side)
-    for u in _side_basis(h_side):
+    for u in h_basis:
         for v in e_basis:
             row = {col: x * v[col] for col, x in u.items() if col in v}
             if row:
@@ -402,12 +397,20 @@ def solve_in_span(h_side: list, e_side: list, width: int, where: str,
         raise RecoveryError(
             f"left family not in the span of the right family {where}: "
             f"residual row {row}", row)
-    height = len(h_side[0]) - width
+    height = len(c) - width
     matrix = [[None] * width for _ in range(height)]
     for piv, row in zip(ech.pivots, ech.rows):
         for k in range(height):
             matrix[k][piv] = row.get(width + k, Fraction(0)) * c[piv] / c[width + k]
     return matrix
+
+
+def _member_basis(fam: ProjectorFamily, side: str) -> list:
+    """fam's basis of side spread over `recover_w`'s members: member k
+    holds the column of its label on that side."""
+    pos = "he".index(side)
+    return [{k: row[m[pos]] for k, m in enumerate(_MEMBERS) if m[pos] in row}
+            for row in fam.side_basis(side)]
 
 
 def recover_w(n: int, r: int) -> dict:
@@ -419,17 +422,8 @@ def recover_w(n: int, r: int) -> dict:
     columns are recovered.  Inconsistency is a hard failure.
     """
     fam = projector_family(n, r)
-
-    def members(a, i, b, j):
-        return fam.right_factors(a, i, b, j) + fam.left_factors(a, i, b, j)
-
-    # a member's H factor depends on (a, b) only and its E factor on (i, j)
-    h_side = [tuple(h for h, _ in members(a, 0, b, 0))
-              for a in range(2) for b in range(2)]
-    e_side = [tuple(e for _, e in members(0, i, 0, j))
-              for i in range(fam.E.dim) for j in range(fam.E.dim)]
-    matrix = solve_in_span(h_side, e_side, 6, f"at (n={n}, r={r})",
-                           fam.member_scales())
+    matrix = solve_in_span(_member_basis(fam, "h"), _member_basis(fam, "e"), 6,
+                           f"at (n={n}, r={r})", fam.member_scales())
     alive = [j for j in range(6) if matrix[0][j] is not None]
     expected_alive = _surviving_columns(n, r)
     if alive != expected_alive:
@@ -476,37 +470,30 @@ def recover_matches_closed_form(n: int, r: int) -> dict:
             "alive": rec["alive"]}
 
 
-# the 1x1 identity, standing in for the factor a sub-oracle leaves out
-_ONE = {0: {0: 1}}
-
-
 def _zero_dead(matrix: list) -> list:
     return [[Fraction(0) if v is None else v for v in row] for row in matrix]
 
 
-def _sub_oracle_side(fam, side: str, labels: tuple) -> tuple[list, list]:
-    """The side of a sub-oracle, one tuple of the labels' factors per index
-    pair, and the labels' scales."""
-    tables = [fam.table(side, label) for label in labels]
-    return ([tuple(t[pair] for _, t in tables) for pair in tables[0][1]],
-            [s for s, _ in tables])
+def _sub_oracle(fam: ProjectorFamily, side: str, where: str) -> list:
+    """The sub-oracle of one side of fam, read off its basis, with the 1x1
+    identity as every member's factor on the other side."""
+    scales = fam.scales(side)
+    bases = [fam.side_basis(side), [dict.fromkeys(range(len(scales)), 1)]]
+    return _zero_dead(solve_in_span(*(bases if side == "h" else bases[::-1]),
+                                    len(fam.LABELS[side][0]), where, scales))
 
 
 def recover_wh(r: int) -> list:
     """2x2 sub-oracle on H tensor H tensor Sym^r H."""
-    fam = projector_family(max(r + 1, 2), r)   # any n >= r+1 gives the same H side
-    h_side, scales = _sub_oracle_side(fam, "h", fam.H_RIGHT + fam.H_LEFT)
-    return _zero_dead(solve_in_span(h_side, [(_ONE,) * 4], 2,
-                                    f"on the H side at r={r}", scales))
+    # any n >= r+1 gives the same H side
+    return _sub_oracle(projector_family(max(r + 1, 2), r), "h",
+                       f"on the H side at r={r}")
 
 
 def recover_we(n: int, r: int) -> list:
     """3x3 sub-oracle on E tensor E tensor Lambda^(n-r)_prim E."""
-    fam = projector_family(n, r)
-    e_side, scales = _sub_oracle_side(fam, "e", fam.E_RIGHT + fam.E_LEFT)
-    return _zero_dead(solve_in_span([(_ONE,) * 6], e_side, 3,
-                                    f"on the E side at (n={n}, r={r})",
-                                    scales))
+    return _sub_oracle(projector_family(n, r), "e",
+                       f"on the E side at (n={n}, r={r})")
 
 
 # -- the kernel projection of the twistor summand --------------------------
@@ -516,17 +503,16 @@ def kernel_projection(n: int, r: int) -> dict:
 
     Basis keys are t * prim_dim + c for E index t and primitive column c.
     Block (k, t) is sign * K(i, t), with (i, sign) = E.flat_basis(k) and K
-    the family's own right operator, read off its K table as an int matrix
-    and divided by the table's scale once here.
+    the family's own right operator, built at (i, t) as an int matrix by
+    `ProjectorFamily.factor` and divided by its scale once here.
     """
     fam = projector_family(n, r)
-    E, pdim = fam.E, fam.prim.dim
-    s, k_table = fam.table("e", "K")
+    E, pdim, s = fam.E, fam.prim.dim, fam.scale("e", "K")
     cols: dict = {}
     for k in range(E.dim):
         i, sign = E.flat_basis(k)
         for t in range(E.dim):
-            for c, col in k_table[i, t].items():
+            for c, col in fam.factor("e", "K", i, t).items():
                 cols.setdefault(t * pdim + c, {}).update(
                     (k * pdim + row, Fraction(sign * v, s))
                     for row, v in col.items())
@@ -572,8 +558,9 @@ def curvature_scalar_identities(n: int, r: int) -> dict:
              space of degree n-r.
 
     The inner brackets are the family's left operators, read off its
-    `table("h", "Sym2H")` and `table("e", "Sym2E")`, so the identities
-    check the same matrices that the recovery oracle feeds in.  Both sums
+    `table("h", "Sym2H")` and built pair by pair by `factor("e", "Sym2E",
+    i, j)`, so the identities check the same matrices that the recovery
+    oracle feeds in.  Both sums
     are taken over int copies, of those factors and of the outer ladders
     (`Ladder.scaled`, shared with the families), so each is compared against
     its eigenvalue times the product of the three scales.
@@ -603,15 +590,14 @@ def curvature_scalar_identities(n: int, r: int) -> dict:
     q = n - r
     s_flat, wedge_flat = fam.eops.scaled("wedge_flat", q - 1)
     s_con, contract = fam.eops.scaled("contract", q)
-    s_sym, sym2e = fam.table("e", "Sym2E")
     e_total: dict = {}
     for i in range(E.dim):
         for j in range(E.dim):
             outer = sparsemat.compose(wedge_flat[i], contract[j])
-            sparsemat.compose_into(e_total, outer, sym2e[i, j])
+            sparsemat.compose_into(e_total, outer, fam.factor("e", "Sym2E", i, j))
     lam_e = Fraction(-(n - r) * (n + r + 2))
     e_ok = sparsemat.is_scalar_multiple(
-        e_total, fam.prim.dim, lam_e * s_flat * s_con * s_sym)
+        e_total, fam.prim.dim, lam_e * s_flat * s_con * fam.scale("e", "Sym2E"))
 
     # sigma traces of the complementary factors
     trace_e = sum((_sigma_flat_flat(E, i, j) * E.sigma_basis(i, j)
