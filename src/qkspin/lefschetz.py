@@ -18,18 +18,19 @@ suite checks they produce identical matrices.  Like every operator in the
 package, both are column-major `sparsemat` matrices, and the one inverse
 they need goes through `linalg.Echelon`.
 
-The relation suites check every lemma relation as an identity between
-operator matrices of the two `powers.Ladder`s: `PrimitiveOps`, the
+Every lemma relation is data for one checker, `check_relation`: cases of
+sum_t c_t A_t B_t = want id, summed on int copies of the two
+`powers.Ladder`s at one lcm scale.  The ladders are `PrimitiveOps`, the
 contraction / modified-wedge ladder on the primitive levels of Lambda^q E,
 and `powers.SymOps`, the product / normalized-contraction ladder on Sym^r
-H.  A failing relation names its first failing index pair.
+H.  A failing relation names its first failing index pair, or its sum.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from . import linalg, sparsemat
 from .powers import (
@@ -380,119 +381,114 @@ def check_sl2(space: SymplecticSpace) -> list[Check]:
     return checks
 
 
+def check_relation(name: str, cases, dim: int, value=None) -> Check:
+    """Check sum_t c_t A_t B_t = want id on a dim-dimensional level for each
+    case (key, terms, want), in order; the first failing key is the witness.
+
+    A term is (c, (A, x), (B, y)): an int c and two factors, each a pair
+    (s, mats) of int copies, mats[x] / s the exact operator, with its
+    index.  A case is summed in int arithmetic at the lcm S of its terms'
+    scales and passes exactly when the sum is S want id, want an int or a
+    Fraction.  A sum relation is one case with key None, and its witness is
+    the sum divided back by S.
+    """
+    for key, terms, want in cases:
+        scale = lcm(*(a[0] * b[0] for _, (a, _), (b, _) in terms))
+        total: dict = {}
+        for c, (a, x), (b, y) in terms:
+            sparsemat.madd_into(total, sparsemat.compose(a[1][x], b[1][y]),
+                                c * (scale // (a[0] * b[0])))
+        target = Fraction(scale * want.numerator, want.denominator)
+        if not sparsemat.is_scalar_multiple(total, dim, target):
+            return Check(name, False, key if key is not None else {
+                col: {row: Fraction(v, scale) for row, v in mcol.items()}
+                for col, mcol in total.items()}, value)
+    return Check(name, True, None, value)
+
+
+def swap_cases(pairs, a, b, sign: int, want=lambda x, y: 0):
+    """The cases A_x B_y + sign A_y B_x = want(x, y) id over pairs (x, y)."""
+    return (((x, y), [(1, (a, x), (b, y)), (sign, (a, y), (b, x))], want(x, y))
+            for x, y in pairs)
+
+
 def check_ext_relations(space: SymplecticSpace, s: int) -> list[Check]:
-    """The five contraction / modified-wedge relations on Lambda^s primitive."""
+    """The five contraction / modified-wedge relations on Lambda^s primitive,
+    on int copies of the ladder that are dropped when they return."""
     n = space.half_dim
     ops = primitive_ops(space)
     dim = ops.level(s).dim
-    dim2 = space.dim
-    compose, madd = sparsemat.compose, sparsemat.madd
-    checks = []
-
-    # {de_i_, de_j_} = 0 on level s
-    bad = next(((i, j) for i in range(dim2) for j in range(i, dim2)
-                if madd(compose(ops.contract(s - 1, i), ops.contract(s, j)),
-                        compose(ops.contract(s - 1, j), ops.contract(s, i)))),
-               None)
-    checks.append(Check(f"contractions anticommute (s={s})", bad is None, bad))
-
-    # {e_i wedge_circ, e_j wedge_circ} = 0
-    bad = next(((i, j) for i in range(dim2) for j in range(i, dim2)
-                if madd(compose(ops.wedge(s + 1, i), ops.wedge(s, j)),
-                        compose(ops.wedge(s + 1, j), ops.wedge(s, i)))),
-               None)
-    checks.append(Check(f"modified wedges anticommute (s={s})", bad is None, bad))
-
-    # {de_i_, e_j wedge_circ} = delta_ij + 1/(n-s+1) de_i^flat wedge_circ e_j^sharp_
-    one = sparsemat.identity(dim, Fraction(1))
-
-    def mixed_defect(i, j):
-        lhs = madd(compose(ops.contract(s + 1, i), ops.wedge(s, j)),
-                   compose(ops.wedge(s - 1, j), ops.contract(s, i)))
-        rhs = sparsemat.mscale(compose(ops.wedge_flat(s - 1, i),
-                                       ops.contract_sharp(s, j)),
-                               Fraction(1, n - s + 1))
-        return sparsemat.msub(lhs, madd(rhs, one) if i == j else rhs)
-
-    bad = next(((i, j) for i in range(dim2) for j in range(dim2)
-                if mixed_defect(i, j)), None)
-    checks.append(Check(f"mixed anticommutator relation (s={s})", bad is None, bad))
-
-    # sum_i de_i_ e_i wedge_circ = (2n-s+2)(n-s)/(n-s+1) id
+    idx = range(space.dim)
+    c0, c1, c2 = (ops.copies("contract", q) for q in (s - 1, s, s + 1))
+    w0, w1, w2 = (ops.copies("wedge", q) for q in (s - 1, s, s + 1))
+    sharp = ops.copies("contract_sharp", s)
+    # the coefficient 1/(n-s+1) folds into the scale of the flat wedge
+    flat = ops.copies("wedge_flat", s - 1)
+    flat = ((n - s + 1) * flat[0], flat[1])
+    upper = [(i, j) for i in idx for j in idx if i <= j]
     expect = Fraction((2 * n - s + 2) * (n - s), n - s + 1)
-    total = madd(*(compose(ops.contract(s + 1, i), ops.wedge(s, i))
-                   for i in range(dim2)))
-    ok = sparsemat.is_scalar_multiple(total, dim, expect)
-    checks.append(Check(f"number operator de_i_ e_i^circ (s={s})", ok,
-                        None if ok else total, expect))
-
-    # sum_i e_i wedge_circ de_i_ = s id
-    total = madd(*(compose(ops.wedge(s - 1, i), ops.contract(s, i))
-                   for i in range(dim2)))
-    ok = sparsemat.is_scalar_multiple(total, dim, Fraction(s))
-    checks.append(Check(f"number operator e_i^circ de_i_ (s={s})", ok,
-                        None if ok else total, Fraction(s)))
-    return checks
+    return [
+        check_relation(f"contractions anticommute (s={s})",
+                       swap_cases(upper, c0, c1, 1), dim),
+        check_relation(f"modified wedges anticommute (s={s})",
+                       swap_cases(upper, w2, w1, 1), dim),
+        # {de_i_, e_j wedge_circ} = delta_ij + de_i^flat wedge_circ e_j^sharp_ / (n-s+1)
+        check_relation(f"mixed anticommutator relation (s={s})", (
+            ((i, j), [(1, (c2, i), (w1, j)), (1, (w0, j), (c1, i)),
+                      (-1, (flat, i), (sharp, j))], int(i == j))
+            for i in idx for j in idx), dim),
+        # sum_i de_i_ e_i wedge_circ = (2n-s+2)(n-s)/(n-s+1) id
+        check_relation(f"number operator de_i_ e_i^circ (s={s})",
+                       [(None, [(1, (c2, i), (w1, i)) for i in idx], expect)],
+                       dim, expect),
+        # sum_i e_i wedge_circ de_i_ = s id
+        check_relation(f"number operator e_i^circ de_i_ (s={s})",
+                       [(None, [(1, (w0, i), (c1, i)) for i in idx], s)],
+                       dim, Fraction(s)),
+    ]
 
 
 def check_sym_relations(r: int) -> list[Check]:
     """The six product / normalized-contraction relations on Sym^r H.
 
-    Each is an operator identity on the `SymOps` matrices; a failing
-    relation names its first failing index pair.  The identities whose
-    right-hand side applies the normalized contraction on Sym^r itself need
-    r >= 1 (on Sym^0 the 1/r normalization has no meaning); those are only
-    checked for r >= 1.
+    Each is an operator identity on int copies of the `SymOps` matrices; a
+    failing relation names its first failing index pair.  The identities
+    whose right-hand side applies the normalized contraction on Sym^r
+    itself need r >= 1 (on Sym^0 the 1/r normalization has no meaning);
+    those are only checked for r >= 1.
     """
     ops = sym_ops(SymplecticSpace(1, name="h"))
-    mul, circ = ops.mul, ops.contract_circ
     dim = r + 1     # dim Sym^r H
     pairs = [(i, j) for i in range(2) for j in range(2)]
-    compose, madd, msub = sparsemat.compose, sparsemat.madd, sparsemat.msub
-    checks = []
-
-    # [h_i., h_j.] = 0
-    bad = next(((i, j) for i, j in pairs
-                if msub(compose(mul(r + 1, i), mul(r, j)),
-                        compose(mul(r + 1, j), mul(r, i)))), None)
-    checks.append(Check(f"symmetric products commute (r={r})", bad is None, bad))
-
-    # [dh_i_, dh_j_] = 0
-    bad = next(((i, j) for i, j in pairs
-                if msub(compose(circ(r - 1, i), circ(r, j)),
-                        compose(circ(r - 1, j), circ(r, i)))), None)
-    checks.append(Check(f"normalized contractions commute (r={r})", bad is None, bad))
-
-    if r >= 1:
-        # [alpha_, h.] = -1/(r+1) alpha^flat . h^sharp_, alpha = dh_i, h = h_j
-        def commutator_defect(i, j):
-            lhs = msub(compose(circ(r + 1, i), mul(r, j)),
-                       compose(mul(r - 1, j), circ(r, i)))
-            rhs = compose(ops.mul_flat(r - 1, i), ops.contract_sharp(r, j))
-            return msub(lhs, sparsemat.mscale(rhs, Fraction(-1, r + 1)))
-
-        bad = next(((i, j) for i, j in pairs if commutator_defect(i, j)), None)
-        checks.append(Check(f"contraction/product commutator (r={r})",
-                            bad is None, bad))
-
-        # alpha(h) id = h . alpha_ - alpha^flat . h^sharp_
-        def evaluation(i, j):
-            return msub(compose(mul(r - 1, j), circ(r, i)),
-                        compose(ops.mul_flat(r - 1, i), ops.contract_sharp(r, j)))
-
-        bad = next(((i, j) for i, j in pairs if not sparsemat.is_scalar_multiple(
-            evaluation(i, j), dim, Fraction(int(i == j)))), None)
-        checks.append(Check(f"evaluation identity (r={r})", bad is None, bad))
-
-        # sum h_i . dh_i_ = id
-        total = madd(*(compose(mul(r - 1, i), circ(r, i)) for i in range(2)))
-        ok = sparsemat.is_scalar_multiple(total, dim, Fraction(1))
-        checks.append(Check(f"Euler identity (r={r})", ok, None if ok else total))
-
-    # sum dh_i_ h_i . = (r+2)/(r+1) id
+    m0, m1, m2 = (ops.copies("mul", q) for q in (r - 1, r, r + 1))
+    k0, k1, k2 = (ops.copies("contract_circ", q) for q in (r - 1, r, r + 1))
+    flat, sharp = ops.copies("mul_flat", r - 1), ops.copies("contract_sharp", r)
     expect = Fraction(r + 2, r + 1)
-    total = madd(*(compose(circ(r + 1, i), mul(r, i)) for i in range(2)))
-    ok = sparsemat.is_scalar_multiple(total, dim, expect)
-    checks.append(Check(f"number operator dh_i_ h_i (r={r})", ok,
-                        None if ok else total, expect))
+    checks = [
+        # [h_i., h_j.] = 0 and [dh_i_, dh_j_] = 0
+        check_relation(f"symmetric products commute (r={r})",
+                       swap_cases(pairs, m2, m1, -1), dim),
+        check_relation(f"normalized contractions commute (r={r})",
+                       swap_cases(pairs, k0, k1, -1), dim),
+    ]
+    if r >= 1:
+        # the coefficient 1/(r+1) folds into the scale of mul_flat
+        flat_r = ((r + 1) * flat[0], flat[1])
+        checks += [
+            # [alpha_, h.] = -1/(r+1) alpha^flat . h^sharp_, alpha = dh_i, h = h_j
+            check_relation(f"contraction/product commutator (r={r})", (
+                ((i, j), [(1, (k2, i), (m1, j)), (-1, (m0, j), (k1, i)),
+                          (1, (flat_r, i), (sharp, j))], 0) for i, j in pairs), dim),
+            # alpha(h) id = h . alpha_ - alpha^flat . h^sharp_
+            check_relation(f"evaluation identity (r={r})", (
+                ((i, j), [(1, (m0, j), (k1, i)), (-1, (flat, i), (sharp, j))],
+                 int(i == j)) for i, j in pairs), dim),
+            # sum h_i . dh_i_ = id
+            check_relation(f"Euler identity (r={r})",
+                           [(None, [(1, (m0, i), (k1, i)) for i in range(2)], 1)], dim),
+        ]
+    # sum dh_i_ h_i . = (r+2)/(r+1) id
+    checks.append(check_relation(
+        f"number operator dh_i_ h_i (r={r})",
+        [(None, [(1, (k2, i), (m1, i)) for i in range(2)], expect)], dim, expect))
     return checks

@@ -184,9 +184,11 @@ class Ladder:
     `matrix(name, level, index)` is the one cache of operators.  A variant
     is the index relabeling sg plain(level, j), (j, sg) the basis map of
     the index, built once from the cached plain matrix and scaled by the
-    int -1 when sg is -1, so int entries stay int.  `scaled(name, level)`
-    holds the int copies of one level's operators.  Every matrix, the
-    variants and int copies included, is shared and must not be modified.
+    int -1 when sg is -1, so int entries stay int.  `copies(name, level)`
+    builds the int copies of one level's operators for its caller, and
+    `scaled(name, level)` holds them for the process.  Every matrix, the
+    variants and held int copies included, is shared and must not be
+    modified.
     """
 
     def __init__(self, space: SymplecticSpace):
@@ -202,15 +204,18 @@ class Ladder:
         m = self.matrix(plain, level, j)
         return m if sg == 1 else sparsemat.mscale(m, -1)
 
-    @functools.cache
-    def scaled(self, name: str, level: int) -> tuple[int, list]:
+    def copies(self, name: str, level: int) -> tuple[int, list]:
         """(s, [s L_x]): the operators L_x = self.name(level, x) over every
-        index x as int copies, s the lcm of their denominators.
-
-        Cached and shared by every reader, so callers must not modify them.
-        """
+        index x as int copies, s the lcm of their denominators; built
+        afresh, so they are freed with the caller's last reference."""
         return sparsemat.int_copies([getattr(self, name)(level, x)
                                      for x in range(self.space.dim)])
+
+    @functools.cache
+    def scaled(self, name: str, level: int) -> tuple[int, list]:
+        """`copies`, cached and shared by every reader, so callers must not
+        modify them."""
+        return self.copies(name, level)
 
     def derivation(self, level: int, x: int, y: int) -> dict:
         """The action of x y on one level: UP(level-1, y) after

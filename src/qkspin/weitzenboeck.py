@@ -188,12 +188,14 @@ class ProjectorFamily:
         self.q = n - r
         self.H = SymplecticSpace(1, name="h")
         self.E = SymplecticSpace(n, name="e")
-        self.eops = primitive_ops(self.E)
         self.hops = sym_ops(self.H)
-        self.prim = primitive_space(self.E, self.q)
         self._tables: dict = {}
         self._sums: dict = {}
         self._bases: dict = {}
+
+    # looked up when the E side is read, so an H-only family builds neither
+    eops = property(lambda self: primitive_ops(self.E))
+    prim = property(lambda self: primitive_space(self.E, self.q))
 
     def table(self, side: str, label: str) -> tuple[int, dict]:
         """The table of a held label on side, built on first use and held

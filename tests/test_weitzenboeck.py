@@ -604,6 +604,24 @@ def test_a_family_holds_no_summed_table():
         assert set(projector_family(n, r)._tables) == held
 
 
+def test_a_family_read_on_its_h_side_builds_nothing_of_e(monkeypatch):
+    # `recover_wh(r)` reads only the H side of the family (max(r+1, 2), r):
+    # the primitive ladder and the primitive level of E are looked up when
+    # the E side is read, so that family builds neither
+    built = []
+    for name in ("primitive_ops", "primitive_space"):
+        monkeypatch.setattr(weitzenboeck, name,
+                            lambda *args, name=name: built.append((name, args)))
+    # a fresh family on each call, so the shared ones stay as they are
+    monkeypatch.setattr(weitzenboeck, "projector_family", ProjectorFamily)
+    for r in (1, 2, 3):
+        assert recover_wh(r) == wh_closed(r)
+    fam = ProjectorFamily(4, 2)
+    fam.side_basis("h")
+    fam.scales("h")
+    assert built == []
+
+
 def test_each_side_is_reduced_once_per_family(monkeypatch):
     # at (n, r) = (3, 2) `recover_w` reads both sides, `recover_wh(2)` the
     # H side of the same family and `recover_we` its E side: each side is
