@@ -19,11 +19,12 @@ package, both are column-major `sparsemat` matrices, and the one inverse
 they need goes through `linalg.Echelon`.
 
 Every lemma relation is data for one checker, `check_relation`: cases of
-sum_t c_t A_t B_t = want id, summed on int copies of the two
-`powers.Ladder`s at one lcm scale.  The ladders are `PrimitiveOps`, the
-contraction / modified-wedge ladder on the primitive levels of Lambda^q E,
-and `powers.SymOps`, the product / normalized-contraction ladder on Sym^r
-H.  A failing relation names its first failing index pair, or its sum.
+sum_t c_t A_t B_t = want id, summed on the held int levels
+(`Ladder.scaled`) of the two `powers.Ladder`s at one lcm scale.  The
+ladders are `PrimitiveOps`, the contraction / modified-wedge ladder on the
+primitive levels of Lambda^q E, and `powers.SymOps`, the product /
+normalized-contraction ladder on Sym^r H.  A failing relation names its
+first failing index pair, or its sum.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .powers import (
     ext_contract,
     ext_product,
     ext_wedge_vec,
+    reader,
     sort_sign,
     sym_ops,
 )
@@ -165,11 +167,12 @@ def wedge_circ(space: SymplecticSpace, vec: dict, elem: dict) -> dict:
 
 
 class NotPrimitiveError(ValueError):
-    """A column handed to `PrimitiveSpace.to_coords` lies outside ker(Lambda)."""
+    """A column handed to `PrimitiveSpace.to_coords` lies outside ker(Lambda)
+    on Lambda^q, q the degree when the raiser names it."""
 
-    def __init__(self, column):
+    def __init__(self, column, q=None):
         super().__init__(f"column {column} is not in the primitive subspace")
-        self.column = column
+        self.column, self.q = column, q
 
 
 class PrimitiveDimensionError(AssertionError):
@@ -226,7 +229,7 @@ class PrimitiveSpace:
         lam = self.lambda_op
         for col in sorted(m):
             if sparsemat.apply_cols(lam, m[col]):
-                raise NotPrimitiveError(col)
+                raise NotPrimitiveError(col, self.q)
         coord_of = self.coord_of
         return {col: {coord_of[r]: v for r, v in mcol.items() if r in coord_of}
                 for col, mcol in m.items()}
@@ -310,7 +313,8 @@ class PrimitiveOps(Ladder):
     """The contraction / modified-wedge ladder on the primitive levels.
 
     contract(q, i) is de_i contraction from level q to q-1, wedge(q, i) is
-    e_i wedge_circ from q to q+1.  Off the ladder, i.e. C(q) unless
+    e_i wedge_circ from q to q+1, and contract_sharp and wedge_flat use
+    e^sharp and de^flat.  Off the ladder, i.e. C(q) unless
     1 <= q <= n and W(q) unless 0 <= q < n, the operator is {}, so callers
     never test the level themselves.  The derivation of e_x e_y composes
     wedge_circ after the contraction.
@@ -327,24 +331,16 @@ class PrimitiveOps(Ladder):
     def level(self, q: int) -> PrimitiveSpace:
         return primitive_space(self.space, q)
 
+    def on_ladder(self, name: str, q: int) -> bool:
+        return 1 <= q <= self.n if name.startswith("contract") else 0 <= q < self.n
+
     def _build(self, name: str, q: int, i: int) -> dict:
         if name == "contract":
             return self.level(q).contract_matrix(i, self.level(q - 1))
         return self.level(q).wedge_circ_matrix(i, self.level(q + 1))
 
-    def contract(self, q: int, i: int) -> dict:
-        return self.matrix("contract", q, i) if 1 <= q <= self.n else {}
-
-    def wedge(self, q: int, i: int) -> dict:
-        return self.matrix("wedge", q, i) if 0 <= q < self.n else {}
-
-    def contract_sharp(self, q: int, vec_index: int) -> dict:
-        """Contraction with e_vec_index^sharp; shared, so read-only."""
-        return self.matrix("contract_sharp", q, vec_index) if 1 <= q <= self.n else {}
-
-    def wedge_flat(self, q: int, cov_index: int) -> dict:
-        """Modified wedge with de_cov_index^flat; shared, so read-only."""
-        return self.matrix("wedge_flat", q, cov_index) if 0 <= q < self.n else {}
+    contract, wedge, contract_sharp, wedge_flat = map(
+        reader, ("contract", "wedge", "contract_sharp", "wedge_flat"))
 
 
 @functools.cache
@@ -386,7 +382,7 @@ def check_relation(name: str, cases, dim: int, value=None) -> Check:
     case (key, terms, want), in order; the first failing key is the witness.
 
     A term is (c, (A, x), (B, y)): an int c and two factors, each a pair
-    (s, mats) of int copies, mats[x] / s the exact operator, with its
+    (s, mats) of int matrices, mats[x] / s the exact operator, with its
     index.  A case is summed in int arithmetic at the lcm S of its terms'
     scales and passes exactly when the sum is S want id, want an int or a
     Fraction.  A sum relation is one case with key None, and its witness is
@@ -414,16 +410,16 @@ def swap_cases(pairs, a, b, sign: int, want=lambda x, y: 0):
 
 def check_ext_relations(space: SymplecticSpace, s: int) -> list[Check]:
     """The five contraction / modified-wedge relations on Lambda^s primitive,
-    on int copies of the ladder that are dropped when they return."""
+    on the int levels of the ladder."""
     n = space.half_dim
     ops = primitive_ops(space)
     dim = ops.level(s).dim
     idx = range(space.dim)
-    c0, c1, c2 = (ops.copies("contract", q) for q in (s - 1, s, s + 1))
-    w0, w1, w2 = (ops.copies("wedge", q) for q in (s - 1, s, s + 1))
-    sharp = ops.copies("contract_sharp", s)
+    c0, c1, c2 = (ops.scaled("contract", q) for q in (s - 1, s, s + 1))
+    w0, w1, w2 = (ops.scaled("wedge", q) for q in (s - 1, s, s + 1))
+    sharp = ops.scaled("contract_sharp", s)
     # the coefficient 1/(n-s+1) folds into the scale of the flat wedge
-    flat = ops.copies("wedge_flat", s - 1)
+    flat = ops.scaled("wedge_flat", s - 1)
     flat = ((n - s + 1) * flat[0], flat[1])
     upper = [(i, j) for i in idx for j in idx if i <= j]
     expect = Fraction((2 * n - s + 2) * (n - s), n - s + 1)
@@ -451,8 +447,8 @@ def check_ext_relations(space: SymplecticSpace, s: int) -> list[Check]:
 def check_sym_relations(r: int) -> list[Check]:
     """The six product / normalized-contraction relations on Sym^r H.
 
-    Each is an operator identity on int copies of the `SymOps` matrices; a
-    failing relation names its first failing index pair.  The identities
+    Each is an operator identity on the int levels of `SymOps`; a failing
+    relation names its first failing index pair.  The identities
     whose right-hand side applies the normalized contraction on Sym^r
     itself need r >= 1 (on Sym^0 the 1/r normalization has no meaning);
     those are only checked for r >= 1.
@@ -460,9 +456,9 @@ def check_sym_relations(r: int) -> list[Check]:
     ops = sym_ops(SymplecticSpace(1, name="h"))
     dim = r + 1     # dim Sym^r H
     pairs = [(i, j) for i in range(2) for j in range(2)]
-    m0, m1, m2 = (ops.copies("mul", q) for q in (r - 1, r, r + 1))
-    k0, k1, k2 = (ops.copies("contract_circ", q) for q in (r - 1, r, r + 1))
-    flat, sharp = ops.copies("mul_flat", r - 1), ops.copies("contract_sharp", r)
+    m0, m1, m2 = (ops.scaled("mul", q) for q in (r - 1, r, r + 1))
+    k0, k1, k2 = (ops.scaled("contract_circ", q) for q in (r - 1, r, r + 1))
+    flat, sharp = ops.scaled("mul_flat", r - 1), ops.scaled("contract_sharp", r)
     expect = Fraction(r + 2, r + 1)
     checks = [
         # [h_i., h_j.] = 0 and [dh_i_, dh_j_] = 0

@@ -7,11 +7,11 @@ normalizations live in the operations.  Degrees are read off the key
 length, so one dict may hold mixed degrees where convenient.
 
 `Ladder` owns every operator between the levels of a ladder: one cache
-of the plain and sign-flipped matrices, their int copies, and the
-derivation action of a Sym^2 element on a level.  `SymOps` is its product
-/ contraction ladder on Sym^r, built from the elementwise rules here, and
-`lefschetz.PrimitiveOps` its contraction / modified-wedge ladder on the
-primitive exterior levels.
+holding each level once, plain or sign-flipped, as an lcm scale and int
+matrices, and the derivation action of a Sym^2 element on a level
+composed from them.  `SymOps` is its product / contraction ladder on
+Sym^r, built from the elementwise rules here, and `lefschetz.PrimitiveOps`
+its contraction / modified-wedge ladder on the primitive exterior levels.
 """
 
 from __future__ import annotations
@@ -171,65 +171,69 @@ def sym_contract_circ(cov: dict, elem: dict) -> dict:
     return out
 
 
+def reader(name: str):
+    """The exact per-index reader of one `Ladder` operator: the held int
+    matrix divided by its level's scale, afresh on each call (at scale 1
+    the held matrix itself, so read-only)."""
+    def read(self, level: int, index: int) -> dict:
+        s, mats = self.scaled(name, level)
+        return mats[index] if s == 1 else {
+            col: {row: Fraction(v, s) for row, v in mcol.items()}
+            for col, mcol in mats[index].items()}
+    return read
+
+
 class Ladder:
     """The cached operators between the levels of one space's ladder.
 
     A subclass names its operators: `_build(name, level, index)` builds a
-    plain one, `SIGNED` maps each sign-flipped variant to (plain,
-    "flat_basis" | "sharp_basis"), and `UP` and `DOWN` name the raising and
-    the lowering operator that `derivation` composes.  Its public methods
-    test the level before the lookup: off the ladder the operator is the
-    zero matrix {}, and no such key is cached.
+    plain one exactly, `SIGNED` maps each sign-flipped variant to (plain,
+    "flat_basis" | "sharp_basis"), `on_ladder(name, level)` tells the
+    levels where an operator is defined, and `UP` and `DOWN` name the
+    raising and the lowering operator that `derivation` composes.
 
-    `matrix(name, level, index)` is the one cache of operators.  A variant
-    is the index relabeling sg plain(level, j), (j, sg) the basis map of
-    the index, built once from the cached plain matrix and scaled by the
-    int -1 when sg is -1, so int entries stay int.  `copies(name, level)`
-    builds the int copies of one level's operators for its caller, and
-    `scaled(name, level)` holds them for the process.  Every matrix, the
-    variants and held int copies included, is shared and must not be
-    modified.
+    `scaled(name, level)` is the one cache of operators: (s, [s L_x]) over
+    every index x, with int entries and s the lcm of the exact entries'
+    denominators, cleared once from the `_build` outputs.  A variant's
+    level is the index relabeling sg plain(level, j), (j, sg) the basis map
+    of the index, over the plain level's scale: it holds the plain matrix
+    object itself where sg = +1 and its negation where sg = -1.  Off the
+    ladder a level is (1, [{}, ...]), and no such key is cached.  The held
+    matrices are shared and must not be modified.  Each subclass names its
+    per-index `reader`s, exact reads for the elementwise references.
     """
 
     def __init__(self, space: SymplecticSpace):
         self.space = space
 
-    @functools.cache
-    def matrix(self, name: str, level: int, index: int) -> dict:
-        """Cached; the returned matrix is shared, so callers must not modify it."""
-        if name not in self.SIGNED:
-            return self._build(name, level, index)
-        plain, basis = self.SIGNED[name]
-        j, sg = getattr(self.space, basis)(index)
-        m = self.matrix(plain, level, j)
-        return m if sg == 1 else sparsemat.mscale(m, -1)
-
-    def copies(self, name: str, level: int) -> tuple[int, list]:
-        """(s, [s L_x]): the operators L_x = self.name(level, x) over every
-        index x as int copies, s the lcm of their denominators; built
-        afresh, so they are freed with the caller's last reference."""
-        return sparsemat.int_copies([getattr(self, name)(level, x)
-                                     for x in range(self.space.dim)])
-
-    @functools.cache
     def scaled(self, name: str, level: int) -> tuple[int, list]:
-        """`copies`, cached and shared by every reader, so callers must not
-        modify them."""
-        return self.copies(name, level)
+        """(s, [s L_x]) of one level; shared, so callers must not modify it."""
+        if not self.on_ladder(name, level):
+            return 1, [{}] * self.space.dim
+        return self._held(name, level)
 
-    def derivation(self, level: int, x: int, y: int) -> dict:
-        """The action of x y on one level: UP(level-1, y) after
-        sg DOWN(level, j), (j, sg) = sharp_basis(x), plus (x <-> y).
+    @functools.cache
+    def _held(self, name: str, level: int) -> tuple[int, list]:
+        if name not in self.SIGNED:
+            return sparsemat.int_copies([self._build(name, level, x)
+                                         for x in range(self.space.dim)])
+        plain, basis = self.SIGNED[name]
+        s, mats = self._held(plain, level)
+        flips = map(getattr(self.space, basis), range(self.space.dim))
+        return s, [mats[j] if sg == 1 else sparsemat.mscale(mats[j], -1)
+                   for j, sg in flips]
 
-        Built afresh on each call from the cached ladder operators.
-        """
-        up, down = getattr(self, self.UP), getattr(self, self.DOWN)
+    def derivation(self, level: int, x: int, y: int) -> tuple[int, dict]:
+        """(s, s D) for the action D of x y on one level: UP(level-1, y)
+        after sg DOWN(level, j), (j, sg) = sharp_basis(x), plus (x <-> y),
+        composed afresh from the int levels; s is their scales' product."""
+        s_up, up = self.scaled(self.UP, level - 1)
+        s_down, down = self.scaled(self.DOWN, level)
         total: dict = {}
         for a, b in ((x, y), (y, x)):
             j, sg = self.space.sharp_basis(a)
-            sparsemat.madd_into(
-                total, sparsemat.compose(up(level - 1, b), down(level, j)), sg)
-        return total
+            sparsemat.madd_into(total, sparsemat.compose(up[b], down[j]), sg)
+        return s_up * s_down, total
 
 
 class SymOps(Ladder):
@@ -237,15 +241,19 @@ class SymOps(Ladder):
 
     mul(r, i) is h_i . from Sym^r to Sym^(r+1); contract(r, i) is the plain
     (derivation) contraction with dh_i and contract_circ(r, i) the
-    normalized one, both from Sym^r to Sym^(r-1).  Each matrix applies the
-    elementwise rule above to every basis monomial.  Off the ladder, below
-    degree 0 or a contraction at degree 0, the operator is {}.  The
-    derivation of h_x h_y composes mul after the plain contraction.
+    normalized one, both from Sym^r to Sym^(r-1), and mul_flat and
+    contract_sharp use dh^flat and h^sharp.  Each applies the elementwise
+    rule above to every basis monomial.  Off the ladder, below degree 0 or
+    a contraction at degree 0, the operator is {}.  The derivation of
+    h_x h_y composes mul after the plain contraction.
     """
 
     UP, DOWN = "mul", "contract"
     SIGNED = {"mul_flat": ("mul", "flat_basis"),
               "contract_sharp": ("contract_circ", "sharp_basis")}
+
+    def on_ladder(self, name: str, r: int) -> bool:
+        return r >= (0 if name.startswith("mul") else 1)
 
     def _build(self, name: str, r: int, i: int) -> dict:
         # the rules are read at call time, so a patched rule is seen
@@ -256,22 +264,8 @@ class SymOps(Ladder):
             (rule(unit, {mono: Fraction(1)}) for mono in SymPower(self.space, r).basis),
             SymPower(self.space, r + shift).coords)
 
-    def mul(self, r: int, i: int) -> dict:
-        return self.matrix("mul", r, i) if r >= 0 else {}
-
-    def contract(self, r: int, i: int) -> dict:
-        return self.matrix("contract", r, i) if r >= 1 else {}
-
-    def contract_circ(self, r: int, i: int) -> dict:
-        return self.matrix("contract_circ", r, i) if r >= 1 else {}
-
-    def mul_flat(self, r: int, cov_index: int) -> dict:
-        """Product with dh_cov_index^flat; shared, so read-only."""
-        return self.matrix("mul_flat", r, cov_index) if r >= 0 else {}
-
-    def contract_sharp(self, r: int, vec_index: int) -> dict:
-        """Normalized contraction with h_vec_index^sharp; shared, so read-only."""
-        return self.matrix("contract_sharp", r, vec_index) if r >= 1 else {}
+    mul, contract, contract_circ, mul_flat, contract_sharp = map(
+        reader, ("mul", "contract", "contract_circ", "mul_flat", "contract_sharp"))
 
 
 @functools.cache

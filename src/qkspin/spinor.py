@@ -17,32 +17,33 @@ Every coefficient of mu is sqrt2 times a rational, so the space works with
 mu = sqrt2 M and keeps M over the rationals: `clifford_matrix` returns M,
 and the Scalar-valued mu methods multiply by sqrt2 once, at the end.
 
-Where M is built: `clifford_basis_matrix(t)` assembles M(t) for a tangent
-basis vector t = h_a tensor e_i from the cached ladders, one pair of
-Kronecker blocks per grade r, Sym^r H tensor Lambda^(n-r)_prim E:
-`SymOps.mul(r, a)` tensor `PrimitiveOps.contract_sharp(n-r, i)` to grade
-r+1 and `SymOps.contract_sharp(r, a)` tensor `PrimitiveOps.wedge(n-r, i)`
-to grade r-1.  The elementwise `_component` rule behind `mu` and the mu_*
-methods is the reference the tests compare these matrices with.  The
-primitive Gram is the sparse product B^T A J B (`primitive_gram`), with
-the elementwise `extended_sigma_ext` as its reference.  The Casimir
-composes the derivations of Sym^2 H off the H ladder
-(`SymOps.derivation`), with the elementwise `sym2h_derivation` as their
-reference.
+Where M is built: `scaled_clifford` assembles S M(t) for every tangent
+basis vector t = h_a tensor e_i from the int levels of the two ladders
+(`Ladder.scaled`), one pair of Kronecker blocks per grade r, Sym^r H
+tensor Lambda^(n-r)_prim E: the H `mul` level tensor the E
+`contract_sharp` level to grade r+1 and the H `contract_sharp` level
+tensor the E `wedge` level to grade r-1, each block times S over its two
+scales.  `clifford_basis_matrix(t)` reads M(t) back exactly.  The
+elementwise `_component` rule behind `mu` and the mu_* methods is the
+reference the tests compare these matrices with.  The primitive Gram is
+the sparse product B^T A J B (`primitive_gram`), with the elementwise
+`extended_sigma_ext` as its reference.  The Casimir composes the
+derivations of Sym^2 H off the H ladder (`SymOps.derivation`), with the
+elementwise `sym2h_derivation` as their reference.
 
-Where the int scaling happens: `scaled_clifford` and `scaled_hermitian_gram`
-clear the denominators of the basis matrices and of the Gram once per
-space, as int copies with their lcm scale.  `two_form_matrix` composes the
-Clifford copies and divides by the squared scale once, and
+Where the int scaling happens: the Clifford matrices are int from the
+start, at the lcm S of the ladder scales, and `scaled_hermitian_gram`
+clears the denominators of the Gram once per space.  `two_form_matrix`
+composes the Clifford matrices and divides by the squared scale once, and
 `verify.suite_clifford` runs its anticommutation and adjointness checks
-on the copies, with the expected sides scaled to match.
+on the int matrices, with the expected sides scaled to match.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from . import linalg, sparsemat
 from .lefschetz import primitive_ops, primitive_space
@@ -218,42 +219,44 @@ class SpinorSpace:
         return blocks
 
     @functools.cache
-    def clifford_basis_matrix(self, t) -> dict:
-        """M of the tangent basis vector t = (a, i) over the flat spinor basis.
+    def scaled_clifford(self) -> tuple[int, dict]:
+        """(S, {t: S M(t)}) over the tangent basis t = (a, i), int entries.
 
         Grade r is Sym^r H tensor Lambda^(n-r)_prim E with the H monomial
         as the outer index, so each component of M(t) is a Kronecker
-        product of the cached H and E ladders, placed at the grade offsets:
+        product of an H and an E ladder level, placed at the grade offsets:
         h_a mult tensor e_i^sharp contraction from grade r to r+1, and
         h_a^sharp circ-contraction tensor e_i wedge_circ from r to r-1.
-        Off the ladders a factor is the zero matrix, so no block is placed.
-        Built on first use and shared by equal spaces, so callers must not
-        modify it; `_clifford` is the elementwise reference.
+        Each block is S // (s_h s_e) times the Kronecker product of the int
+        levels, s_h and s_e their scales and S the lcm of the blocks'
+        scales; off the ladders no block is placed.  Cached, shared by
+        equal spaces and read-only; `_clifford` is the elementwise reference.
         """
-        a, i = t
         hops, eops = sym_ops(self.H), self.eops
         grades = self._grade_blocks()
-        out: dict = {}
-        for r, (start, edim) in enumerate(grades):
-            q = self.n - r
-            blocks = ((hops.mul(r, a), eops.contract_sharp(q, i), r + 1),
-                      (hops.contract_sharp(r, a), eops.wedge(q, i), r - 1))
-            for hmat, emat, r2 in blocks:
-                if hmat and emat:
-                    start2, edim2 = grades[r2]
-                    sparsemat.kron_into(out, hmat, emat, (edim2, edim),
+        blocks = [(r, hops.scaled(hname, r), eops.scaled(ename, self.n - r), r2)
+                  for r in range(self.n + 1)
+                  for hname, ename, r2 in (("mul", "contract_sharp", r + 1),
+                                           ("contract_sharp", "wedge", r - 1))]
+        scale = lcm(*(sh * se for _, (sh, _), (se, _), _ in blocks))
+        mats: dict = {}
+        for a, i in self.tangent_basis():
+            out = mats[a, i] = {}
+            for r, (sh, hmats), (se, emats), r2 in blocks:
+                if hmats[a] and emats[i]:
+                    (start, edim), (start2, edim2) = grades[r], grades[r2]
+                    hmat = sparsemat.mscale(hmats[a], scale // (sh * se))
+                    sparsemat.kron_into(out, hmat, emats[i], (edim2, edim),
                                         (start2, start))
-        return out
+        return scale, mats
 
-    @functools.cache
-    def scaled_clifford(self) -> tuple[int, dict]:
-        """(s, {t: s M(t)}) over the tangent basis, with int entries.
-
-        s is the lcm of the basis matrices' denominators.  Cached per
-        space; the copies are shared, so callers must not modify them.
-        """
-        return sparsemat.int_copies({t: self.clifford_basis_matrix(t)
-                                     for t in self.tangent_basis()})
+    def clifford_basis_matrix(self, t) -> dict:
+        """M of the tangent basis vector t = (a, i) over the flat spinor
+        basis: `scaled_clifford`'s int matrix divided by its scale, read
+        afresh on each call."""
+        s, mats = self.scaled_clifford()
+        return {col: {row: Fraction(v, s) for row, v in mcol.items()}
+                for col, mcol in mats[t].items()}
 
     def clifford_matrix(self, x: dict) -> dict:
         """M(x) with mu(x) = sqrt2 M(x); rational entries for rational x."""
@@ -340,7 +343,7 @@ class SpinorSpace:
         two-vector sum_k (h_i tensor de_k^flat) wedge (h_j tensor e_k), and
         mu(X wedge Y) = mu(X) mu(Y) + g(X, Y).  With mu = sqrt2 M each term
         is 2 sg M(h_i tensor e_kf) M(h_j tensor e_k) + g.  The products are
-        taken in int arithmetic on the scaled copies s M of
+        taken in int arithmetic on the int matrices s M of
         `scaled_clifford`, and the sum is divided by s^2 once, so the
         result is rational.
         """
@@ -361,16 +364,18 @@ class SpinorSpace:
         """sum_k der(A_k) der(B_k) over a sigma-dual basis of Sym^2 H.
 
         The A_k and B_k are monomials of Sym^2 H, so each monomial's
-        derivation is built once and read in both roles.
+        derivation is built once, as an int matrix at the ladder's scale s,
+        and read in both roles; the sum is divided by s^2 once.
         """
         pairs = sym2h_dual_pairs(self.H)
         der = {a: sym_ops(self.H).derivation(p, *a) for a, _ in pairs}
         total: dict = {}
         for a, bs in pairs:
             for b, coeff in bs:
-                sparsemat.compose_into(total, der[a],
-                                       sparsemat.mscale(der[b], coeff))
-        return total
+                sparsemat.compose_into(total, der[a][1],
+                                       sparsemat.mscale(der[b][1], coeff))
+        s = der[pairs[0][0]][0]     # one scale for the level's derivations
+        return total if s == 1 else sparsemat.mscale(total, Fraction(1, s * s))
 
 
 @functools.cache

@@ -200,13 +200,14 @@ def _qzero_operator(space: SymplecticSpace, q: int, i: int, j: int) -> dict:
     """de_j^flat wedge_circ de_i_ + (i <-> j) from primitive level q to q.
 
     With (fi, s_i) and (fj, s_j) the flat maps of i and j, this is s_i s_j
-    times the ladder's derivation of e_fi e_fj.  Its entries are integers,
-    stored as ints.  Built once per run and shared, so callers must not
-    modify it.
+    times the ladder's derivation of e_fi e_fj.  Its entries are integers:
+    the ladder's int matrix at scale s is divided by s exactly.  Built once
+    per run and shared, so callers must not modify it.
     """
     (fi, s_i), (fj, s_j) = space.flat_basis(i), space.flat_basis(j)
-    return sparsemat.integral(sparsemat.mscale(
-        primitive_ops(space).derivation(q, fi, fj), s_i * s_j))
+    s, der = primitive_ops(space).derivation(q, fi, fj)
+    return {col: {row: s_i * s_j * v // s for row, v in mcol.items()}
+            for col, mcol in der.items()}
 
 
 def qzero_total(model: ModelCurvature, q: int) -> tuple:

@@ -20,6 +20,7 @@ from fractions import Fraction
 from . import SUITES, curvature, sparsemat, spinor, weitzenboeck
 from .lefschetz import (
     Check,
+    NotPrimitiveError,
     PrimitiveDimensionError,
     check_ext_relations,
     check_relation,
@@ -48,17 +49,17 @@ def suite_clifford(n: int, seed: int = 0) -> list[Check]:
                         value=spin.dim))
 
     # mu = sqrt2 M with M rational, so mu_x mu_y + mu_y mu_x = -2 g(x, y) id
-    # reads M_x M_y + M_y M_x = -g(x, y) id, checked on the int copies s M;
+    # reads M_x M_y + M_y M_x = -g(x, y) id, checked on the int matrices s M;
     # both sides are symmetric in (x, y), so the unordered pairs cover all
     # (4n)^2 basis pairs
     tangent = spin.tangent_basis()
-    copies = spin.scaled_clifford()
+    scaled = spin.scaled_clifford()
     checks.append(check_relation(
         f"Clifford anticommutation relation (n={n}, all {(4 * n) ** 2} basis pairs)",
         swap_cases([(x, y) for a, x in enumerate(tangent) for y in tangent[a:]],
-                   copies, copies, 1, lambda x, y: -spin.metric({x: 1}, {y: 1})),
+                   scaled, scaled, 1, lambda x, y: -spin.metric({x: 1}, {y: 1})),
         spin.dim))
-    mats = copies[1]
+    mats = scaled[1]
 
     flat = spin.flat_basis()
     bad = None
@@ -84,7 +85,7 @@ def suite_clifford(n: int, seed: int = 0) -> list[Check]:
     # mu = sqrt2 M is real and cancels, and the relation is linear in t and
     # psi1 and antilinear in psi2, so basis triples prove it for every
     # input: A^T G + G B = 0, with A the grade-raising part of M(t) and B
-    # the grade-lowering part of M(tbar).  On the int copies of M and G
+    # the grade-lowering part of M(tbar).  On the int matrices of M and G
     # both terms carry the same positive scale, so the zero test is exact.
     def grade_part(m, step):
         return {c: rows for c, col in m.items() if (rows := {
@@ -253,9 +254,8 @@ def _sub_oracle_check(name: str, recover, closed: list) -> Check:
 
 def suite_weitzenboeck(n: int, seed: int = 0) -> list[Check]:
     # no check reads the projector families of two grades, so the suite
-    # runs grade by grade and releases each grade's families, (n, r) and
-    # the (max(r+1, 2), r) of `recover_wh`, once its checks are done; the
-    # checks are still reported by kind, then by r
+    # runs grade by grade and releases each grade's family once its checks
+    # are done; the checks are still reported by kind, then by r
     recovered, sub_oracles, identities = [], [], []
     for r in range(n + 1):
         rep = weitzenboeck.recover_matches_closed_form(n, r)
@@ -265,7 +265,7 @@ def suite_weitzenboeck(n: int, seed: int = 0) -> list[Check]:
                                f"({label})", rep["ok"], rep["witness"]))
         if generic:
             sub_oracles.append(_sub_oracle_check(
-                f"H-part sub-oracle at r={r}", lambda: weitzenboeck.recover_wh(r),
+                f"H-part sub-oracle at r={r}", lambda: weitzenboeck.recover_wh(n, r),
                 weitzenboeck.wh_closed(r)))
             sub_oracles.append(_sub_oracle_check(
                 f"E-part sub-oracle at r={r}", lambda: weitzenboeck.recover_we(n, r),
@@ -310,9 +310,10 @@ def run_suite(name: str, n: int, seed: int = 0) -> list[Check]:
     A primitive level of the wrong dimension leaves a suite nothing sound
     to check after it, so the suite stops there with one failing check
     whose witness is (n, q, built, expected); the clifford suite reports
-    it under its rank check.  Above `BianchiSystem.MAX_N` "all" cannot run
-    the bianchi suite, and reports that as a failing check, so a run that
-    left a suite out never passes.
+    it under its rank check.  So does a ladder operator whose image leaves
+    the primitive level, with the witness (q, column).  Above
+    `BianchiSystem.MAX_N` "all" cannot run the bianchi suite, and reports
+    that as a failing check, so a run that left a suite out never passes.
     """
     if name == "all":
         checks = []
@@ -328,6 +329,9 @@ def run_suite(name: str, n: int, seed: int = 0) -> list[Check]:
     except PrimitiveDimensionError as exc:
         return [Check(f"primitive subspace dimensions in the {name} suite "
                       f"(n={n})", False, exc.witness)]
+    except NotPrimitiveError as exc:
+        return [Check(f"ladder images stay primitive in the {name} suite "
+                      f"(n={n})", False, (exc.q, exc.column))]
 
 
 def _suite(name: str, n: int, seed: int) -> list[Check]:

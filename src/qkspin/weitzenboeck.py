@@ -24,12 +24,13 @@ rows of the tangent blocks.  It serves this 6x6 oracle, which spreads the
 bases over its twelve members, and the 2x2 (H-part) and 3x3 (E-part)
 sub-oracles `recover_wh` and `recover_we`, which read one basis and pass
 the 1x1 identity as the side they leave out.
-The factors are int matrices: the ladders' int copies are read off
-`powers.Ladder.scaled`, cleared of their denominators once per process
-and shared by every grade, and the Sym2H factors are the H ladder's
-derivations.  The family holds one table over its side's index pairs for
-each of the C, -+, +- and Sym2H labels; Sym2E, K and Lambda2E are sums of
-those, built for one index pair when it is read and then dropped.  Each
+The factors are int matrices: the ladders' levels are read off
+`powers.Ladder.scaled`, held once per process as int matrices over one
+scale and shared by every grade, and the Sym2H factors are the H
+ladder's derivations, composed from those levels.  The family holds one
+table over its side's index pairs for each of the C, -+, +- and Sym2H
+labels; Sym2E, K and Lambda2E are sums of those, built for one index pair
+when it is read and then dropped.  Each
 label has one int scale, by which every int factor exceeds the exact one;
 the solver undoes the members' scales once, on the reduced rows.  No
 factor reads `spinor`.  A recovery that fails raises `RecoveryError`
@@ -234,8 +235,8 @@ class ProjectorFamily:
                 (x, y): sparsemat.compose(first[1][x], second[1][y])
                 for x, y in pairs}
         if label == "Sym2H":
-            return sparsemat.int_copies({(a, b): self.hops.derivation(self.r, a, b)
-                                         for a, b in pairs})
+            ders = {(a, b): self.hops.derivation(self.r, a, b) for a, b in pairs}
+            return ders[0, 0][0], {pair: der for pair, (_, der) in ders.items()}
         raise ValueError(label)
 
     def _sum(self, label: str) -> tuple[int, list]:
@@ -485,11 +486,10 @@ def _sub_oracle(fam: ProjectorFamily, side: str, where: str) -> list:
                                     len(fam.LABELS[side][0]), where, scales))
 
 
-def recover_wh(r: int) -> list:
-    """2x2 sub-oracle on H tensor H tensor Sym^r H."""
-    # any n >= r+1 gives the same H side
-    return _sub_oracle(projector_family(max(r + 1, 2), r), "h",
-                       f"on the H side at r={r}")
+def recover_wh(n: int, r: int) -> list:
+    """2x2 sub-oracle on H tensor H tensor Sym^r H, read off the H side of
+    the (n, r) family; that side does not depend on n."""
+    return _sub_oracle(projector_family(n, r), "h", f"on the H side at r={r}")
 
 
 def recover_we(n: int, r: int) -> list:
@@ -562,10 +562,10 @@ def curvature_scalar_identities(n: int, r: int) -> dict:
     The inner brackets are the family's left operators, read off its
     `table("h", "Sym2H")` and built pair by pair by `factor("e", "Sym2E",
     i, j)`, so the identities check the same matrices that the recovery
-    oracle feeds in.  Both sums
-    are taken over int copies, of those factors and of the outer ladders
-    (`Ladder.scaled`, shared with the families), so each is compared against
-    its eigenvalue times the product of the three scales.
+    oracle feeds in.  Both sums are taken over int matrices, those factors
+    and the outer ladders' levels (`Ladder.scaled`, shared with the
+    families), so each is compared against its eigenvalue times the product
+    of the three scales.
 
     The kappa/4 coefficients arise by multiplying the eigenvalue with the
     model-curvature prefactor -1/(8n(n+2)), the curvature antisymmetrization

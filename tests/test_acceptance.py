@@ -205,7 +205,7 @@ def test_09_weitzenboeck_recovery():
     start = time.monotonic()
     for n in (2, 3):
         for r in range(1, n):
-            assert recover_wh(r) == wh_closed(r), r
+            assert recover_wh(n, r) == wh_closed(r), r
             assert recover_we(n, r) == we_closed(n, r), (n, r)
         for r in range(n + 1):
             rep = recover_matches_closed_form(n, r)

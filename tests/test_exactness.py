@@ -144,7 +144,7 @@ def test_recovered_weitzenboeck_entries_are_fractions(n):
     # the span solver's entry vectors hold int 0 where a factor has no
     # entry; no such int, and no float, may reach a recovered entry
     matrices = [recover_w(n, r)["matrix"] for r in range(n + 1)]
-    matrices += [recover_wh(r) for r in range(n + 1)]
+    matrices += [recover_wh(n, r) for r in range(n + 1)]
     matrices += [recover_we(n, r) for r in range(1, n)]
     bad = [v for m in matrices for row in m for v in row
            if v is not None and type(v) is not Fraction]

@@ -302,40 +302,43 @@ def test_caches_key_on_space_value():
 
 
 def test_ladder_is_total():
-    # off the primitive ladder every operator is the zero matrix; the level
-    # is tested before the `Ladder.matrix` lookup, so no off-ladder key is
-    # cached.  The sign-flipped sharp and flat variants are cached there too.
+    # off the primitive ladder every level is (1, [{}, ...]) and every
+    # operator the zero matrix; the level is tested before the
+    # `Ladder._held` lookup, so no off-ladder key is cached.  The
+    # sign-flipped sharp and flat levels are held there too.
     ops = primitive_ops(SymplecticSpace(2))
-    cache = Ladder.matrix
+    names = ("contract", "wedge", "contract_sharp", "wedge_flat")
+    cache = Ladder._held
     before = cache.cache_info()
-    for i in range(4):
-        assert ops.contract(0, i) == {}
-        assert ops.contract(3, i) == {}
-        assert ops.wedge(-1, i) == {}
-        assert ops.wedge(2, i) == {}
-        assert ops.contract_sharp(3, i) == {}
-        assert ops.wedge_flat(-1, i) == {}
+    for name, level in (("contract", 0), ("contract", 3), ("wedge", -1),
+                        ("wedge", 2), ("contract_sharp", 0), ("contract_sharp", 3),
+                        ("wedge_flat", -1), ("wedge_flat", 2)):
+        assert ops.scaled(name, level) == (1, [{}] * 4)
+        for i in range(4):
+            assert getattr(ops, name)(level, i) == {}
     assert cache.cache_info() == before
-    for i in range(4):
-        assert ops.contract(1, i) is ops.contract(1, i)
-        assert ops.wedge(1, i) is ops.wedge(1, i)
-        assert ops.contract_sharp(1, i) is ops.contract_sharp(1, i)
-        assert ops.wedge_flat(1, i) is ops.wedge_flat(1, i)
-        assert ops.contract_sharp(0, i) == {} and ops.wedge_flat(2, i) == {}
-    assert cache.cache_info().hits >= before.hits + 16
-    # each matrix and each variant is built once: reading them again only hits
+    for name in names:
+        assert ops.scaled(name, 1) is ops.scaled(name, 1)
+    assert cache.cache_info().hits >= before.hits + 4
+    # each level and each variant is built once: reading it again, whole or
+    # one index at a time, only hits
     built = cache.cache_info()
-    for i in range(4):
-        for name in ("contract", "wedge", "contract_sharp", "wedge_flat"):
-            assert getattr(ops, name)(1, i) is ops.matrix(name, 1, i)
+    for name in names:
+        ops.scaled(name, 1)
+        for i in range(4):
+            getattr(ops, name)(1, i)
     after = cache.cache_info()
-    assert after.misses == built.misses and after.hits == built.hits + 32
+    assert after.misses == built.misses and after.hits == built.hits + 20
+    _, plain = ops.scaled("contract", 1)
+    _, flipped = ops.scaled("contract_sharp", 1)
     for i in range(4):
-        # e_i^sharp = sg de_j: the flipped copy is sg times the plain one
+        # e_i^sharp = sg de_j: the flipped operator is sg times the plain one,
+        # and where sg = +1 the variant holds the plain matrix itself
         j, sg = ops.space.sharp_basis(i)
         assert ops.contract_sharp(1, i) == \
             {c: {k: sg * v for k, v in col.items()}
              for c, col in ops.contract(1, j).items()}
+        assert (flipped[i] is plain[j]) == (sg == 1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -358,7 +361,8 @@ def test_primitive_derivation_is_the_restricted_derivation(n):
                         endo[k] = img
                 want = prim.to_coords(sparsemat.compose(
                     derivation_ext_matrix(E, endo, q), prim.matrix))
-                assert ops.derivation(q, x, y) == want, (q, x, y)
+                s, der = ops.derivation(q, x, y)
+                assert der == sparsemat.mscale(want, s), (q, x, y)
                 assert bool(want) == (q > 0)
 
 

@@ -3,7 +3,10 @@
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import lcm
 
+from qkspin import sparsemat
+from qkspin.lefschetz import PrimitiveOps
 from qkspin.powers import (
     ExtPower,
     Ladder,
@@ -157,33 +160,63 @@ def test_gram_sums_match_permutation_expansion():
 
 
 def test_sym_ladder_is_total():
-    # off the Sym^r ladder every operator is the zero matrix; the degree is
-    # tested before the `Ladder.matrix` lookup, so no off-ladder key is cached
+    # off the Sym^r ladder every level is (1, [{}, {}]) and every operator
+    # the zero matrix; the degree is tested before the `Ladder._held`
+    # lookup, so no off-ladder key is cached
     ops = SymOps(SymplecticSpace(1, name="h"))
-    cache = Ladder.matrix
+    cache = Ladder._held
     before = cache.cache_info()
-    for i in range(2):
-        assert ops.mul(-1, i) == {}
-        assert ops.mul_flat(-1, i) == {}
-        for r in (-1, 0):
-            assert ops.contract(r, i) == {}
-            assert ops.contract_circ(r, i) == {}
-            assert ops.contract_sharp(r, i) == {}
+    for name, r in (("mul", -1), ("mul_flat", -1), ("contract", -1), ("contract", 0),
+                    ("contract_circ", -1), ("contract_circ", 0),
+                    ("contract_sharp", -1), ("contract_sharp", 0)):
+        assert ops.scaled(name, r) == (1, [{}, {}])
+        for i in range(2):
+            assert getattr(ops, name)(r, i) == {}
     assert cache.cache_info() == before
-    for i in range(2):
-        assert ops.mul(3, i) is ops.mul(3, i)
-        assert ops.contract_circ(3, i) is ops.contract_circ(3, i)
-        assert ops.contract(3, i) is ops.contract(3, i)
+    for name in ("mul", "contract_circ", "contract"):
+        assert ops.scaled(name, 3) is ops.scaled(name, 3)
     after = cache.cache_info()
-    assert after.hits == before.hits + 6 and after.misses == before.misses + 6
-    # each sign-flipped copy is built once, from the cached plain matrix, and
-    # shared: one miss per variant key, and hits for its plain matrix and
-    # for its second read
-    for i in range(2):
-        assert ops.mul_flat(3, i) is ops.mul_flat(3, i)
-        assert ops.contract_sharp(3, i) is ops.contract_sharp(3, i)
+    assert after.hits == before.hits + 3 and after.misses == before.misses + 3
+    # each sign-flipped level is built once, from the held plain level, and
+    # shared: one miss per variant, and hits for its plain level and for
+    # its second read
+    for name in ("mul_flat", "contract_sharp"):
+        assert ops.scaled(name, 3) is ops.scaled(name, 3)
     flipped = cache.cache_info()
-    assert flipped.hits == after.hits + 8 and flipped.misses == after.misses + 4
+    assert flipped.hits == after.hits + 4 and flipped.misses == after.misses + 2
+
+
+def test_every_held_level_is_int_at_its_minimal_scale(monkeypatch):
+    # every level the suites read at n = 2 is held as int matrices over the
+    # lcm of its exact entries' denominators, and a sign variant holds its
+    # plain level's matrix objects where sg = +1
+    from qkspin.verify import run_suite
+
+    held = Ladder._held
+    read = []
+
+    def recording(self, name, level):
+        read.append((self, name, level))
+        return held(self, name, level)
+
+    monkeypatch.setattr(Ladder, "_held", recording)
+    assert all(c.ok for c in run_suite("all", 2))
+    assert {type(ops) for ops, _, _ in read} == {SymOps, PrimitiveOps}
+    for ops, name, level in read:
+        s, mats = held(ops, name, level)
+        entries = [v for m in mats for col in m.values() for v in col.values()]
+        assert all(type(v) is int for v in entries), (name, level)
+        assert lcm(*(Fraction(v, s).denominator for v in entries)) == s, (name, level)
+        if name in ops.SIGNED:
+            plain, basis = ops.SIGNED[name]
+            s_plain, plain_mats = held(ops, plain, level)
+            assert s == s_plain
+            for x, m in enumerate(mats):
+                j, sg = getattr(ops.space, basis)(x)
+                if sg == 1:
+                    assert m is plain_mats[j], (name, level, x)
+                else:
+                    assert m == sparsemat.mscale(plain_mats[j], -1), (name, level, x)
 
 
 def test_sym_ops_match_the_elementwise_rules():

@@ -19,9 +19,9 @@ from qkspin.lefschetz import (
     check_relation,
     check_sym_relations,
 )
-from qkspin.powers import SymOps, sym_contract_circ
+from qkspin.powers import Ladder, SymOps, sym_contract_circ
 from qkspin.symplectic import SymplecticSpace
-from qkspin.verify import suite_clifford
+from qkspin.verify import run_suite, suite_clifford
 
 compose, madd, msub = sparsemat.compose, sparsemat.madd, sparsemat.msub
 
@@ -240,3 +240,42 @@ def test_the_ext_relations_multiply_no_fractions(monkeypatch):
     # the counter sees the Fraction reference's products
     reference_ext_relations(E, 1)
     assert counts["mul"] > 0
+
+
+def test_a_second_lemmas_suite_builds_no_level(monkeypatch):
+    # the relations read the held int levels: once the suite has run, a
+    # second run in the process clears no denominators and builds no level
+    run_suite("lemmas", 3)
+    calls = []
+    int_copies = sparsemat.int_copies
+
+    def counted(family):
+        calls.append(1)
+        return int_copies(family)
+
+    monkeypatch.setattr(sparsemat, "int_copies", counted)
+    misses = Ladder._held.cache_info().misses
+    assert all(c.ok for c in run_suite("lemmas", 3))
+    assert calls == []
+    assert Ladder._held.cache_info().misses == misses
+
+
+class _UncorrectedWedge(PrimitiveOps):
+    """A fresh primitive ladder whose wedge drops the correction term, so
+    its images leave the primitive levels."""
+
+    def _build(self, name, q, i):
+        if name != "wedge":
+            return super()._build(name, q, i)
+        table = lefschetz.contract_tables(self.space, q + 1)[i]
+        return self.level(q + 1).to_coords(
+            compose(sparsemat.transpose(table), self.level(q).matrix))
+
+
+def test_a_ladder_image_outside_the_primitive_level_is_a_failing_check(monkeypatch):
+    monkeypatch.setattr(lefschetz, "primitive_ops", _UncorrectedWedge)
+    checks = run_suite("lemmas", 2)
+    assert [(c.name, c.ok) for c in checks] == \
+        [("ladder images stay primitive in the lemmas suite (n=2)", False)]
+    q, column = checks[0].witness
+    assert q == 2 and column >= 0

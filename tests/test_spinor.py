@@ -49,8 +49,7 @@ def test_equal_spinor_spaces_share_cached_matrices():
     assert S is not T and S == T and hash(S) == hash(T)
     assert S != SpinorSpace(3)
     assert S.flat_basis() is T.flat_basis()
-    for t in S.tangent_basis():
-        assert S.clifford_basis_matrix(t) is T.clifford_basis_matrix(t)
+    assert S.scaled_clifford() is T.scaled_clifford()
 
 
 def test_clifford_relation_n2_all_pairs():
@@ -208,7 +207,8 @@ def test_sym_ladder_derivation_is_the_elementwise_sym2h_action():
         for pair in [(a, b) for a in range(2) for b in range(2)]:
             want = sparsemat.from_images(
                 (S.sym2h_derivation(pair, hm) for hm in sym.basis), sym.coords)
-            assert hops.derivation(r, *pair) == want, (r, pair)
+            s, der = hops.derivation(r, *pair)
+            assert der == sparsemat.mscale(want, s), (r, pair)
             assert bool(want) == (r > 0)
 
 
@@ -325,14 +325,14 @@ def test_primitive_gram_matches_the_elementwise_table():
 def test_clifford_suite_multiplication_budget(monkeypatch):
     # a deterministic cost guard: with the primitive and Sym^r H ladders
     # built and the spinor caches cleared, the n = 3 clifford suite took
-    # 1,375 Fraction products, against 14,312 when every basis matrix was
-    # built spinor by spinor, the Gram pair by pair, and the checks
-    # composed Fraction matrices
+    # 649 Fraction products, against 1,281 when the Clifford matrices were
+    # Kronecker products of Fraction ladder matrices cleared afterwards, and
+    # 14,312 when every basis matrix was built spinor by spinor, the Gram
+    # pair by pair, and the checks composed Fraction matrices
     run_suite("clifford", 3)
     S = SpinorSpace
     for cached in (S.flat_basis, S._flat_index, S._grade_blocks,
-                   S.clifford_basis_matrix, S.scaled_clifford,
-                   S.scaled_hermitian_gram, spinor.sym_gram,
+                   S.scaled_clifford, S.scaled_hermitian_gram, spinor.sym_gram,
                    spinor.primitive_gram, spinor.sym2h_dual_pairs):
         cached.cache_clear()
     count = [0]
@@ -345,4 +345,4 @@ def test_clifford_suite_multiplication_budget(monkeypatch):
     monkeypatch.setattr(Fraction, "__mul__", counting)
     checks = run_suite("clifford", 3)
     assert all(c.ok for c in checks)
-    assert 0 < count[0] <= 1510, count[0]
+    assert 0 < count[0] <= 680, count[0]

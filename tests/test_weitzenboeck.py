@@ -102,7 +102,7 @@ def test_recover_degenerate_grades():
 
 def test_sub_oracles():
     for r in range(4):
-        assert recover_wh(r) == wh_closed(r)
+        assert recover_wh(3, r) == wh_closed(r)
     for n in (2, 3):
         for r in range(1, n):
             assert recover_we(n, r) == we_closed(n, r)
@@ -362,13 +362,11 @@ def _oracle_blocks(recover, *args) -> tuple:
     for `recover_w`, whose member pairs an H and an E label, E label major,
     the right members first; the index pairs of one side, with the 1x1
     identity as the other, for the sub-oracles."""
+    fam = projector_family(*args)
     if recover is recover_wh:
-        (r,) = args
-        fam = projector_family(max(r + 1, 2), r)
         return [([(m, _ONE) for m in fam.right_factors("h", a, b)],
                  [(m, _ONE) for m in fam.left_factors("h", a, b)])
                 for a in range(2) for b in range(2)], fam.scales("h")
-    fam = projector_family(*args)
     dim = fam.E.dim
     if recover is recover_we:
         return [([(_ONE, m) for m in fam.right_factors("e", i, j)],
@@ -393,7 +391,7 @@ def test_solve_in_span_feeds_the_direct_kronecker_rows(monkeypatch):
     fed = _record_fed(monkeypatch)
     runs = [(recover_w, n, r) for n in (1, 2, 3) for r in range(n + 1)]
     runs += [(recover_w, 4, 2)]
-    runs += [(recover_wh, r) for r in range(3)]
+    runs += [(recover_wh, max(r + 1, 2), r) for r in range(3)]
     runs += [(recover_we, n, r) for n in (1, 2, 3) for r in range(n + 1)]
     for recover, *args in runs:
         recover(*args)             # builds the ladders, which feed echelons
@@ -529,7 +527,7 @@ def test_shared_factors_are_never_modified():
                           (flat, level - 1), ("contract", level)):
             shared = ops.scaled(name, lvl)
             assert ops.scaled(name, lvl) is shared
-            assert shared == Ladder.scaled.__wrapped__(ops, name, lvl), (name, lvl)
+            assert shared == Ladder._held.__wrapped__(ops, name, lvl), (name, lvl)
 
 
 def test_int_ladders_are_cleared_once_per_process():
@@ -539,13 +537,13 @@ def test_int_ladders_are_cleared_once_per_process():
     for r in range(n + 1):
         recover_w(n, r)
         curvature_scalar_identities(n, r)
-    misses = Ladder.scaled.cache_info().misses
+    misses = Ladder._held.cache_info().misses
     for r in range(n + 1):
         fam = ProjectorFamily(n, r)
         assert fam is not projector_family(n, r)
         fam.member_scales()
         curvature_scalar_identities(n, r)
-    assert Ladder.scaled.cache_info().misses == misses
+    assert Ladder._held.cache_info().misses == misses
 
 
 def test_a_dropped_family_is_freed_with_its_tables():
@@ -605,7 +603,7 @@ def test_a_family_holds_no_summed_table():
 
 
 def test_a_family_read_on_its_h_side_builds_nothing_of_e(monkeypatch):
-    # `recover_wh(r)` reads only the H side of the family (max(r+1, 2), r):
+    # `recover_wh(n, r)` reads only the H side of the family (n, r):
     # the primitive ladder and the primitive level of E are looked up when
     # the E side is read, so that family builds neither
     built = []
@@ -615,7 +613,7 @@ def test_a_family_read_on_its_h_side_builds_nothing_of_e(monkeypatch):
     # a fresh family on each call, so the shared ones stay as they are
     monkeypatch.setattr(weitzenboeck, "projector_family", ProjectorFamily)
     for r in (1, 2, 3):
-        assert recover_wh(r) == wh_closed(r)
+        assert recover_wh(r + 1, r) == wh_closed(r)
     fam = ProjectorFamily(4, 2)
     fam.side_basis("h")
     fam.scales("h")
@@ -623,7 +621,7 @@ def test_a_family_read_on_its_h_side_builds_nothing_of_e(monkeypatch):
 
 
 def test_each_side_is_reduced_once_per_family(monkeypatch):
-    # at (n, r) = (3, 2) `recover_w` reads both sides, `recover_wh(2)` the
+    # at (n, r) = (3, 2) `recover_w` reads both sides, `recover_wh` the
     # H side of the same family and `recover_we` its E side: each side is
     # streamed once, and its entry vectors fed to a side echelon once
     calls = []
@@ -640,7 +638,7 @@ def test_each_side_is_reduced_once_per_family(monkeypatch):
     fed = _record_fed(monkeypatch)
     for _ in range(2):
         recover_w(3, 2)
-        recover_wh(2)
+        recover_wh(3, 2)
         recover_we(3, 2)
     assert len(calls) == 2
     # two side echelons, both fed in the first `recover_w`, and one joint
