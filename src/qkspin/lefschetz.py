@@ -12,26 +12,31 @@ primitive ladder is built.  The elementwise rules `apply_L`,
 `apply_Lambda`, `ext_contract` and `wedge_circ` stay as the references the
 tests compare these tables with.
 
-Two independent projector constructions (kernel/image splitting and the
-sl2 eigenvalue polynomial in L Lambda) are kept side by side; the test
-suite checks they produce identical matrices.  Like every operator in the
-package, both are column-major `sparsemat` matrices, and the one inverse
-they need goes through `linalg.Echelon`.
+The projection onto ker(Lambda) along im(L) is built from the kernel basis
+B (`projector`, through `linalg.invert`, the tests' reference) and as the
+sl2 polynomial P = prod_k (id - L Lambda / lam_k), cleared to the int
+c P = prod_k (lam_k id - L Lambda).  The lemmas suite checks that they agree
+by the two products Lambda (c P) = 0 and (c P) L = 0, which suffice: P is
+id plus L times a polynomial, so v - P v lies in im(L); Lambda P = 0 puts
+P v in ker(Lambda), and P fixes ker(Lambda), where L Lambda vanishes, so
+P is idempotent with image ker(Lambda); P L = 0 gives im(L) inside ker(P),
+and v - P v in im(L) gives the converse.  So P projects onto ker(Lambda)
+along im(L), and B spans ker(Lambda) by construction: that is `projector`.
 
-Every lemma relation is data for one checker, `check_relation`: cases of
-sum_t c_t A_t B_t = want id, summed on the held int levels
-(`Ladder.scaled`) of the two `powers.Ladder`s at one lcm scale.  The
-ladders are `PrimitiveOps`, the contraction / modified-wedge ladder on the
-primitive levels of Lambda^q E, and `powers.SymOps`, the product /
-normalized-contraction ladder on Sym^r H.  A failing relation names its
-first failing index pair, or its sum.
+Every operator identity is data for one checker, `check_relation`: cases
+of sum_t c_t F_t1 ... F_tm = want id, each summed by `relation_sum` in int
+arithmetic at the lcm of its factors' scales.  The lemma relations read
+the held int levels (`Ladder.scaled`) of `PrimitiveOps`, the contraction /
+modified-wedge ladder on the primitive levels of Lambda^q E, and of
+`powers.SymOps`, the product / normalized-contraction ladder on Sym^r H.
+A failing relation names its first failing case key, or its sum.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, lcm, prod
 
 from . import linalg, sparsemat
 from .powers import (
@@ -234,7 +239,7 @@ class PrimitiveSpace:
         return {col: {coord_of[r]: v for r, v in mcol.items() if r in coord_of}
                 for col, mcol in m.items()}
 
-    # two independent projector constructions ------------------------
+    # the projector, by the kernel basis and by the sl2 polynomial ----
 
     def projector(self) -> dict:
         """Projection onto ker(Lambda) along im(L), column-major.
@@ -250,17 +255,20 @@ class PrimitiveSpace:
                   if (part := {k: v for k, v in col.items() if k < self.dim})}
         return sparsemat.compose(self.matrix, coords)
 
-    def projector_sl2(self) -> dict:
-        """The projection as the polynomial prod_k (id - L Lambda / lam_k)."""
-        n, q = self.space.half_dim, self.q
-        one = sparsemat.identity(self.ambient.dim, Fraction(1))
+    def scaled_projector_sl2(self) -> tuple[int, dict]:
+        """(c, c P) for the sl2 projection P = prod_k (id - L Lambda / lam_k),
+        lam_k = k (n - q + k + 1) over 1 <= k <= q/2, and c = prod_k lam_k:
+        the int polynomial c P = prod_k (lam_k id - L Lambda)."""
+        n, q, dim = self.space.half_dim, self.q, self.ambient.dim
         ll = sparsemat.compose(L_op(self.space, q), Lambda_op(self.space, q))
-        result = one
+        c, result = 1, sparsemat.identity(dim)
         for k in range(1, q // 2 + 1):
             lam = k * (n - q + k + 1)
-            step = sparsemat.madd(one, sparsemat.mscale(ll, Fraction(-1, lam)))
+            step = sparsemat.identity(dim, lam)
+            sparsemat.madd_into(step, ll, -1)
             result = sparsemat.compose(step, result)
-        return result
+            c *= lam
+        return c, result
 
     def project(self, elem: dict) -> dict:
         amb = self.ambient
@@ -377,28 +385,47 @@ def check_sl2(space: SymplecticSpace) -> list[Check]:
     return checks
 
 
-def check_relation(name: str, cases, dim: int, value=None) -> Check:
-    """Check sum_t c_t A_t B_t = want id on a dim-dimensional level for each
-    case (key, terms, want), in order; the first failing key is the witness.
+def relation_sum(terms) -> tuple[int, dict]:
+    """(S, S sum_t c_t F_t1 ... F_tm), int, over an iterable of terms.
 
-    A term is (c, (A, x), (B, y)): an int c and two factors, each a pair
-    (s, mats) of int matrices, mats[x] / s the exact operator, with its
-    index.  A case is summed in int arithmetic at the lcm S of its terms'
-    scales and passes exactly when the sum is S want id, want an int or a
-    Fraction.  A sum relation is one case with key None, and its witness is
+    A term is (c, F_1, ..., F_m): an int c times the product of one or more
+    factors, F_m applied first.  A factor is ((s, mats), x), mats[x] an int
+    matrix and mats[x] / s the exact operator.  Each term is read once and
+    added at S, the lcm of the scales read so far, the sum rescaled whenever
+    S grows, so a streamed sum never holds all its factors.
+    """
+    scale, total = 1, {}
+    for c, *factors in terms:
+        s = prod(s_f for (s_f, _), _ in factors)
+        if scale % s:
+            total = sparsemat.mscale(total, lcm(scale, s) // scale)
+            scale = lcm(scale, s)
+        *left, product = (m[x] for (_, m), x in factors)
+        for m in reversed(left[1:]):
+            product = sparsemat.compose(m, product)
+        weight = c * (scale // s)
+        if left and weight == 1:
+            # a unit term's last product is added as it is formed
+            sparsemat.compose_into(total, left[0], product)
+        else:
+            sparsemat.madd_into(total, sparsemat.compose(left[0], product)
+                                if left else product, weight)
+    return scale, total
+
+
+def check_relation(name: str, cases, dim: int | None, value=None) -> Check:
+    """Check that the `relation_sum` of each case (key, terms, want) is S want
+    id on a dim-dimensional level, in order; the first failing key is the
+    witness.  want is an int or a Fraction, and dim is read only when want is
+    nonzero.  A sum relation is one case with key None, and its witness is
     the sum divided back by S.
     """
     for key, terms, want in cases:
-        scale = lcm(*(a[0] * b[0] for _, (a, _), (b, _) in terms))
-        total: dict = {}
-        for c, (a, x), (b, y) in terms:
-            sparsemat.madd_into(total, sparsemat.compose(a[1][x], b[1][y]),
-                                c * (scale // (a[0] * b[0])))
+        scale, total = relation_sum(terms)
         target = Fraction(scale * want.numerator, want.denominator)
         if not sparsemat.is_scalar_multiple(total, dim, target):
-            return Check(name, False, key if key is not None else {
-                col: {row: Fraction(v, scale) for row, v in mcol.items()}
-                for col, mcol in total.items()}, value)
+            return Check(name, False, key if key is not None else
+                         sparsemat.mscale(total, Fraction(1, scale)), value)
     return Check(name, True, None, value)
 
 

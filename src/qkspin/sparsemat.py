@@ -152,25 +152,17 @@ def integral(m: dict) -> dict:
             for col, mcol in m.items()}
 
 
-def int_copies(family) -> tuple[int, list | dict]:
-    """(s, s times each matrix of the family, with int entries).
+def int_copies(family: list) -> tuple[int, list]:
+    """(s, [s times each matrix of the family, with int entries]).
 
     s is the lcm of the denominators of every entry of the family, 1 for a
-    family of int matrices or an empty one.  The family is a list or a
-    dict of matrices, and the copies come back in the same kind.
+    family of int matrices or an empty one.
     """
-    mats = family.values() if isinstance(family, dict) else family
-    s = lcm(*(v.denominator for m in mats for col in m.values()
+    s = lcm(*(v.denominator for m in family for col in m.values()
               for v in col.values()))
-
-    def scaled(m):
-        return {col: {row: v.numerator * (s // v.denominator)
+    return s, [{col: {row: v.numerator * (s // v.denominator)
                       for row, v in mcol.items()}
-                for col, mcol in m.items()}
-
-    if isinstance(family, dict):
-        return s, {key: scaled(m) for key, m in family.items()}
-    return s, [scaled(m) for m in family]
+                for col, mcol in m.items()} for m in family]
 
 
 def identity(dim: int, one=1) -> dict:

@@ -33,10 +33,11 @@ elementwise `sym2h_derivation` as their reference.
 
 Where the int scaling happens: the Clifford matrices are int from the
 start, at the lcm S of the ladder scales, and `scaled_hermitian_gram`
-clears the denominators of the Gram once per space.  `two_form_matrix`
-composes the Clifford matrices and divides by the squared scale once, and
-`verify.suite_clifford` runs its anticommutation and adjointness checks
-on the int matrices, with the expected sides scaled to match.
+clears the denominators of the Gram once per space.  The two-form action
+and the Casimir are sums of products of these int matrices, given as
+`relation_sum` terms (`two_form_terms`, `casimir_terms`): the clifford
+suite checks them with `check_relation`, and `two_form_matrix` and
+`casimir_matrix` sum them exactly for the tests.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 
 from . import linalg, sparsemat
-from .lefschetz import primitive_ops, primitive_space
+from .lefschetz import primitive_ops, primitive_space, relation_sum
 from .powers import (
     SymPower,
     extended_sigma_sym,
@@ -336,46 +337,46 @@ class SpinorSpace:
                     add_into(out, sym_insert(tgt, hm[:pos] + hm[pos + 1:]), s)
         return out
 
-    def two_form_matrix(self, pair: tuple) -> dict:
-        """Brute-force Clifford action of (h_i h_j) tensor sigma_E on spinors.
+    def two_form_terms(self, pair: tuple):
+        """The Clifford action of (h_i h_j) tensor sigma_E, as terms.
 
-        The symmetric product is realized inside Lambda^2 TM as the
-        two-vector sum_k (h_i tensor de_k^flat) wedge (h_j tensor e_k), and
-        mu(X wedge Y) = mu(X) mu(Y) + g(X, Y).  With mu = sqrt2 M each term
-        is 2 sg M(h_i tensor e_kf) M(h_j tensor e_k) + g.  The products are
-        taken in int arithmetic on the int matrices s M of
-        `scaled_clifford`, and the sum is divided by s^2 once, so the
-        result is rational.
+        h_i h_j is the two-vector sum_k (h_i tensor de_k^flat) wedge
+        (h_j tensor e_k) and mu(X wedge Y) = mu(X) mu(Y) + g(X, Y), so with
+        mu = sqrt2 M each k is the term 2 sg M(h_i tensor e_kf) M(h_j tensor
+        e_k) on `scaled_clifford`, and the g(X, Y) sum one g id term.
         """
         i, j = pair
-        s, mats = self.scaled_clifford()
-        total: dict = {}
+        scaled = self.scaled_clifford()
         g = Fraction(0)
         for k in range(self.E.dim):
             kf, sg = self.E.flat_basis(k)
-            prod = sparsemat.compose(mats[(i, kf)], mats[(j, k)])
-            sparsemat.madd_into(total, prod, 2 * sg)
+            yield 2 * sg, (scaled, (i, kf)), (scaled, (j, k))
             g += self.metric({(i, kf): Fraction(sg)}, {(j, k): Fraction(1)})
         if g:
-            sparsemat.madd_into(total, sparsemat.identity(self.dim, s * s * g))
-        return sparsemat.mscale(total, Fraction(1, s * s))
+            yield g.numerator, ((g.denominator, [sparsemat.identity(self.dim)]), 0)
+
+    def two_form_matrix(self, pair: tuple) -> dict:
+        """The summed `two_form_terms`, rational."""
+        s, total = relation_sum(self.two_form_terms(pair))
+        return sparsemat.mscale(total, Fraction(1, s))
+
+    def casimir_terms(self, p: int):
+        """sum_k der(A_k) der(B_k) on Sym^p H over a sigma-dual basis of
+        Sym^2 H, as terms: each monomial's derivation is built once, at the
+        level's one scale s, and read in both roles; a dual coefficient's
+        denominator folds into its second factor's scale."""
+        pairs = sym2h_dual_pairs(self.H)
+        ders = {a: sym_ops(self.H).derivation(p, *a) for a, _ in pairs}
+        s = ders[pairs[0][0]][0]
+        ders = {a: der for a, (_, der) in ders.items()}
+        for a, bs in pairs:
+            for b, c in bs:
+                yield c.numerator, ((s, ders), a), ((s * c.denominator, ders), b)
 
     def casimir_matrix(self, p: int) -> dict:
-        """sum_k der(A_k) der(B_k) over a sigma-dual basis of Sym^2 H.
-
-        The A_k and B_k are monomials of Sym^2 H, so each monomial's
-        derivation is built once, as an int matrix at the ladder's scale s,
-        and read in both roles; the sum is divided by s^2 once.
-        """
-        pairs = sym2h_dual_pairs(self.H)
-        der = {a: sym_ops(self.H).derivation(p, *a) for a, _ in pairs}
-        total: dict = {}
-        for a, bs in pairs:
-            for b, coeff in bs:
-                sparsemat.compose_into(total, der[a][1],
-                                       sparsemat.mscale(der[b][1], coeff))
-        s = der[pairs[0][0]][0]     # one scale for the level's derivations
-        return total if s == 1 else sparsemat.mscale(total, Fraction(1, s * s))
+        """The summed `casimir_terms`, rational."""
+        s, total = relation_sum(self.casimir_terms(p))
+        return sparsemat.mscale(total, Fraction(1, s))
 
 
 @functools.cache

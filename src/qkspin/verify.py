@@ -20,6 +20,8 @@ from fractions import Fraction
 from . import SUITES, curvature, sparsemat, spinor, weitzenboeck
 from .lefschetz import (
     Check,
+    L_op,
+    Lambda_op,
     NotPrimitiveError,
     PrimitiveDimensionError,
     check_ext_relations,
@@ -59,23 +61,16 @@ def suite_clifford(n: int, seed: int = 0) -> list[Check]:
         swap_cases([(x, y) for a, x in enumerate(tangent) for y in tangent[a:]],
                    scaled, scaled, 1, lambda x, y: -spin.metric({x: 1}, {y: 1})),
         spin.dim))
-    mats = scaled[1]
+    s, mats = scaled
 
     flat = spin.flat_basis()
-    bad = None
-    for ci, key in enumerate(flat):
-        r = key[0]
-        for t in tangent:
-            rows = mats[t].get(ci, {})
-            if any(flat[row][0] not in (r - 1, r + 1) for row in rows):
-                bad = (key, t)
-                break
-        if bad:
-            break
+    bad = next(((key, t) for ci, key in enumerate(flat) for t in tangent
+                if any(abs(flat[row][0] - key[0]) != 1 for row in mats[t].get(ci, {}))),
+               None)
     checks.append(Check("Clifford multiplication shifts the grade by one",
                         bad is None, bad))
 
-    _, gram = spin.scaled_hermitian_gram()
+    s_gram, gram = spin.scaled_hermitian_gram()
     bad = next((key for k, key in enumerate(flat)
                 if not gram.get(k, {}).get(k, 0) > 0), None)
     checks.append(Check("twisted Hermitian form positive on the basis",
@@ -85,64 +80,51 @@ def suite_clifford(n: int, seed: int = 0) -> list[Check]:
     # mu = sqrt2 M is real and cancels, and the relation is linear in t and
     # psi1 and antilinear in psi2, so basis triples prove it for every
     # input: A^T G + G B = 0, with A the grade-raising part of M(t) and B
-    # the grade-lowering part of M(tbar).  On the int matrices of M and G
-    # both terms carry the same positive scale, so the zero test is exact.
+    # the grade-lowering part of M(tbar), on the int matrices of M and G.
     def grade_part(m, step):
         return {c: rows for c, col in m.items() if (rows := {
             k: v for k, v in col.items() if flat[k][0] == flat[c][0] + step})}
 
-    bad = None
-    for t in tangent:
+    gram = (s_gram, [gram]), 0
+
+    def adjoint_terms(t):
         raising = sparsemat.transpose(grade_part(mats[t], 1))
-        tbar = spin.conjugate_tangent({t: 1})
-        lowering = grade_part(sparsemat.madd(*(
-            sparsemat.mscale(mats[u], c) for u, c in tbar.items())), -1)
-        defect = sparsemat.madd(sparsemat.compose(raising, gram),
-                                sparsemat.compose(gram, lowering))
-        if defect:
-            b2 = min(defect)
-            bad = (t, flat[min(defect[b2])], flat[b2])
-            break
-    checks.append(Check("adjointness of the two Clifford components",
-                        bad is None, bad))
+        yield 1, ((s, [raising]), 0), gram
+        for u, c in spin.conjugate_tangent({t: 1}).items():
+            yield c, gram, ((s, [grade_part(mats[u], -1)]), 0)
 
-    bad = None
-    for r in range(n + 1):
-        C = spin.casimir_matrix(r)
-        want = Fraction(-r * (r + 2))
-        if not sparsemat.is_scalar_multiple(C, r + 1, want):
-            bad = r
-            break
-        op = sparsemat.madd(sparsemat.identity(r + 1, Fraction(6 * n)),
-                            sparsemat.mscale(C, Fraction(4)))
-        if not sparsemat.is_scalar_multiple(op, r + 1,
-                                            spinor.kraines_eigenvalue(n, r)):
-            bad = r
-            break
-    checks.append(Check("Casimir scalar -r(r+2) and Kraines eigenvalue "
-                        "6n - 4r(r+2)", bad is None, bad,
-                        value=[spinor.kraines_eigenvalue(n, r)
-                               for r in range(n + 1)]))
+    checks.append(check_relation("adjointness of the two Clifford components",
+                                 ((t, adjoint_terms(t), 0) for t in tangent),
+                                 spin.dim))
 
-    bad = None
-    r0_value = None
-    for pair in [(0, 0), (0, 1), (1, 1)]:
-        M = spin.two_form_matrix(pair)
-        expect = sparsemat.from_images(
-            ({(p, q, hm2, col): 2 * v
-              for hm2, v in spin.sym2h_derivation(pair, hm).items()}
-             for p, q, hm, col in flat), spin.coords)
-        diff = sparsemat.msub(M, expect)
-        # grade-0 block separately: reported, and empirically zero as well
-        r0_block = {c: v for c, v in M.items() if flat[c][0] == 0}
-        r0_value = "zero" if not r0_block else "nonzero"
-        if any(flat[c][0] >= 1 for c in diff):
-            bad = pair
-            break
-    checks.append(Check("two-form action is twice the derivation (grades r>=1)",
-                        bad is None, bad))
-    checks.append(Check("two-form action on grade 0 (reported, not asserted)",
-                        True, value=r0_value))
+    # sum_k der(A_k) der(B_k) - lam id = 0 on Sym^r H, lam = -r(r+2); the
+    # Kraines value 6n + 4 lam is read off it
+    casimir = [-r * (r + 2) for r in range(n + 1)]
+    checks.append(check_relation(
+        "Casimir scalar -r(r+2) and Kraines eigenvalue 6n - 4r(r+2)",
+        ((r, [(-lam, ((1, [sparsemat.identity(r + 1)]), 0)), *spin.casimir_terms(r)], 0)
+         for r, lam in enumerate(casimir)), None,
+        value=[Fraction(6 * n + 4 * lam) for lam in casimir]))
+
+    # the two-form action of h_i h_j is twice its elementwise derivation on
+    # the Sym H factor; a block of grades is read through the identity on
+    # its columns, applied first
+    def two_form_terms(pair, block):
+        on_block = (1, [{k: {k: 1} for k in block}]), 0
+        for term in spin.two_form_terms(pair):
+            yield *term, on_block
+        yield -2, (sparsemat.int_copies([{k: spin.coords(
+            {(p, q, hm2, col): v for hm2, v in spin.sym2h_derivation(pair, hm).items()})
+            for k in block for p, q, hm, col in [flat[k]]}]), 0)
+
+    grade0, upper = range(spin.grade_dim(0)), range(spin.grade_dim(0), spin.dim)
+    checks.append(check_relation(
+        "two-form action is twice the derivation (grades r>=1)",
+        ((pair, two_form_terms(pair, upper), 0) for pair in [(0, 0), (0, 1), (1, 1)]),
+        spin.dim))
+    r0 = check_relation("two-form action on grade 0 (reported, not asserted)",
+                        [(None, two_form_terms((1, 1), grade0), 0)], spin.dim)
+    checks.append(Check(r0.name, True, value="zero" if r0.ok else "nonzero"))
     return checks
 
 
@@ -153,13 +135,16 @@ def suite_lemmas(n: int, seed: int = 0) -> list[Check]:
         checks.extend(check_ext_relations(E, s))
     for r in range(n + 2):
         checks.extend(check_sym_relations(r))
-    bad = None
-    for q in range(n + 1):
-        prim = primitive_space(E, q)
-        if prim.projector() != prim.projector_sl2():
-            bad = q
-            break
-    checks.append(Check("kernel-basis and sl2 projectors agree", bad is None, bad))
+    # c P = prod_k (lam_k id - L Lambda) is the kernel-basis projector times c
+    # exactly when Lambda (c P) = 0 and (c P) L = 0 (see `lefschetz`)
+    def projector_cases(q):
+        cp = (1, [primitive_space(E, q).scaled_projector_sl2()[1]]), 0
+        yield q, [(1, ((1, [Lambda_op(E, q)]), 0), cp)], 0
+        yield q, [(1, cp, ((1, [L_op(E, q)]), 0))], 0
+
+    checks.append(check_relation(
+        "kernel-basis and sl2 projectors agree",
+        (case for q in range(n + 1) for case in projector_cases(q)), None))
     return checks
 
 
@@ -271,10 +256,12 @@ def suite_weitzenboeck(n: int, seed: int = 0) -> list[Check]:
                 f"E-part sub-oracle at r={r}", lambda: weitzenboeck.recover_we(n, r),
                 weitzenboeck.we_closed(n, r)))
         rep = weitzenboeck.curvature_scalar_identities(n, r)
+        failed = [key for key in ("h_identity_ok", "e_identity_ok",
+                                  "kappa4_h_matches", "kappa4_e_matches")
+                  if not rep[key]]
         identities.append(Check(
-            f"curvature-scalar operator identities at r={r}",
-            rep["h_identity_ok"] and rep["e_identity_ok"] and
-            rep["kappa4_h_matches"] and rep["kappa4_e_matches"],
+            f"curvature-scalar operator identities at r={r}", not failed,
+            failed or None,
             value=[rep["kappa4_coefficient_h"], rep["kappa4_coefficient_e"]]))
         weitzenboeck.projector_family.cache_clear()
     checks = recovered + sub_oracles + identities

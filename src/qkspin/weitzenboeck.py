@@ -53,7 +53,8 @@ from fractions import Fraction
 from math import lcm
 
 from . import linalg, sparsemat
-from .lefschetz import PrimitiveOps, primitive_ops, primitive_space
+from .lefschetz import (PrimitiveOps, check_relation, primitive_ops,
+                        primitive_space, relation_sum)
 from .powers import sym_ops
 from .scalar import Scalar
 from .symplectic import SymplecticSpace
@@ -269,11 +270,9 @@ class ProjectorFamily:
         held table's entry, or a sum of them built afresh for the caller."""
         if label not in _SUMS:
             return self.table(side, label)[1][x, y]
-        total: dict = {}
-        for held, swap, weight in self._sum(label)[1]:
-            sparsemat.madd_into(total, self.table("e", held)[1][(y, x) if swap
-                                                                else (x, y)], weight)
-        return total
+        return relation_sum(
+            (w, ((1, self.table("e", held)[1]), (y, x) if swap else (x, y)))
+            for held, swap, w in self._sum(label)[1])[1]
 
     # assembled recovery ------------------------------------------------
 
@@ -562,10 +561,9 @@ def curvature_scalar_identities(n: int, r: int) -> dict:
     The inner brackets are the family's left operators, read off its
     `table("h", "Sym2H")` and built pair by pair by `factor("e", "Sym2E",
     i, j)`, so the identities check the same matrices that the recovery
-    oracle feeds in.  Both sums are taken over int matrices, those factors
-    and the outer ladders' levels (`Ladder.scaled`, shared with the
-    families), so each is compared against its eigenvalue times the product
-    of the three scales.
+    oracle feeds in.  Each sum is a relation of three-factor terms for
+    `check_relation`, on int matrices: those factors and the outer ladders'
+    levels (`Ladder.scaled`, shared with the families).
 
     The kappa/4 coefficients arise by multiplying the eigenvalue with the
     model-curvature prefactor -1/(8n(n+2)), the curvature antisymmetrization
@@ -576,30 +574,24 @@ def curvature_scalar_identities(n: int, r: int) -> dict:
     H, E = fam.H, fam.E
 
     # H side operator sum on Sym^r H (dim r + 1)
-    s_flat, mul_flat = fam.hops.scaled("mul_flat", r - 1)
-    s_con, contract = fam.hops.scaled("contract", r)
-    s_sym, sym2h = fam.table("h", "Sym2H")
-    h_total: dict = {}
-    for a in range(2):
-        for b in range(2):
-            outer = sparsemat.compose(mul_flat[a], contract[b])
-            sparsemat.compose_into(h_total, outer, sym2h[a, b])
+    mul_flat = fam.hops.scaled("mul_flat", r - 1)
+    contract = fam.hops.scaled("contract", r)
+    sym2h = fam.table("h", "Sym2H")
     lam_h = Fraction(-r * (r + 2))
-    h_ok = sparsemat.is_scalar_multiple(
-        h_total, r + 1, lam_h * s_flat * s_con * s_sym)
+    h_ok = check_relation("H-side curvature-scalar identity", [(None, (
+        (1, (mul_flat, a), (contract, b), (sym2h, (a, b)))
+        for a in range(2) for b in range(2)), lam_h)], r + 1).ok
 
-    # E side operator sum on the primitive level q = n - r
-    q = n - r
-    s_flat, wedge_flat = fam.eops.scaled("wedge_flat", q - 1)
-    s_con, contract = fam.eops.scaled("contract", q)
-    e_total: dict = {}
-    for i in range(E.dim):
-        for j in range(E.dim):
-            outer = sparsemat.compose(wedge_flat[i], contract[j])
-            sparsemat.compose_into(e_total, outer, fam.factor("e", "Sym2E", i, j))
+    # E side operator sum on the primitive level q = n - r, streamed: each
+    # Sym2E factor is built, read and dropped
+    wedge_flat = fam.eops.scaled("wedge_flat", n - r - 1)
+    contract = fam.eops.scaled("contract", n - r)
+    s_sym2e = fam.scale("e", "Sym2E")
     lam_e = Fraction(-(n - r) * (n + r + 2))
-    e_ok = sparsemat.is_scalar_multiple(
-        e_total, fam.prim.dim, lam_e * s_flat * s_con * fam.scale("e", "Sym2E"))
+    e_ok = check_relation("E-side curvature-scalar identity", [(None, (
+        (1, (wedge_flat, i), (contract, j),
+         ((s_sym2e, [fam.factor("e", "Sym2E", i, j)]), 0))
+        for i in range(E.dim) for j in range(E.dim)), lam_e)], fam.prim.dim).ok
 
     # sigma traces of the complementary factors
     trace_e = sum((_sigma_flat_flat(E, i, j) * E.sigma_basis(i, j)

@@ -460,7 +460,8 @@ def _endos_by_rvalue_scan(model):
                     endo[k] = img
             if endo:
                 r_endos[i, j] = endo
-    scale, scaled = sparsemat.int_copies(r_endos)
+    scale, copies = sparsemat.int_copies(list(r_endos.values()))
+    scaled = dict(zip(r_endos, copies))
     paired = {(i, j): p for i in range(E.dim) for j in range(i, E.dim)
               if (p := sparsemat.madd(scaled.get((i, j), {}), scaled.get((j, i), {}))
                   if i < j else scaled.get((i, i)))}

@@ -1,17 +1,19 @@
 """The relation checker against elementwise Fraction references.
 
-`check_relation` evaluates every lemma relation and the Clifford relation
-on int copies at one lcm scale.  The references below are the per-relation
-loops it replaced, run on the exact `Fraction` ladder matrices; each test
-injects a fault through a fresh, uncached owner, so the shared matrices
-stay intact, and asserts that both give the same verdicts and witnesses.
+`check_relation` evaluates every operator identity of the suites on int
+copies at one lcm scale: the lemma relations, the Clifford relation, the
+adjointness, Casimir, two-form action and projector checks, and the
+curvature-scalar sums.  The references below are the per-relation loops
+it replaced; each test injects a fault through a fresh, uncached owner or
+a patch undone after it, so the shared matrices stay intact, and asserts
+that both give the same verdicts and witnesses.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from qkspin import lefschetz, powers, sparsemat, spinor
+from qkspin import lefschetz, powers, sparsemat, spinor, weitzenboeck
 from qkspin.lefschetz import (
     Check,
     PrimitiveOps,
@@ -279,3 +281,202 @@ def test_a_ladder_image_outside_the_primitive_level_is_a_failing_check(monkeypat
         [("ladder images stay primitive in the lemmas suite (n=2)", False)]
     q, column = checks[0].witness
     assert q == 2 and column >= 0
+
+
+# -- the identities moved onto the checker ---------------------------------
+
+def reference_adjointness(spin):
+    """The first t with A^T G + G B != 0, A the grade-raising part of M(t)
+    and B the grade-lowering part of M(tbar)."""
+    flat = spin.flat_basis()
+    _, mats = spin.scaled_clifford()
+    _, gram = spin.scaled_hermitian_gram()
+
+    def grade_part(m, step):
+        return {c: rows for c, col in m.items() if (rows := {
+            k: v for k, v in col.items() if flat[k][0] == flat[c][0] + step})}
+
+    for t in spin.tangent_basis():
+        raising = sparsemat.transpose(grade_part(mats[t], 1))
+        tbar = spin.conjugate_tangent({t: 1})
+        lowering = grade_part(madd(*(sparsemat.mscale(mats[u], c)
+                                     for u, c in tbar.items())), -1)
+        if madd(compose(raising, gram), compose(gram, lowering)):
+            return t
+    return None
+
+
+def reference_casimir(spin):
+    """The first r where the Casimir is not -r(r+2) id or 6n + 4 C is not
+    the Kraines eigenvalue."""
+    n = spin.n
+    for r in range(n + 1):
+        C = spin.casimir_matrix(r)
+        op = madd(sparsemat.identity(r + 1, Fraction(6 * n)), sparsemat.mscale(C, 4))
+        if not (sparsemat.is_scalar_multiple(C, r + 1, Fraction(-r * (r + 2))) and
+                sparsemat.is_scalar_multiple(op, r + 1, spinor.kraines_eigenvalue(n, r))):
+            return r
+    return None
+
+
+def reference_two_form(spin):
+    """The first pair whose two-form matrix is not twice the elementwise
+    derivation on a column of grade r >= 1, and the grade-0 block of (1, 1)."""
+    flat = spin.flat_basis()
+    bad = None
+    for pair in [(0, 0), (0, 1), (1, 1)]:
+        M = spin.two_form_matrix(pair)
+        expect = sparsemat.from_images(
+            ({(p, q, hm2, col): 2 * v
+              for hm2, v in spin.sym2h_derivation(pair, hm).items()}
+             for p, q, hm, col in flat), spin.coords)
+        if bad is None and any(flat[c][0] >= 1 for c in msub(M, expect)):
+            bad = pair
+    r0 = "nonzero" if any(flat[c][0] == 0 for c in M) else "zero"
+    return bad, r0
+
+
+def reference_projectors(E):
+    """The first q where the kernel-basis projector times c is not c P."""
+    for q in range(E.half_dim + 1):
+        prim = lefschetz.primitive_space(E, q)
+        c, cp = prim.scaled_projector_sl2()
+        if sparsemat.mscale(prim.projector(), c) != cp:
+            return q
+    return None
+
+
+def clifford_checks(n):
+    return {c.name: c for c in suite_clifford(n)}
+
+
+ADJOINT = "adjointness of the two Clifford components"
+CASIMIR = "Casimir scalar -r(r+2) and Kraines eigenvalue 6n - 4r(r+2)"
+TWO_FORM = "two-form action is twice the derivation (grades r>=1)"
+GRADE0 = "two-form action on grade 0 (reported, not asserted)"
+PROJECTORS = "kernel-basis and sl2 projectors agree"
+
+
+def test_the_moved_checks_match_the_references_on_working_code():
+    for n in (1, 2, 3):
+        spin = spinor.SpinorSpace(n)
+        checks = clifford_checks(n)
+        assert reference_adjointness(spin) is None and checks[ADJOINT].ok
+        assert reference_casimir(spin) is None
+        assert as_records([checks[CASIMIR]]) == [(CASIMIR, True, None, [
+            spinor.kraines_eigenvalue(n, r) for r in range(n + 1)])]
+        assert reference_two_form(spin) == (None, checks[GRADE0].value)
+        assert checks[TWO_FORM].ok and checks[GRADE0].ok
+        assert reference_projectors(SymplecticSpace(n)) is None
+
+
+def test_a_gram_fault_names_its_tangent_vector(monkeypatch):
+    spin = spinor.SpinorSpace(2)
+    s, gram = spin.scaled_hermitian_gram()
+    col = next(iter(gram[5]))
+    broken = {c: dict(rows) for c, rows in gram.items()}
+    broken[5][col] += s
+    monkeypatch.setattr(spinor.SpinorSpace, "scaled_hermitian_gram",
+                        lambda self: (s, broken))
+    want = reference_adjointness(spin)
+    assert want is not None
+    check = clifford_checks(2)[ADJOINT]
+    assert not check.ok and check.witness == want
+
+
+def test_a_sym_derivation_scale_fault_names_its_level(monkeypatch):
+    plain = SymOps.derivation
+
+    def broken(self, level, x, y):
+        s, m = plain(self, level, x, y)
+        return (2 * s if level == 2 else s), m
+
+    monkeypatch.setattr(SymOps, "derivation", broken)
+    spin = spinor.SpinorSpace(3)
+    assert reference_casimir(spin) == 2
+    check = clifford_checks(3)[CASIMIR]
+    assert not check.ok and check.witness == 2
+    assert check.value == [spinor.kraines_eigenvalue(3, r) for r in range(4)]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_clifford_block_fault_names_its_pair(monkeypatch, n):
+    spin = spinor.SpinorSpace(n)
+    s, mats = spin.scaled_clifford()
+    last = spin.tangent_basis()[-1]
+    broken = (s, {t: sparsemat.mscale(m, 2) if t == last else m
+                  for t, m in mats.items()})
+    monkeypatch.setattr(spinor.SpinorSpace, "scaled_clifford", lambda self: broken)
+    want, r0 = reference_two_form(spin)
+    assert want is not None
+    checks = clifford_checks(n)
+    assert not checks[TWO_FORM].ok and checks[TWO_FORM].witness == want
+    assert checks[GRADE0].ok and checks[GRADE0].value == r0
+
+
+def _wrong_sl2_polynomial(self):
+    """`scaled_projector_sl2` with lam_k = k (n - q + k + 2)."""
+    n, q, dim = self.space.half_dim, self.q, self.ambient.dim
+    ll = compose(lefschetz.L_op(self.space, q), lefschetz.Lambda_op(self.space, q))
+    c, result = 1, sparsemat.identity(dim)
+    for k in range(1, q // 2 + 1):
+        lam = k * (n - q + k + 2)
+        step = sparsemat.identity(dim, lam)
+        sparsemat.madd_into(step, ll, -1)
+        result, c = compose(step, result), c * lam
+    return c, result
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_a_wrong_sl2_eigenvalue_names_its_degree(monkeypatch, n):
+    monkeypatch.setattr(lefschetz.PrimitiveSpace, "scaled_projector_sl2",
+                        _wrong_sl2_polynomial)
+    E = SymplecticSpace(n)
+    want = reference_projectors(E)
+    assert want is not None
+    check = {c.name: c for c in run_suite("lemmas", n)}[PROJECTORS]
+    assert not check.ok and check.witness == want
+
+
+def test_a_sym2e_factor_fault_fails_the_e_identity(monkeypatch):
+    plain = weitzenboeck.ProjectorFamily.factor
+
+    def broken(self, side, label, x, y):
+        m = plain(self, side, label, x, y)
+        return sparsemat.mscale(m, 2) if (label, x, y) == ("Sym2E", 0, 2) else m
+
+    monkeypatch.setattr(weitzenboeck.ProjectorFamily, "factor", broken)
+    weitzenboeck.projector_family.cache_clear()
+    rep = weitzenboeck.curvature_scalar_identities(2, 1)
+    assert rep["h_identity_ok"] and not rep["e_identity_ok"]
+    check = {c.name: c for c in run_suite("weitzenboeck", 2)}[
+        "curvature-scalar operator identities at r=1"]
+    assert not check.ok and check.witness == ["e_identity_ok"]
+    weitzenboeck.projector_family.cache_clear()
+
+
+# -- the checker's term shapes ---------------------------------------------
+
+def test_a_three_factor_term_and_a_generator_match_the_two_factor_form():
+    a = (1, [{0: {0: 1, 1: 2}, 1: {1: 3}}])
+    b = (2, [{0: {1: 1}, 1: {0: 1}}])
+    c = (3, [{0: {0: 1}, 1: {0: 1, 1: 1}}])
+    bc = (6, [compose(b[1][0], c[1][0])])
+    for want in (0, Fraction(1, 6), 5):
+        three = [(None, [(2, (a, 0), (b, 0), (c, 0))], want)]
+        two = [(None, [(2, (a, 0), (bc, 0))], want)]
+        streamed = [(None, ((2, (a, 0), (b, 0), (c, 0)) for _ in range(1)), want)]
+        got = [as_records([check_relation("r", cases, 2)])
+               for cases in (three, two, streamed)]
+        assert got[0] == got[1] == got[2]
+    assert not got[0][0][1] and got[0][0][2]
+
+
+def test_terms_of_different_scales_are_summed_at_their_lcm():
+    # A / 2 + B / 3 - C / 4, streamed, so the sum is rescaled twice
+    a, b, c = ((s, [{0: {0: v}}]) for s, v in ((2, 1), (3, 1), (4, 1)))
+    terms = lambda: iter([(1, (a, 0)), (1, (b, 0)), (-1, (c, 0))])
+    assert lefschetz.relation_sum(terms()) == (12, {0: {0: 6 + 4 - 3}})
+    assert check_relation("sum", [(None, terms(), Fraction(7, 12))], 1).ok
+    check = check_relation("sum", [(None, terms(), 1)], 1)
+    assert not check.ok and check.witness == {0: {0: Fraction(7, 12)}}

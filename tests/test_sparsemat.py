@@ -129,15 +129,12 @@ def test_int_copies_clear_the_whole_family_and_keep_its_kind():
     s, copies = sparsemat.int_copies([a, b])
     assert s == 12
     assert copies == [{0: {0: 6, 2: 36}, 1: {1: -8}}, {2: {0: 15}}]
-    s_dict, by_key = sparsemat.int_copies({"a": a, "b": b})
-    assert s_dict == 12 and by_key == dict(zip("ab", copies))
     for m in copies:
         assert all(type(v) is int for v in _entries(m))
     # int matrices, and an empty family, need no scale
     ints = {0: {1: 3, 2: -1}}
     assert sparsemat.int_copies([ints, {}]) == (1, [ints, {}])
     assert sparsemat.int_copies([]) == (1, [])
-    assert sparsemat.int_copies({}) == (1, {})
 
 
 @pytest.mark.parametrize("one", ONES, ids=lambda o: type(o).__name__)
