@@ -24,7 +24,7 @@ and v - P v in im(L) gives the converse.  So P projects onto ker(Lambda)
 along im(L), and B spans ker(Lambda) by construction: that is `projector`.
 
 Every operator identity is data for one checker, `check_relation`: cases
-of sum_t c_t F_t1 ... F_tm = want id, each summed by `relation_sum` in int
+of sum_t c_t F_t1 ... F_tm = want id, each summed by `sparsemat.relation_sum` in int
 arithmetic at the lcm of its factors' scales.  The lemma relations read
 the held int levels (`Ladder.scaled`) of `PrimitiveOps`, the contraction /
 modified-wedge ladder on the primitive levels of Lambda^q E, and of
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import comb, lcm, prod
+from math import comb
 
 from . import linalg, sparsemat
 from .powers import (
@@ -385,43 +385,15 @@ def check_sl2(space: SymplecticSpace) -> list[Check]:
     return checks
 
 
-def relation_sum(terms) -> tuple[int, dict]:
-    """(S, S sum_t c_t F_t1 ... F_tm), int, over an iterable of terms.
-
-    A term is (c, F_1, ..., F_m): an int c times the product of one or more
-    factors, F_m applied first.  A factor is ((s, mats), x), mats[x] an int
-    matrix and mats[x] / s the exact operator.  Each term is read once and
-    added at S, the lcm of the scales read so far, the sum rescaled whenever
-    S grows, so a streamed sum never holds all its factors.
-    """
-    scale, total = 1, {}
-    for c, *factors in terms:
-        s = prod(s_f for (s_f, _), _ in factors)
-        if scale % s:
-            total = sparsemat.mscale(total, lcm(scale, s) // scale)
-            scale = lcm(scale, s)
-        *left, product = (m[x] for (_, m), x in factors)
-        for m in reversed(left[1:]):
-            product = sparsemat.compose(m, product)
-        weight = c * (scale // s)
-        if left and weight == 1:
-            # a unit term's last product is added as it is formed
-            sparsemat.compose_into(total, left[0], product)
-        else:
-            sparsemat.madd_into(total, sparsemat.compose(left[0], product)
-                                if left else product, weight)
-    return scale, total
-
-
 def check_relation(name: str, cases, dim: int | None, value=None) -> Check:
-    """Check that the `relation_sum` of each case (key, terms, want) is S want
+    """Check that the `sparsemat.relation_sum` of each case (key, terms, want) is S want
     id on a dim-dimensional level, in order; the first failing key is the
     witness.  want is an int or a Fraction, and dim is read only when want is
     nonzero.  A sum relation is one case with key None, and its witness is
     the sum divided back by S.
     """
     for key, terms, want in cases:
-        scale, total = relation_sum(terms)
+        scale, total = sparsemat.relation_sum(terms)
         target = Fraction(scale * want.numerator, want.denominator)
         if not sparsemat.is_scalar_multiple(total, dim, target):
             return Check(name, False, key if key is not None else

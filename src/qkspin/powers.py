@@ -227,13 +227,10 @@ class Ladder:
         """(s, s D) for the action D of x y on one level: UP(level-1, y)
         after sg DOWN(level, j), (j, sg) = sharp_basis(x), plus (x <-> y),
         composed afresh from the int levels; s is their scales' product."""
-        s_up, up = self.scaled(self.UP, level - 1)
-        s_down, down = self.scaled(self.DOWN, level)
-        total: dict = {}
-        for a, b in ((x, y), (y, x)):
-            j, sg = self.space.sharp_basis(a)
-            sparsemat.madd_into(total, sparsemat.compose(up[b], down[j]), sg)
-        return s_up * s_down, total
+        up, down = self.scaled(self.UP, level - 1), self.scaled(self.DOWN, level)
+        return sparsemat.relation_sum(
+            (sg, (up, b), (down, j)) for a, b in ((x, y), (y, x))
+            for j, sg in [self.space.sharp_basis(a)])
 
 
 class SymOps(Ladder):

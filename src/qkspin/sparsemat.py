@@ -17,12 +17,15 @@ of a larger one.
 
 `int_copies` clears the denominators of a family of rational matrices
 once, so a check whose verdict is unchanged by a nonzero scale composes
-int matrices instead of Fractions.
+int matrices instead of Fractions.  `relation_sum` adds products of such
+int matrices, each factor with its scale, at the lcm of the scales: every
+operator identity a suite checks (`lefschetz.check_relation`) and every
+derivation of a ladder is one.
 """
 
 from __future__ import annotations
 
-from math import lcm
+from math import lcm, prod
 
 
 def from_images(images, coords) -> dict:
@@ -130,6 +133,34 @@ def msub(a: dict, b: dict) -> dict:
     out = madd(a)
     madd_into(out, b, -1)
     return out
+
+
+def relation_sum(terms) -> tuple[int, dict]:
+    """(S, S sum_t c_t F_t1 ... F_tm), int, over an iterable of terms.
+
+    A term is (c, F_1, ..., F_m): an int c times the product of one or more
+    factors, F_m applied first.  A factor is ((s, mats), x), mats[x] an int
+    matrix and mats[x] / s the exact operator.  Each term is read once and
+    added at S, the lcm of the scales read so far, the sum rescaled whenever
+    S grows, so a streamed sum never holds all its factors.
+    """
+    scale, total = 1, {}
+    for c, *factors in terms:
+        s = prod(s_f for (s_f, _), _ in factors)
+        if scale % s:
+            total = mscale(total, lcm(scale, s) // scale)
+            scale = lcm(scale, s)
+        *left, product = (m[x] for (_, m), x in factors)
+        for m in reversed(left[1:]):
+            product = compose(m, product)
+        weight = c * (scale // s)
+        if left and weight == 1:
+            # a unit term's last product is added as it is formed
+            compose_into(total, left[0], product)
+        else:
+            madd_into(total, compose(left[0], product) if left else product,
+                      weight)
+    return scale, total
 
 
 def transpose(m: dict) -> dict:

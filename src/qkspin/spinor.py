@@ -35,7 +35,7 @@ Where the int scaling happens: the Clifford matrices are int from the
 start, at the lcm S of the ladder scales, and `scaled_hermitian_gram`
 clears the denominators of the Gram once per space.  The two-form action
 and the Casimir are sums of products of these int matrices, given as
-`relation_sum` terms (`two_form_terms`, `casimir_terms`): the clifford
+`sparsemat.relation_sum` terms (`two_form_terms`, `casimir_terms`): the clifford
 suite checks them with `check_relation`, and `two_form_matrix` and
 `casimir_matrix` sum them exactly for the tests.
 """
@@ -47,7 +47,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 
 from . import linalg, sparsemat
-from .lefschetz import primitive_ops, primitive_space, relation_sum
+from .lefschetz import primitive_ops, primitive_space
 from .powers import (
     SymPower,
     extended_sigma_sym,
@@ -357,7 +357,7 @@ class SpinorSpace:
 
     def two_form_matrix(self, pair: tuple) -> dict:
         """The summed `two_form_terms`, rational."""
-        s, total = relation_sum(self.two_form_terms(pair))
+        s, total = sparsemat.relation_sum(self.two_form_terms(pair))
         return sparsemat.mscale(total, Fraction(1, s))
 
     def casimir_terms(self, p: int):
@@ -375,7 +375,7 @@ class SpinorSpace:
 
     def casimir_matrix(self, p: int) -> dict:
         """The summed `casimir_terms`, rational."""
-        s, total = relation_sum(self.casimir_terms(p))
+        s, total = sparsemat.relation_sum(self.casimir_terms(p))
         return sparsemat.mscale(total, Fraction(1, s))
 
 

@@ -53,8 +53,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import linalg, sparsemat
-from .lefschetz import (PrimitiveOps, check_relation, primitive_ops,
-                        primitive_space, relation_sum)
+from .lefschetz import PrimitiveOps, check_relation, primitive_ops, primitive_space
 from .powers import sym_ops
 from .scalar import Scalar
 from .symplectic import SymplecticSpace
@@ -270,7 +269,7 @@ class ProjectorFamily:
         held table's entry, or a sum of them built afresh for the caller."""
         if label not in _SUMS:
             return self.table(side, label)[1][x, y]
-        return relation_sum(
+        return sparsemat.relation_sum(
             (w, ((1, self.table("e", held)[1]), (y, x) if swap else (x, y)))
             for held, swap, w in self._sum(label)[1])[1]
 

@@ -476,7 +476,7 @@ def test_terms_of_different_scales_are_summed_at_their_lcm():
     # A / 2 + B / 3 - C / 4, streamed, so the sum is rescaled twice
     a, b, c = ((s, [{0: {0: v}}]) for s, v in ((2, 1), (3, 1), (4, 1)))
     terms = lambda: iter([(1, (a, 0)), (1, (b, 0)), (-1, (c, 0))])
-    assert lefschetz.relation_sum(terms()) == (12, {0: {0: 6 + 4 - 3}})
+    assert sparsemat.relation_sum(terms()) == (12, {0: {0: 6 + 4 - 3}})
     assert check_relation("sum", [(None, terms(), Fraction(7, 12))], 1).ok
     check = check_relation("sum", [(None, terms(), 1)], 1)
     assert not check.ok and check.witness == {0: {0: Fraction(7, 12)}}
