@@ -24,9 +24,9 @@ and v - P v in im(L) gives the converse.  So P projects onto ker(Lambda)
 along im(L), and B spans ker(Lambda) by construction: that is `projector`.
 
 Every operator identity is data for one checker, `check_relation`: cases
-of sum_t c_t F_t1 ... F_tm = want id, each summed by `sparsemat.relation_sum` in int
-arithmetic at the lcm of its factors' scales.  The lemma relations read
-the held int levels (`Ladder.scaled`) of `PrimitiveOps`, the contraction /
+of sum_t c_t F_t1 ... F_tm = want id, each summed in int arithmetic at the
+lcm of its factors' scales (`sparsemat.relation_sum`).  The lemma relations
+read the held int levels (`Ladder.scaled`) of `PrimitiveOps`, the contraction /
 modified-wedge ladder on the primitive levels of Lambda^q E, and of
 `powers.SymOps`, the product / normalized-contraction ladder on Sym^r H.
 A failing relation names its first failing case key, or its sum.
@@ -386,11 +386,11 @@ def check_sl2(space: SymplecticSpace) -> list[Check]:
 
 
 def check_relation(name: str, cases, dim: int | None, value=None) -> Check:
-    """Check that the `sparsemat.relation_sum` of each case (key, terms, want) is S want
-    id on a dim-dimensional level, in order; the first failing key is the
-    witness.  want is an int or a Fraction, and dim is read only when want is
-    nonzero.  A sum relation is one case with key None, and its witness is
-    the sum divided back by S.
+    """Check that each case (key, terms, want) sums to S want id on a
+    dim-dimensional level, S its scale (`sparsemat.relation_sum`), in order;
+    the first failing key is the witness.  want is an int or a Fraction, and
+    dim is read only when want is nonzero.  A sum relation is one case with
+    key None, and its witness is the sum divided back by S.
     """
     for key, terms, want in cases:
         scale, total = sparsemat.relation_sum(terms)

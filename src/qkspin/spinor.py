@@ -35,9 +35,9 @@ Where the int scaling happens: the Clifford matrices are int from the
 start, at the lcm S of the ladder scales, and `scaled_hermitian_gram`
 clears the denominators of the Gram once per space.  The two-form action
 and the Casimir are sums of products of these int matrices, given as
-`sparsemat.relation_sum` terms (`two_form_terms`, `casimir_terms`): the clifford
-suite checks them with `check_relation`, and `two_form_matrix` and
-`casimir_matrix` sum them exactly for the tests.
+terms (`two_form_terms`, `casimir_terms`) that the clifford suite checks
+with `check_relation` and `two_form_matrix` and `casimir_matrix` sum
+exactly (`sparsemat.relation_sum`) for the tests.
 """
 
 from __future__ import annotations

@@ -85,13 +85,13 @@ def suite_clifford(n: int, seed: int = 0) -> list[Check]:
         return {c: rows for c, col in m.items() if (rows := {
             k: v for k, v in col.items() if flat[k][0] == flat[c][0] + step})}
 
-    gram = (s_gram, [gram]), 0
+    gram_factor = (s_gram, [gram]), 0
 
     def adjoint_terms(t):
         raising = sparsemat.transpose(grade_part(mats[t], 1))
-        yield 1, ((s, [raising]), 0), gram
+        yield 1, ((s, [raising]), 0), gram_factor
         for u, c in spin.conjugate_tangent({t: 1}).items():
-            yield c, gram, ((s, [grade_part(mats[u], -1)]), 0)
+            yield c, gram_factor, ((s, [grade_part(mats[u], -1)]), 0)
 
     checks.append(check_relation("adjointness of the two Clifford components",
                                  ((t, adjoint_terms(t), 0) for t in tangent),
