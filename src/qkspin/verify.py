@@ -21,7 +21,6 @@ from . import SUITES, curvature, sparsemat, spinor, weitzenboeck
 from .lefschetz import (
     Check,
     L_op,
-    Lambda_op,
     NotPrimitiveError,
     PrimitiveDimensionError,
     check_ext_relations,
@@ -138,8 +137,9 @@ def suite_lemmas(n: int, seed: int = 0) -> list[Check]:
     # c P = prod_k (lam_k id - L Lambda) is the kernel-basis projector times c
     # exactly when Lambda (c P) = 0 and (c P) L = 0 (see `lefschetz`)
     def projector_cases(q):
-        cp = (1, [primitive_space(E, q).scaled_projector_sl2()[1]]), 0
-        yield q, [(1, ((1, [Lambda_op(E, q)]), 0), cp)], 0
+        prim = primitive_space(E, q)
+        cp = (1, [prim.scaled_projector_sl2()[1]]), 0
+        yield q, [(1, ((1, [prim.lambda_op]), 0), cp)], 0
         yield q, [(1, cp, ((1, [L_op(E, q)]), 0))], 0
 
     checks.append(check_relation(
@@ -256,9 +256,8 @@ def suite_weitzenboeck(n: int, seed: int = 0) -> list[Check]:
                 f"E-part sub-oracle at r={r}", lambda: weitzenboeck.recover_we(n, r),
                 weitzenboeck.we_closed(n, r)))
         rep = weitzenboeck.curvature_scalar_identities(n, r)
-        failed = [key for key in ("h_identity_ok", "e_identity_ok",
-                                  "kappa4_h_matches", "kappa4_e_matches")
-                  if not rep[key]]
+        failed = [key for key in ("h_identity_ok", "e_identity_ok", "kappa4_h_matches",
+                                  "kappa4_e_matches") if not rep[key]]
         identities.append(Check(
             f"curvature-scalar operator identities at r={r}", not failed,
             failed or None,

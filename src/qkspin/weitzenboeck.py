@@ -269,9 +269,11 @@ class ProjectorFamily:
         held table's entry, or a sum of them built afresh for the caller."""
         if label not in _SUMS:
             return self.table(side, label)[1][x, y]
-        return sparsemat.relation_sum(
-            (w, ((1, self.table("e", held)[1]), (y, x) if swap else (x, y)))
-            for held, swap, w in self._sum(label)[1])[1]
+        total: dict = {}
+        for held, swap, weight in self._sum(label)[1]:
+            sparsemat.madd_into(total, self.table("e", held)[1][(y, x) if swap
+                                                                else (x, y)], weight)
+        return total
 
     # assembled recovery ------------------------------------------------
 
