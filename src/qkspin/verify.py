@@ -108,7 +108,7 @@ def suite_clifford(n: int, seed: int = 0) -> list[Check]:
     # the two-form action of h_i h_j is twice its elementwise derivation on
     # the Sym H factor; a block of grades is read through the identity on
     # its columns, applied first
-    def two_form_terms(pair, block):
+    def block_terms(pair, block):
         on_block = (1, [{k: {k: 1} for k in block}]), 0
         for term in spin.two_form_terms(pair):
             yield *term, on_block
@@ -119,10 +119,10 @@ def suite_clifford(n: int, seed: int = 0) -> list[Check]:
     grade0, upper = range(spin.grade_dim(0)), range(spin.grade_dim(0), spin.dim)
     checks.append(check_relation(
         "two-form action is twice the derivation (grades r>=1)",
-        ((pair, two_form_terms(pair, upper), 0) for pair in [(0, 0), (0, 1), (1, 1)]),
+        ((pair, block_terms(pair, upper), 0) for pair in [(0, 0), (0, 1), (1, 1)]),
         spin.dim))
     r0 = check_relation("two-form action on grade 0 (reported, not asserted)",
-                        [(None, two_form_terms((1, 1), grade0), 0)], spin.dim)
+                        [(None, block_terms((1, 1), grade0), 0)], spin.dim)
     checks.append(Check(r0.name, True, value="zero" if r0.ok else "nonzero"))
     return checks
 

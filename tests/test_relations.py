@@ -313,8 +313,9 @@ def reference_casimir(spin):
     for r in range(n + 1):
         C = spin.casimir_matrix(r)
         op = madd(sparsemat.identity(r + 1, Fraction(6 * n)), sparsemat.mscale(C, 4))
+        kraines = spinor.kraines_eigenvalue(n, r)
         if not (sparsemat.is_scalar_multiple(C, r + 1, Fraction(-r * (r + 2))) and
-                sparsemat.is_scalar_multiple(op, r + 1, spinor.kraines_eigenvalue(n, r))):
+                sparsemat.is_scalar_multiple(op, r + 1, kraines)):
             return r
     return None
 
