@@ -1,5 +1,7 @@
 """Shared fixtures."""
 
+import sys
+
 import pytest
 
 from qkspin import curvature
@@ -23,3 +25,28 @@ def ordered_rform(monkeypatch):
                 for i in labels for j in labels]
 
     monkeypatch.setattr(curvature, "_rform_index", ordered_index)
+
+
+def _cached_functions():
+    """Every `functools.cache` of a loaded qkspin module or of its classes."""
+    for name, mod in list(sys.modules.items()):
+        if name == "qkspin" or name.startswith("qkspin."):
+            for value in vars(mod).values():
+                if isinstance(value, type) and value.__module__ == name:
+                    yield from (v for v in vars(value).values()
+                                if hasattr(v, "cache_clear"))
+                elif hasattr(value, "cache_clear"):
+                    yield value
+
+
+@pytest.fixture(autouse=True, scope="module")
+def cold_caches():
+    """Leave the package's caches empty after each test module.
+
+    Levels, primitive spaces and operators are cached for the life of a
+    process, so without this a test would see whatever earlier modules had
+    built and could pass or fail by the order it runs in.
+    """
+    yield
+    for fn in _cached_functions():
+        fn.cache_clear()
